@@ -7,7 +7,7 @@ algorithm (fast) and the §7.1.1 FullyConnected algorithm (the Fig. 6
 comparison baseline).
 """
 
-from repro.ops.conv import tpu_conv2d, tpu_stencil2d
+from repro.ops.conv import tpu_stencil2d
 from repro.ops.crop_pad import tpu_crop, tpu_pad
 from repro.ops.elementwise import tpu_add, tpu_mul, tpu_relu, tpu_sub, tpu_tanh
 from repro.ops.gemm import tpu_gemm, tpu_matvec
@@ -22,7 +22,6 @@ __all__ = [
     "tpu_prefix_sum",
     "tpu_reduce_sum",
     "tpu_add",
-    "tpu_conv2d",
     "tpu_conv2d_nn",
     "tpu_crop",
     "tpu_gemm",

@@ -4,13 +4,11 @@ Named ``tpu_stencil2d`` to disambiguate it from the multichannel NN
 convolution (:func:`repro.ops.nn.tpu_conv2d_nn`): this routine convolves
 one 2-D plane with one small kernel — the HotSpot3D relaxation stencil —
 and lowers to a single halo-tiled conv2D instruction stream, with no
-channels, bias, or activation.  ``tpu_conv2d`` remains as a deprecated
-alias for existing callers.
+channels, bias, or activation.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -41,24 +39,3 @@ def tpu_stencil2d(
         **attrs,
     )
 
-
-def tpu_conv2d(
-    ctx: OpenCtpu,
-    data,
-    kernel,
-    model_name: str = "",
-    out: Optional[Buffer] = None,
-) -> np.ndarray:
-    """Deprecated alias of :func:`tpu_stencil2d`.
-
-    The name now belongs conceptually to the multichannel NN convolution
-    (:func:`repro.ops.nn.tpu_conv2d_nn`); use :func:`tpu_stencil2d` for
-    the single-plane stencil form.
-    """
-    warnings.warn(
-        "tpu_conv2d is deprecated; use tpu_stencil2d (single-plane stencil) "
-        "or repro.ops.nn.tpu_conv2d_nn (multichannel NN convolution)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return tpu_stencil2d(ctx, data, kernel, model_name=model_name, out=out)

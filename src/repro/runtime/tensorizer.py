@@ -12,6 +12,9 @@ Implements paper §6.2 in full:
   and strided conv2D produces exact matrix-multiply results.  Lives here
   because the *partitioning* (chunking + kernel batching) is Tensorizer's
   job; the user-facing entry point is :func:`repro.ops.gemm.tpu_gemm`.
+  One engine lowers it: a list of GEMMs sharing one model operand, of
+  which a solo GEMM is a group of one and a serving-coalesced group
+  (:meth:`Tensorizer.lower_gemm_coalesced`) is the general case.
 * **Data transformation** (§6.2.2): per-tile (or global) input scales
   and the Eqs. 5–8 output scaling factors.
 * **Fast model creation** (§6.2.3): every model is costed through the
@@ -107,6 +110,24 @@ _QUANT_CACHE_MAX = 65536
 #: between a few GEMM geometries keeps each one's ~tens-of-MB buffers
 #: resident; anything beyond a handful of live geometries is churn.
 _GEMM_SCRATCH_SLOTS = 4
+
+
+def _gemm_scratch(
+    m: int, n: int, k: int, rows_per_chunk: int, batch: int, members: int = 1
+) -> dict:
+    """Conv2D-GEMM buffers for *members* stacked (m, n) data operands."""
+    strip_h = min(rows_per_chunk, m)
+    return {
+        "q_a": np.empty((members * m, n), dtype=np.float32),
+        "q_b": np.empty((n, k), dtype=np.float32),
+        "tmp_a": np.empty((strip_h, n), dtype=np.float64),
+        "tmp_b": np.empty((n, min(batch, k)), dtype=np.float64),
+        "strip": np.empty((strip_h, k), dtype=np.float64),
+        "parts": [
+            np.empty((members * m, k), dtype=np.float32)
+            for _ in functional.f32_slab_starts(n)
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -269,11 +290,15 @@ class Tensorizer:
             lowered = self._dispatch_rule(request)
         else:
             lowered = self._lower_generic_planned(request, cache)
+        self._note_lowered(lowered)
+        return lowered
+
+    def _note_lowered(self, lowered: LoweredOperation) -> None:
+        """Per-operation counters; advances the ``op{seq}`` source names."""
         self.stats.operations_lowered += 1
         self.stats.instructions_emitted += lowered.instruction_count
         self.stats.saturated_values += lowered.saturated
         self._op_seq += 1
-        return lowered
 
     def _lower_generic_planned(
         self, request: OperationRequest, cache: PlanCache
@@ -1239,8 +1264,8 @@ class Tensorizer:
         model_elems: int,
         exec_seconds: float,
         out_elems: int,
-        model_source: Optional[str] = None,
     ) -> LoweredInstr:
+        """One conv2D-GEMM piece, emitted directly (the scalar oracle)."""
         cache_key = f"{source}:rows{c0}"
         return LoweredInstr(
             opcode=Opcode.CONV2D,
@@ -1257,16 +1282,14 @@ class Tensorizer:
             label=f"convGEMM:r{c0}:k{j0}",
             # Kernel batches are identical across row chunks: they stay
             # resident per device instead of being re-streamed for every
-            # chunk.  Coalesced operations share one model source so the
-            # kernels of a common weight matrix also persist *across*
-            # the clients that share it.
-            model_cache_key=f"{model_source or source}:kernels{j0}",
+            # chunk.
+            model_cache_key=f"{source}:kernels{j0}",
         )
 
     def _gemm_scratch_for(
         self, m: int, n: int, k: int, rows_per_chunk: int, batch: int
     ) -> dict:
-        """Keyed LRU of conv2D-GEMM scratch buffers.
+        """Keyed LRU of conv2D-GEMM scratch buffers (solo GEMMs).
 
         Scratch (quantized operands, slab products, one strip
         accumulator) survives between calls of the same geometry —
@@ -1281,18 +1304,7 @@ class Tensorizer:
         if sc is not None:
             self._gemm_scratch.move_to_end(key)
             return sc
-        strip_h = min(rows_per_chunk, m)
-        sc = {
-            "q_a": np.empty((m, n), dtype=np.float32),
-            "q_b": np.empty((n, k), dtype=np.float32),
-            "tmp_a": np.empty((strip_h, n), dtype=np.float64),
-            "tmp_b": np.empty((n, min(batch, k)), dtype=np.float64),
-            "strip": np.empty((strip_h, k), dtype=np.float64),
-            "parts": [
-                np.empty((m, k), dtype=np.float32)
-                for _ in functional.f32_slab_starts(n)
-            ],
-        }
+        sc = _gemm_scratch(m, n, k, rows_per_chunk, batch)
         self._gemm_scratch[key] = sc
         while len(self._gemm_scratch) > _GEMM_SCRATCH_SLOTS:
             self._gemm_scratch.popitem(last=False)
@@ -1307,9 +1319,7 @@ class Tensorizer:
         layout, and the §7.1.3 host-transform cost.  Model builds are
         costed here, once — binding a warm replay charges nothing.
         """
-        a, b = self._require_2d_pair(request)
-        if a.shape[1] != b.shape[0]:
-            raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
+        a, b = request.inputs
         m, n = a.shape
         k = b.shape[1]
         s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
@@ -1427,209 +1437,213 @@ class Tensorizer:
         return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
 
     def _lower_gemm_conv2d_batched(self, request: OperationRequest) -> LoweredOperation:
+        return self._lower_gemm_group([request])[0]
+
+    def _lower_gemm_group(
+        self, requests: Sequence[OperationRequest]
+    ) -> List[LoweredOperation]:
+        """The conv2D-GEMM engine: lower GEMMs that share one model operand.
+
+        A solo GEMM is a group of one; the serving coalescer's groups
+        (:meth:`lower_gemm_coalesced`) arrive already checked to share B,
+        the data shape, ``gemm_chunks`` and SCALE quantization.  B is
+        quantized once, every member's A is quantized chunk by chunk with
+        its *own* scales and stacked row-wise, and ONE exact-f32 slab
+        product serves the whole group.  Each member's strip is then
+        requantized with its own measured output bounds.
+
+        Instructions always come from binding a :class:`CompiledPlan`:
+        the cached one (a warm replay binds model builds at zero cost),
+        a fresh capture, or — without a plan cache — a plan captured for
+        this call only, which is neither stored nor counted as a capture.
+
+        **Bit-identity**: every slab partial holds exact integers (any
+        BLAS summation order yields the same value — see
+        :func:`repro.edgetpu.functional.f32_slab_products`), each member
+        occupies its own rows of the stack, and (re)quantization uses
+        exactly the values the scalar oracle computes per piece.  A
+        member's result is therefore bit-for-bit that of lowering it
+        alone, cold or warm.
+        """
+        first = requests[0]
+        n_req = len(requests)
+        a0, b = self._require_2d_pair(first)
+        if a0.shape[1] != b.shape[0]:
+            raise TensorizerError(f"GEMM inner dims differ: {a0.shape} x {b.shape}")
+        m, n = a0.shape
+        k = b.shape[1]
+        tracer = self._tracer
+        op = first.opcode.opname
         cache = self.plan_cache
-        plan: Optional[CompiledPlan] = None
         replay = False
-        if cache is not None:
-            signature = plan_signature(request, self.options, self.tpu_config)
+        if cache is None:
+            plan = self._gemm_capture(first, "")
+        else:
+            # The coalescing key (shape / quant / gemm_chunks / shared B)
+            # is a sub-key of the plan signature: one plan serves a group.
+            signature = plan_signature(first, self.options, self.tpu_config)
             plan = cache.get(signature)
             if plan is None:
-                self._tracer.instant(
-                    "plan_miss", cat="plan", track="tensorizer", op=request.opcode.opname
+                tracer.instant(
+                    "plan_miss", cat="plan", track="tensorizer", op=op, requests=n_req
                 )
-                sp = self._tracer.begin("plan_capture", cat="plan", track="tensorizer")
-                plan = self._gemm_capture(request, signature)
-                self._tracer.end(sp)
+                sp = tracer.begin("plan_capture", cat="plan", track="tensorizer")
+                plan = self._gemm_capture(first, signature)
+                tracer.end(sp)
                 cache.put(signature, plan)
                 self.stats.plan_captures += 1
             else:
-                self._tracer.instant(
-                    "plan_hit", cat="plan", track="tensorizer", op=request.opcode.opname
+                tracer.instant(
+                    "plan_hit", cat="plan", track="tensorizer", op=op, requests=n_req
                 )
                 replay = True
-        lowered = self._gemm_execute(request, plan, replay=replay)
-        if replay:
-            plan.replays += 1
-            cache.note_bind()
-            self.stats.plan_replays += 1
-        return lowered
-
-    def _gemm_execute(
-        self,
-        request: OperationRequest,
-        plan: Optional[CompiledPlan],
-        *,
-        replay: bool,
-    ) -> LoweredOperation:
-        """Execute one conv2D-GEMM: legacy (``plan=None``), fresh bind of
-        a just-captured plan, or warm replay.
-
-        All three produce bit-identical results: the slab product and the
-        requantize arithmetic re-run per request with the same float64
-        values, and a replay reuses only data-independent artifacts (the
-        geometry, the instruction templates, and — after a value check —
-        the quantized model operand).
-        """
-        a, b = self._require_2d_pair(request)
-        if a.shape[1] != b.shape[0]:
-            raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
-        m, n = a.shape
-        k = b.shape[1]
-        if plan is not None:
-            g = plan.geometry
-            s, rows_per_chunk, batch = g.s, g.rows_per_chunk, g.batch
-        else:
-            s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
-        source = request.input_name or f"op{self._op_seq}"
-
+        g = plan.geometry
+        s, rows_per_chunk, batch = g.s, g.rows_per_chunk, g.batch
         row_starts = list(range(0, m, rows_per_chunk))
         col_starts = list(range(0, k, batch))
         n_rows = len(row_starts)
         n_cols = len(col_starts)
-        if plan is not None and len(plan.templates) != n_rows * n_cols:
+        if len(plan.templates) != n_rows * n_cols:
             raise TensorizerError(
                 f"cached GEMM plan records {len(plan.templates)} pieces but the "
                 f"geometry yields {n_rows * n_cols}"
             )
 
-        tracer = self._tracer
         # The warm-path host work the plan cache does NOT amortize: input
         # range scans + quantization of A, and template binding.  (The
         # slab product and requantize below are the modeled *device*
         # math — on real hardware they run on the TPU.)
         bind_sp = (
-            tracer.begin("plan_bind", cat="plan", track="tensorizer", op=request.opcode.opname)
+            tracer.begin("plan_bind", cat="plan", track="tensorizer", op=op, requests=n_req)
             if replay
             else None
         )
-
-        # A warm replay with the cached model block skips every pass over
-        # B: quantized weights, per-batch scales, and B's value range all
-        # come from the plan, value-checked against this request's
-        # operand.  SCALE only — GLOBAL scales depend on A as well.
-        block = plan.model if plan is not None else None
-        reuse_model = (
-            replay
-            and request.quant is QuantMode.SCALE
-            and block is not None
-            and block.matches(b)
+        sp = tracer.begin(
+            "quantize", cat="lower.phase", track="tensorizer",
+            chunks=n_rows, batches=n_cols, requests=n_req,
         )
-
-        # Value range for the Eqs. 5-8 fallback.  data_range over both
-        # operands equals the fold of the per-operand ranges, so the
-        # split scans (reusing / capturing B's range) are bit-identical.
-        b_lo = b_hi = 0.0
-        if reuse_model:
-            a_lo, a_hi = data_range(a)
-            lo, hi = min(a_lo, block.b_lo), max(a_hi, block.b_hi)
-        elif plan is not None and request.quant is QuantMode.SCALE:
-            a_lo, a_hi = data_range(a)
-            b_lo, b_hi = data_range(b)
-            lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
-        else:
-            lo, hi = data_range(a, b)
-
-        # Per-chunk / per-kernel-batch input scales.  The scalar loop
-        # recomputes the column-batch params for *every* row chunk; they
-        # do not depend on the chunk, so one pass per batch suffices.
-        # (_params_for_data also validates finiteness, chunk by chunk /
-        # batch by batch, covering both operands — the same errors the
-        # scalar path's per-piece quantize calls would raise.)
-        if request.quant is QuantMode.GLOBAL:
-            p_glob = self._input_params(request, a)
-            if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+        # GLOBAL scales span both operands, so only a group of one (the
+        # coalescer never merges GLOBAL requests) may use them.
+        glob = first.quant is QuantMode.GLOBAL
+        if glob:
+            p_glob = self._input_params(first, a0)
+            if not np.all(np.isfinite(a0)) or not np.all(np.isfinite(b)):
                 raise QuantizationError("data contains non-finite values")
-            row_params = [p_glob] * n_rows
-            col_params = [p_glob] * n_cols
-        elif replay:
-            row_params = [
-                self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts
-            ]
-            col_params = (
-                None
-                if reuse_model
-                else [self._params_for_data(b[:, j0 : j0 + batch]) for j0 in col_starts]
-            )
-        else:
-            row_params = [
-                self._params_for_data(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts
-            ]
-            col_params = [
-                self._params_for_data(b[:, j0 : j0 + batch]) for j0 in col_starts
-            ]
-        col_scales = (
-            block.col_scales
-            if reuse_model
-            else np.array([p.scale for p in col_params])
+        # A solo GEMM keeps its geometry's scratch resident (iterative
+        # apps); a coalesced group's taller stack is allocated per call.
+        sc = (
+            self._gemm_scratch_for(m, n, k, rows_per_chunk, batch)
+            if n_req == 1
+            else _gemm_scratch(m, n, k, rows_per_chunk, batch, members=n_req)
         )
 
-        sc = self._gemm_scratch_for(m, n, k, rows_per_chunk, batch)
-
-        # Quantize each operand once — chunk by chunk into a float32
-        # buffer.  The scaling and rint arithmetic stay float64, so the
-        # stored integers are bit-identical to the scalar path's; the
-        # clip is provably dead because every scale is 127/max_abs of
-        # the very data it multiplies, bounding |rint| by 127.  The
-        # ``+ 0.0`` normalizes rint's ``-0.0`` to the ``+0.0`` the scalar
-        # path's int8 round-trip produces, keeping signed zeros in the
-        # accumulator (and so in the dequantized result) bit-identical.
-        sp = tracer.begin("quantize", cat="lower.phase", track="tensorizer", chunks=n_rows, batches=n_cols)
-        q_a = sc["q_a"]
-        tmp_a = sc["tmp_a"]
-        for c0, p_rows in zip(row_starts, row_params):
-            c1 = min(c0 + rows_per_chunk, m)
-            t = tmp_a[: c1 - c0]
-            np.multiply(a[c0:c1], p_rows.scale, out=t)
-            np.rint(t, out=t)
-            np.add(t, 0.0, out=q_a[c0:c1])
+        # Shared model operand.  A warm replay whose cached model block
+        # matches B skips every pass over it: quantized weights,
+        # per-batch scales and B's value range all come from the plan.
+        # SCALE only — GLOBAL scales depend on A as well.
+        block = plan.model
+        reuse_model = replay and not glob and block is not None and block.matches(b)
         if reuse_model:
-            q_b = block.q_b
+            col_scales, q_b = block.col_scales, block.q_b
+            b_lo, b_hi = block.b_lo, block.b_hi
         else:
+            # One pass per kernel batch: the scalar loop recomputes these
+            # for every row chunk, but they do not depend on the chunk.
+            col_scales = np.array([
+                p_glob.scale if glob else self._chunk_params(b[:, j0 : j0 + batch]).scale
+                for j0 in col_starts
+            ])
+            # Quantize chunk by chunk into a float32 buffer.  The scaling
+            # and rint arithmetic stay float64, so the stored integers
+            # are bit-identical to the scalar path's; the clip is
+            # provably dead because every scale is 127/max_abs of the
+            # very data it multiplies.  ``+ 0.0`` normalizes rint's
+            # ``-0.0`` to the ``+0.0`` the scalar path's int8 round-trip
+            # produces, keeping signed zeros bit-identical.
             q_b, tmp_b = sc["q_b"], sc["tmp_b"]
-            for j0, p_cols in zip(col_starts, col_params):
+            for j0, scale in zip(col_starts, col_scales):
                 j1 = min(j0 + batch, k)
                 t = tmp_b[:, : j1 - j0]
-                np.multiply(b[:, j0:j1], p_cols.scale, out=t)
+                np.multiply(b[:, j0:j1], scale, out=t)
                 np.rint(t, out=t)
                 np.add(t, 0.0, out=q_b[:, j0:j1])
+            b_lo, b_hi = data_range(b)
+
+        # Each member's data operand, quantized with its own per-chunk
+        # scales into its rows of the stack.  Folding A's range with B's
+        # equals data_range(a, b) (the Eqs. 5-8 fallback input).
+        q_a, tmp_a = sc["q_a"], sc["tmp_a"]
+        sources: List[str] = []
+        ranges: List[Tuple[float, float]] = []
+        all_row_params: List[List[QuantParams]] = []
+        for idx, request in enumerate(requests):
+            a = request.inputs[0]
+            a_lo, a_hi = data_range(a)
+            ranges.append((min(a_lo, b_lo), max(a_hi, b_hi)))
+            # Unique per distinct input so unrelated GEMMs never alias in
+            # on-chip memory; bare arrays fall back to the sequence
+            # number the caller advances once per request.
+            sources.append(request.input_name or f"op{self._op_seq + idx}")
+            row_params = (
+                [p_glob] * n_rows
+                if glob
+                else [self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts]
+            )
+            all_row_params.append(row_params)
+            base = idx * m
+            for c0, p_rows in zip(row_starts, row_params):
+                c1 = min(c0 + rows_per_chunk, m)
+                t = tmp_a[: c1 - c0]
+                np.multiply(a[c0:c1], p_rows.scale, out=t)
+                np.rint(t, out=t)
+                np.add(t, 0.0, out=q_a[base + c0 : base + c1])
         tracer.end(sp)
 
-        if plan is not None and request.quant is QuantMode.SCALE and not reuse_model:
+        if cache is not None and not glob and not reuse_model:
             # Cache the quantized model operand with the plan.  Copy: the
             # scratch q_b is overwritten by the next GEMM of this
             # geometry, and the block must outlive it.
             plan.model = model_block_for(b, q_b.copy(), col_scales, b_lo, b_hi)
 
-        # Bind the cached instruction templates (plan paths) in the same
-        # (chunk, kernel-batch) order the legacy loop emits.  A fresh
-        # bind (the capture miss) carries the capture-time model-build
-        # seconds; a warm replay binds them at zero.
-        if plan is not None:
-            instrs = [
-                t.bind(Opcode.CONV2D, request.task_id, source, source, fresh=not replay)
+        # Bind the templates in (chunk, kernel-batch) order.  Every
+        # member keeps its own data source but shares member 0's model
+        # source, so the common kernel batches stay device-resident
+        # across clients.  Only a miss's first member carries the
+        # capture-time model-build seconds.
+        model_source = sources[0]
+        all_instrs = [
+            [
+                t.bind(
+                    Opcode.CONV2D, request.task_id, source, model_source,
+                    fresh=not replay and idx == 0,
+                )
                 for t in plan.templates
             ]
-        else:
-            instrs = []
+            for idx, (request, source) in enumerate(zip(requests, sources))
+        ]
         if bind_sp is not None:
             tracer.end(bind_sp)
 
-        sp = tracer.begin("slab_gemm", cat="lower.phase", track="tensorizer", m=m, n=n, k=k)
+        sp = tracer.begin(
+            "slab_gemm", cat="lower.phase", track="tensorizer", m=n_req * m, n=n, k=k
+        )
         partials = functional.f32_slab_products(q_a, q_b, out=sc["parts"])
         tracer.end(sp)
-        self.stats.tiles_lowered += n_rows * n_cols
+        self.stats.tiles_lowered += n_req * n_rows * n_cols
         self.stats.batched_dispatches += 1
 
-        # Requantize chunk-strip by chunk-strip: the exact float64
-        # accumulator strip is assembled from the slab partials, its
-        # per-(chunk, batch) bounds taken with two reduceat passes, and
-        # the rescale/rint/clip/dequantize sequence applied with the
-        # per-batch factors expanded to a column vector — elementwise the
-        # identical operations (and operand values) the scalar loop
-        # applies to each piece, ~10 NumPy dispatches per chunk instead
-        # of ~8 per (chunk, batch) block.
-        sp = tracer.begin("requantize", cat="lower.phase", track="tensorizer", chunks=n_rows)
-        result = np.empty((m, k), dtype=np.float64)
+        # Requantize member by member, chunk-strip by chunk-strip: the
+        # exact float64 accumulator strip is assembled from the slab
+        # partials, its per-(chunk, batch) bounds taken with two reduceat
+        # passes, and the rescale/rint/clip/dequantize sequence applied
+        # with the per-batch factors expanded to a column vector —
+        # elementwise the identical operations (and operand values) the
+        # scalar loop applies to each piece, ~10 NumPy dispatches per
+        # chunk instead of ~8 per (chunk, batch) block.
+        sp = tracer.begin(
+            "requantize", cat="lower.phase", track="tensorizer",
+            chunks=n_rows, requests=n_req,
+        )
         strip = sc["strip"]
         col_idx = np.array(col_starts, dtype=np.intp)
         batch_sizes = np.array(
@@ -1637,108 +1651,104 @@ class Tensorizer:
         )
         out_scales_row = np.empty(n_cols)
         rescale_row = np.empty(n_cols)
-        saturated = 0
-        integ = (
-            IntegrityPlan(mode=self.options.integrity)
-            if self.options.integrity != "off"
-            else None
-        )
-        for ci, c0 in enumerate(row_starts):
-            c1 = min(c0 + rows_per_chunk, m)
-            p_rows = row_params[ci]
-            chunk_bytes = (c1 - c0) * s * s
-            st = strip[: c1 - c0]
-            if len(partials) == 1:
-                np.copyto(st, partials[0][c0:c1])
-            else:
-                np.add(partials[0][c0:c1], partials[1][c0:c1], out=st)
-                for part in partials[2:]:
-                    st += part[c0:c1]
-            # Per-batch |acc| bounds: max|x| == max(max, -min), and a
-            # segmented max equals each block's max — no abs temporary.
-            bmax = np.maximum.reduceat(st, col_idx, axis=1).max(axis=0)
-            bmin = np.minimum.reduceat(st, col_idx, axis=1).min(axis=0)
-            may_saturate = False
-            for bi in range(n_cols):
-                acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
-                scale_prod = p_rows.scale * col_scales[bi]
-                measured = acc_bound / scale_prod
-                out_params = self._output_params(Opcode.CONV2D.opname, measured, lo, hi, n=n)
-                out_scales_row[bi] = out_params.scale
-                rescale_row[bi] = out_params.scale / scale_prod
-                # fl(·) is monotone, so acc_bound * rescale bounds every
-                # rescaled element; below 127.5 nothing rounds past ±127
-                # and the saturation count and clip are provably no-ops.
-                if not acc_bound * rescale_row[bi] < 127.5:
-                    may_saturate = True
-            # ABFT checksums come from the exact accumulator strip, so
-            # they must be captured before the in-place requantize below
-            # destroys it.  A saturating strip breaks the linear relation
-            # (clipping); it falls back to exact post-clip sums instead.
-            if integ is not None and not may_saturate:
-                acc_row_seg = np.add.reduceat(st, col_idx, axis=1)
-                acc_col = st.sum(axis=0)
-            else:
-                acc_row_seg = acc_col = None
-            rvec = np.repeat(rescale_row, batch_sizes)
-            np.multiply(st, rvec, out=st)
-            np.rint(st, out=st)
-            # Like the operand quantize above: rint's ``-0.0`` is not on
-            # the int8 wire grid, and the integrity write-back divides
-            # the device-returned ``0`` by the same out_scale — normalize
-            # so verified and unverified deliveries stay bit-identical.
-            np.add(st, 0.0, out=st)
-            if may_saturate:
-                # Saturation counts are additive across blocks and clip
-                # is a no-op wherever nothing exceeds ±127, so one strip
-                # pass equals the scalar path's per-block pass.
-                saturated += int(np.count_nonzero(st > 127)) + int(
-                    np.count_nonzero(st < -127)
-                )
-                np.clip(st, -128, 127, out=st)
-            np.divide(st, np.repeat(out_scales_row, batch_sizes), out=result[c0:c1])
-            for bi, j0 in enumerate(col_starts):
-                nk = int(batch_sizes[bi])
-                if plan is None:
-                    out_elems = (c1 - c0) * nk
-                    exec_seconds = self.timing.instruction_seconds(
-                        Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                    )
-                    instrs.append(
-                        self._gemm_conv2d_instr(
-                            request, source, c0, j0, chunk_bytes,
-                            nk * s * s, exec_seconds, out_elems,
-                        )
-                    )
-                if integ is not None:
-                    integ.add(make_gemm_check(
-                        label=f"convGEMM:r{c0}:k{j0}",
-                        rows=(c0, c1),
-                        cols=(j0, j0 + nk),
-                        q=st[:, j0 : j0 + nk],
-                        out_scale=float(out_scales_row[bi]),
-                        acc_row_sums=None if acc_row_seg is None else acc_row_seg[:, bi],
-                        acc_col_sums=None if acc_col is None else acc_col[j0 : j0 + nk],
-                        rescale=float(rescale_row[bi]),
-                    ))
-        tracer.end(sp)
-        if integ is not None:
-            self.stats.integrity_plans += 1
-            self.stats.integrity_tiles_planned += integ.tiles
-        if reuse_model:
-            # §7.1.3 host transform: a warm bind only reshapes this
-            # request's rows; the shared-kernel build happened at capture.
-            cpu_seconds = self.cpu.elementwise_seconds(m * s * s, bytes_per_elem=2)
-        elif plan is not None:
-            cpu_seconds = plan.cpu_seconds
-        else:
-            cpu_seconds = self.cpu.elementwise_seconds(
-                m * s * s + k * s * s, bytes_per_elem=2
+        lowered: List[LoweredOperation] = []
+        for idx, request in enumerate(requests):
+            base = idx * m
+            lo, hi = ranges[idx]
+            result = np.empty((m, k), dtype=np.float64)
+            saturated = 0
+            integ = (
+                IntegrityPlan(mode=self.options.integrity)
+                if self.options.integrity != "off"
+                else None
             )
-        return LoweredOperation(
-            request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated,
-            integrity=integ,
-        )
+            for ci, c0 in enumerate(row_starts):
+                c1 = min(c0 + rows_per_chunk, m)
+                p_rows = all_row_params[idx][ci]
+                st = strip[: c1 - c0]
+                r0, r1 = base + c0, base + c1
+                if len(partials) == 1:
+                    np.copyto(st, partials[0][r0:r1])
+                else:
+                    np.add(partials[0][r0:r1], partials[1][r0:r1], out=st)
+                    for part in partials[2:]:
+                        st += part[r0:r1]
+                # Per-batch |acc| bounds: max|x| == max(max, -min), and a
+                # segmented max equals each block's max — no abs temporary.
+                bmax = np.maximum.reduceat(st, col_idx, axis=1).max(axis=0)
+                bmin = np.minimum.reduceat(st, col_idx, axis=1).min(axis=0)
+                may_saturate = False
+                for bi in range(n_cols):
+                    acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
+                    scale_prod = p_rows.scale * col_scales[bi]
+                    measured = acc_bound / scale_prod
+                    out_params = self._output_params(Opcode.CONV2D.opname, measured, lo, hi, n=n)
+                    out_scales_row[bi] = out_params.scale
+                    rescale_row[bi] = out_params.scale / scale_prod
+                    # fl(·) is monotone, so acc_bound * rescale bounds every
+                    # rescaled element; below 127.5 nothing rounds past ±127
+                    # and the saturation count and clip are provably no-ops.
+                    if not acc_bound * rescale_row[bi] < 127.5:
+                        may_saturate = True
+                # ABFT checksums come from the exact accumulator strip, so
+                # they must be captured before the in-place requantize below
+                # destroys it.  A saturating strip breaks the linear relation
+                # (clipping); it falls back to exact post-clip sums instead.
+                if integ is not None and not may_saturate:
+                    acc_row_seg = np.add.reduceat(st, col_idx, axis=1)
+                    acc_col = st.sum(axis=0)
+                else:
+                    acc_row_seg = acc_col = None
+                np.multiply(st, np.repeat(rescale_row, batch_sizes), out=st)
+                np.rint(st, out=st)
+                # Like the operand quantize above: rint's ``-0.0`` is not on
+                # the int8 wire grid, and the integrity write-back divides
+                # the device-returned ``0`` by the same out_scale — normalize
+                # so verified and unverified deliveries stay bit-identical.
+                np.add(st, 0.0, out=st)
+                if may_saturate:
+                    # Saturation counts are additive across blocks and clip
+                    # is a no-op wherever nothing exceeds ±127, so one strip
+                    # pass equals the scalar path's per-block pass.
+                    saturated += int(np.count_nonzero(st > 127)) + int(
+                        np.count_nonzero(st < -127)
+                    )
+                    np.clip(st, -128, 127, out=st)
+                np.divide(st, np.repeat(out_scales_row, batch_sizes), out=result[c0:c1])
+                if integ is not None:
+                    for bi, j0 in enumerate(col_starts):
+                        j1 = j0 + int(batch_sizes[bi])
+                        integ.add(make_gemm_check(
+                            label=f"convGEMM:r{c0}:k{j0}",
+                            rows=(c0, c1),
+                            cols=(j0, j1),
+                            q=st[:, j0:j1],
+                            out_scale=float(out_scales_row[bi]),
+                            acc_row_sums=None if acc_row_seg is None else acc_row_seg[:, bi],
+                            acc_col_sums=None if acc_col is None else acc_col[j0:j1],
+                            rescale=float(rescale_row[bi]),
+                        ))
+            if integ is not None:
+                self.stats.integrity_plans += 1
+                self.stats.integrity_tiles_planned += integ.tiles
+            # §7.1.3 host data transformation: each member reshapes its
+            # own rows into s×s sub-matrices; B's kernels are reshaped
+            # once, by the first member, unless a warm model block
+            # already holds them.
+            elems = m * s * s + (k * s * s if idx == 0 and not reuse_model else 0)
+            lowered.append(LoweredOperation(
+                request, all_instrs[idx], result,
+                cpu_seconds=self.cpu.elementwise_seconds(elems, bytes_per_elem=2),
+                saturated=saturated, integrity=integ,
+            ))
+        tracer.end(sp)
+        if replay:
+            # Counted only once the whole group lowered: a request that
+            # raises above was never bound.
+            plan.replays += 1
+            cache.note_bind(n_req)
+            self.stats.plan_replays += n_req
+        return lowered
 
     # ------------------------------------------------------------------
     # coalesced multi-client GEMM (serving layer)
@@ -1752,27 +1762,17 @@ class Tensorizer:
         The serving layer (:mod:`repro.serve`) merges GEMM requests from
         different clients that share the model operand *B*, the data
         shape, and SCALE quantization — the common "many clients, one
-        weight matrix" pattern.  The quantized data operands are stacked
-        row-wise and the whole stack runs through a single exact-f32
-        slab product (the PR 1 vectorized path), after which each
-        client's strip is requantized with its *own* per-chunk input
-        scales and measured output bounds.
-
-        **Bit-identity guarantee**: every slab partial holds exact
-        integers (any BLAS summation order yields the same value — see
-        :func:`repro.edgetpu.functional.f32_slab_products`), each
-        request occupies its own rows of the stack, and quantization /
-        requantization use exactly the per-request, per-chunk values the
-        solo path computes.  Each returned result is therefore
-        bit-for-bit what :meth:`lower` would produce for that request
-        alone; ``tests/serve/test_coalescer.py`` enforces this by
-        property test.
+        weight matrix" pattern.  This checks the group, then runs it
+        through the same engine a solo GEMM uses (a group of one), so
+        each returned result is bit-for-bit what :meth:`lower` would
+        produce for that request alone; ``tests/serve/test_coalescer.py``
+        enforces this by property test.
 
         Instruction streams keep per-request data sources (no aliasing
         of on-chip chunks) but share one *model* source, so the common
         kernel batches stay device-resident across clients.  The shared
-        B reshape cost (§7.1.3 data transformation) is charged once, to
-        the first request of the group.
+        model builds and B reshape cost (§7.1.3 data transformation) are
+        charged once, to the first request of the group.
 
         Raises :class:`TensorizerError` when the requests are not
         coalescible (the serving coalescer only groups compatible ones).
@@ -1791,8 +1791,6 @@ class Tensorizer:
                 raise TensorizerError("coalescing requires SCALE quantization")
         first = requests[0]
         a0, b = self._require_2d_pair(first)
-        if a0.shape[1] != b.shape[0]:
-            raise TensorizerError(f"GEMM inner dims differ: {a0.shape} x {b.shape}")
         chunk_attr = int(first.attrs.get("gemm_chunks", self.options.min_gemm_chunks))
         for request in requests[1:]:
             a_r, b_r = self._require_2d_pair(request)
@@ -1805,259 +1803,15 @@ class Tensorizer:
             if int(request.attrs.get("gemm_chunks", self.options.min_gemm_chunks)) != chunk_attr:
                 raise TensorizerError("coalesced GEMMs must agree on gemm_chunks")
 
-        m, n = a0.shape
-        k = b.shape[1]
-        n_req = len(requests)
-        s, rows_per_chunk, batch = self._gemm_conv2d_geometry(first, m, n)
-        row_starts = list(range(0, m, rows_per_chunk))
-        col_starts = list(range(0, k, batch))
-        n_rows = len(row_starts)
-        n_cols = len(col_starts)
-
-        # The coalescing compatibility key (shape / quant / gemm_chunks
-        # / shared B) is a sub-key of the plan signature, so one cached
-        # plan serves the whole group — and a group captures one plan.
-        cache = self.plan_cache
-        plan: Optional[CompiledPlan] = None
-        replay = False
-        if cache is not None:
-            signature = plan_signature(first, self.options, self.tpu_config)
-            plan = cache.get(signature)
-            if plan is None:
-                self._tracer.instant(
-                    "plan_miss", cat="plan", track="tensorizer",
-                    op=Opcode.CONV2D.opname, coalesced=n_req,
-                )
-                sp = self._tracer.begin("plan_capture", cat="plan", track="tensorizer")
-                plan = self._gemm_capture(first, signature)
-                self._tracer.end(sp)
-                cache.put(signature, plan)
-                self.stats.plan_captures += 1
-            else:
-                self._tracer.instant(
-                    "plan_hit", cat="plan", track="tensorizer",
-                    op=Opcode.CONV2D.opname, coalesced=n_req,
-                )
-                replay = True
-                plan.replays += 1
-                cache.note_bind(n_req)
-                self.stats.plan_replays += n_req
-            if len(plan.templates) != n_rows * n_cols:
-                raise TensorizerError(
-                    f"cached GEMM plan records {len(plan.templates)} pieces but "
-                    f"the geometry yields {n_rows * n_cols}"
-                )
-
-        tracer = self._tracer
-        sp_op = tracer.begin(
-            "lower:conv2D-coalesced", cat="lower", track="tensorizer", requests=n_req
+        sp = self._tracer.begin(
+            "lower:conv2D-coalesced", cat="lower", track="tensorizer", requests=len(requests)
         )
-        sp = tracer.begin("quantize", cat="lower.phase", track="tensorizer", requests=n_req)
-        # Shared model operand: one set of column-batch params and one
-        # quantized copy — identical values to every solo lowering.  A
-        # warm replay whose cached model block matches B skips every
-        # pass over it (quantized weights, scales, and value range all
-        # come from the plan).
-        block = plan.model if plan is not None else None
-        reuse_model = replay and block is not None and block.matches(b)
-        if reuse_model:
-            col_scales = block.col_scales
-            q_b = block.q_b
-            b_lo, b_hi = block.b_lo, block.b_hi
-        else:
-            col_params = [
-                self._params_for_data(b[:, j0 : j0 + batch]) for j0 in col_starts
-            ]
-            col_scales = np.array([p.scale for p in col_params])
-            q_b = np.empty((n, k), dtype=np.float32)
-            tmp_b = np.empty((n, min(batch, k)), dtype=np.float64)
-            for j0, p_cols in zip(col_starts, col_params):
-                j1 = min(j0 + batch, k)
-                t = tmp_b[:, : j1 - j0]
-                np.multiply(b[:, j0:j1], p_cols.scale, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_b[:, j0:j1])
-            b_lo, b_hi = data_range(b)
-            if plan is not None:
-                plan.model = model_block_for(b, q_b.copy(), col_scales, b_lo, b_hi)
-
-        # Per-request data operands, quantized chunk by chunk with each
-        # request's own scales, stacked row-wise for one slab product.
-        # Splitting the range scans (A alone, folded with B's cached
-        # range) is bit-identical to data_range(a, b).
-        bind_sp = (
-            tracer.begin("plan_bind", cat="plan", track="tensorizer", requests=n_req)
-            if replay
-            else None
-        )
-        sources: List[str] = []
-        ranges: List[Tuple[float, float]] = []
-        all_row_params: List[List[QuantParams]] = []
-        q_a = np.empty((n_req * m, n), dtype=np.float32)
-        tmp_a = np.empty((min(rows_per_chunk, m), n), dtype=np.float64)
-        for idx, request in enumerate(requests):
-            a = request.inputs[0]
-            a_lo, a_hi = data_range(a)
-            ranges.append((min(a_lo, b_lo), max(a_hi, b_hi)))
-            sources.append(request.input_name or f"op{self._op_seq}")
-            self._op_seq += 1
-            if replay:
-                row_params = [
-                    self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts
-                ]
-            else:
-                row_params = [
-                    self._params_for_data(a[c0 : c0 + rows_per_chunk])
-                    for c0 in row_starts
-                ]
-            all_row_params.append(row_params)
-            base = idx * m
-            for c0, p_rows in zip(row_starts, row_params):
-                c1 = min(c0 + rows_per_chunk, m)
-                t = tmp_a[: c1 - c0]
-                np.multiply(a[c0:c1], p_rows.scale, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_a[base + c0 : base + c1])
-
-        if bind_sp is not None:
-            tracer.end(bind_sp)
-        tracer.end(sp)
-        # THE coalesced dispatch: one exact-f32 slab GEMM over every
-        # client's rows at once.  Slab partials are exact integers, so
-        # each row's value is independent of its neighbours in the stack.
-        sp = tracer.begin("slab_gemm", cat="lower.phase", track="tensorizer", m=n_req * m, n=n, k=k)
-        partials = functional.f32_slab_products(q_a, q_b)
-        tracer.end(sp)
-        self.stats.tiles_lowered += n_req * n_rows * n_cols
-        self.stats.batched_dispatches += 1
-        self.stats.coalesced_operations += n_req
-
-        # Requantize per request, per chunk strip — the solo loop's
-        # arithmetic applied to this request's rows of the stack.
-        sp = tracer.begin("requantize", cat="lower.phase", track="tensorizer", requests=n_req)
-        model_source = sources[0]
-        strip = np.empty((min(rows_per_chunk, m), k), dtype=np.float64)
-        col_idx = np.array(col_starts, dtype=np.intp)
-        batch_sizes = np.array(
-            [min(j0 + batch, k) - j0 for j0 in col_starts], dtype=np.intp
-        )
-        out_scales_row = np.empty(n_cols)
-        rescale_row = np.empty(n_cols)
-        lowered: List[LoweredOperation] = []
-        for idx, request in enumerate(requests):
-            base = idx * m
-            lo, hi = ranges[idx]
-            result = np.empty((m, k), dtype=np.float64)
-            instrs: List[LoweredInstr] = []
-            saturated = 0
-            integ = (
-                IntegrityPlan(mode=self.options.integrity)
-                if self.options.integrity != "off"
-                else None
-            )
-            for ci, c0 in enumerate(row_starts):
-                c1 = min(c0 + rows_per_chunk, m)
-                p_rows = all_row_params[idx][ci]
-                chunk_bytes = (c1 - c0) * s * s
-                st = strip[: c1 - c0]
-                r0, r1 = base + c0, base + c1
-                if len(partials) == 1:
-                    np.copyto(st, partials[0][r0:r1])
-                else:
-                    np.add(partials[0][r0:r1], partials[1][r0:r1], out=st)
-                    for part in partials[2:]:
-                        st += part[r0:r1]
-                bmax = np.maximum.reduceat(st, col_idx, axis=1).max(axis=0)
-                bmin = np.minimum.reduceat(st, col_idx, axis=1).min(axis=0)
-                may_saturate = False
-                for bi in range(n_cols):
-                    acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
-                    scale_prod = p_rows.scale * col_scales[bi]
-                    measured = acc_bound / scale_prod
-                    out_params = self._output_params(
-                        Opcode.CONV2D.opname, measured, lo, hi, n=n
-                    )
-                    out_scales_row[bi] = out_params.scale
-                    rescale_row[bi] = out_params.scale / scale_prod
-                    if not acc_bound * rescale_row[bi] < 127.5:
-                        may_saturate = True
-                # Checksums from the exact accumulator, captured before
-                # the in-place requantize (same rule as the solo path).
-                if integ is not None and not may_saturate:
-                    acc_row_seg = np.add.reduceat(st, col_idx, axis=1)
-                    acc_col = st.sum(axis=0)
-                else:
-                    acc_row_seg = acc_col = None
-                rvec = np.repeat(rescale_row, batch_sizes)
-                np.multiply(st, rvec, out=st)
-                np.rint(st, out=st)
-                # rint's ``-0.0`` is not on the int8 wire grid; the
-                # integrity write-back divides the device-returned 0 by
-                # the same out_scale and must reproduce these bytes.
-                np.add(st, 0.0, out=st)
-                if may_saturate:
-                    saturated += int(np.count_nonzero(st > 127)) + int(
-                        np.count_nonzero(st < -127)
-                    )
-                    np.clip(st, -128, 127, out=st)
-                np.divide(st, np.repeat(out_scales_row, batch_sizes), out=result[c0:c1])
-                for bi, j0 in enumerate(col_starts):
-                    nk = int(batch_sizes[bi])
-                    if plan is not None:
-                        # Capture accounted the group's model builds
-                        # once; the miss charges them to the first
-                        # request, every other bind ships them free.
-                        instrs.append(
-                            plan.templates[ci * n_cols + bi].bind(
-                                Opcode.CONV2D, request.task_id,
-                                sources[idx], model_source,
-                                fresh=(not replay and idx == 0),
-                            )
-                        )
-                    else:
-                        out_elems = (c1 - c0) * nk
-                        exec_seconds = self.timing.instruction_seconds(
-                            Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                        )
-                        instrs.append(
-                            self._gemm_conv2d_instr(
-                                request, sources[idx], c0, j0, chunk_bytes,
-                                nk * s * s, exec_seconds, out_elems,
-                                model_source=model_source,
-                            )
-                        )
-                    if integ is not None:
-                        integ.add(make_gemm_check(
-                            label=f"convGEMM:r{c0}:k{j0}",
-                            rows=(c0, c1),
-                            cols=(j0, j0 + nk),
-                            q=st[:, j0 : j0 + nk],
-                            out_scale=float(out_scales_row[bi]),
-                            acc_row_sums=None if acc_row_seg is None else acc_row_seg[:, bi],
-                            acc_col_sums=None if acc_col is None else acc_col[j0 : j0 + nk],
-                            rescale=float(rescale_row[bi]),
-                        ))
-            # Host data transformation: each request reshapes its own
-            # rows; the shared kernels are built once for the group (at
-            # capture, when the model block is warm — then nobody pays).
-            elems = m * s * s + (k * s * s if idx == 0 and not reuse_model else 0)
-            cpu_seconds = self.cpu.elementwise_seconds(elems, bytes_per_elem=2)
-            op = LoweredOperation(
-                request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated,
-                integrity=integ,
-            )
-            if integ is not None:
-                self.stats.integrity_plans += 1
-                self.stats.integrity_tiles_planned += integ.tiles
-            self.stats.operations_lowered += 1
-            self.stats.instructions_emitted += op.instruction_count
-            self.stats.saturated_values += saturated
-            lowered.append(op)
-        tracer.end(sp)
+        lowered = self._lower_gemm_group(requests)
         for op in lowered:
-            sp_op.add_device_seconds(op.total_exec_seconds)
-        sp_op.set(instructions=sum(op.instruction_count for op in lowered))
-        tracer.end(sp_op)
+            self._note_lowered(op)
+            sp.add_device_seconds(op.total_exec_seconds)
+        self.stats.coalesced_operations += len(requests)
+        self._tracer.end(sp.set(instructions=sum(op.instruction_count for op in lowered)))
         return lowered
 
     # ------------------------------------------------------------------

@@ -446,6 +446,12 @@ class TpuServer:
             else:
                 ops = [self.tensorizer.lower(live[0].request)]
         except Exception as exc:  # lowering bugs must not kill the loop
+            if len(live) > 1:
+                # One bad operand fails only its own request: lower each
+                # member alone (bit-identical to its coalesced result).
+                for sreq in live:
+                    self._lower_and_launch([sreq])
+                return
             for sreq in live:
                 if sreq.reject(ServingError(f"lowering failed: {exc}")):
                     self.metrics.failed += 1

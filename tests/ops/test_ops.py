@@ -9,7 +9,6 @@ from repro.host.platform import Platform
 from repro.metrics import rmse_percent
 from repro.ops import (
     tpu_add,
-    tpu_conv2d,
     tpu_crop,
     tpu_stencil2d,
     tpu_gemm,
@@ -122,14 +121,6 @@ class TestConvCropPad:
         tpu_stencil2d(ctx, a, k, model_name="stencil")
         op = ctx._pending[-1]
         assert all(i.model_cache_key == "stencil" for i in op.instrs)
-
-    def test_conv2d_deprecated_alias_matches_stencil2d(self, ctx):
-        a = rand((40, 40), 21)
-        k = np.ones((3, 3)) / 9.0
-        want = tpu_stencil2d(ctx, a, k)
-        with pytest.warns(DeprecationWarning, match="tpu_stencil2d"):
-            got = tpu_conv2d(ctx, a, k)
-        assert np.array_equal(got, want)
 
     def test_crop(self, ctx):
         a = rand((12, 12), 20)

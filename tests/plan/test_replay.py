@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.edgetpu.isa import Opcode
-from repro.errors import TensorizerError
+from repro.errors import QuantizationError, TensorizerError
 from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import (
@@ -212,6 +212,31 @@ class TestCoalescedReplay:
         for lowered, request in zip(cold, group(1)):
             solo = reference.lower(request)
             assert np.array_equal(lowered.result, solo.result)
+
+    def test_failed_warm_group_binds_nothing(self):
+        # A warm group that raises was never bound: the replay counters
+        # must stay where they were, exactly as for a failed solo lower.
+        rng = _rng(13)
+        b = rng.normal(size=(24, 24))
+        tz, cache = _planned_tz()
+
+        def group():
+            return [_gemm(rng.normal(size=(24, 24)), b, task_id=i) for i in range(3)]
+
+        tz.lower_gemm_coalesced(group())  # capture
+        (plan,) = cache.plans()
+        bad = group()
+        bad[0].inputs[0][0, 0] = np.nan
+        with pytest.raises(QuantizationError):
+            tz.lower_gemm_coalesced(bad)
+        assert cache.binds == 0 and tz.stats.plan_replays == 0
+        assert plan.replays == 0
+        with pytest.raises(QuantizationError):
+            tz.lower(bad[0])
+        assert cache.binds == 0 and tz.stats.plan_replays == 0
+        # The group still replays cleanly afterwards.
+        tz.lower_gemm_coalesced(group())
+        assert cache.binds == 3 and tz.stats.plan_replays == 3
 
 
 class TestInterleaving:

@@ -9,6 +9,9 @@ tests drive both paths over random shapes — including ragged edge tiles
 — and degenerate data (zeros, constants, all-negative matrices).
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from repro.edgetpu.isa import Opcode
 from repro.edgetpu.quantize import params_for_data, quantize
 from repro.edgetpu.quantize import batch_max_abs, quantize_batched, scales_for_ranges
+from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
 from repro.runtime.tiling import fill_padding, iter_tiles, scatter_tiles, stack_tiles
@@ -167,30 +171,72 @@ class TestMatrixEquivalence:
     @given(
         st.sampled_from([63, 65, 96, 127, 129]),
         st.sampled_from([63, 65, 96, 127, 129]),
-        st.integers(2, 4), styles, seeds,
+        st.integers(1, 4), styles, seeds,
+        st.sampled_from(["none", "cold", "warm"]),
+        st.sampled_from(["off", "abft"]),
     )
-    @settings(max_examples=15, deadline=None)
-    def test_gemm_coalesced_matches_solo_lowering(self, n, k, clients, style, seed):
+    @settings(max_examples=30, deadline=None)
+    def test_gemm_coalesced_matches_solo_lowering(
+        self, n, k, clients, style, seed, cache, integrity
+    ):
         # The coalesced serving-path lowering shares one model operand
-        # across clients; each client's strip must be bit-identical to
-        # the solo (and the scalar) lowering of the same request.
+        # across clients.  Each member's stream must equal the scalar
+        # oracle's lowering of the same request, up to the documented
+        # sharing: members after the first (and every member of a warm
+        # bind) ship member 0's already-built kernels — model-build
+        # seconds 0 and no B-reshape cost — and every member names its
+        # kernels by member 0's source.
         rng = np.random.default_rng(seed)
         b = data(rng, (n, k), "normal")
-        requests = [
-            make_request(Opcode.CONV2D, data(rng, (64, n), style), b,
-                         gemm=True, model_name="shared-b")
-            for _ in range(clients)
-        ]
-        coalesced = Tensorizer().lower_gemm_coalesced(requests)
-        solo_vec = Tensorizer(options=TensorizerOptions(vectorized=True))
-        solo_ref = Tensorizer(options=TensorizerOptions(vectorized=False))
+
+        def group(count):
+            return [
+                OperationRequest(
+                    task_id=3 + i,
+                    opcode=Opcode.CONV2D,
+                    inputs=(data(rng, (64, n), style), b),
+                    quant=QuantMode.SCALE,
+                    attrs={"gemm": True, "model_name": "shared-b"},
+                    input_name=f"client{i}",
+                )
+                for i in range(count)
+            ]
+
+        tz = Tensorizer(
+            options=TensorizerOptions(integrity=integrity),
+            plan_cache=None if cache == "none" else PlanCache(),
+        )
+        if cache == "warm":
+            tz.lower_gemm_coalesced(group(2))
+        requests = group(clients)
+        coalesced = tz.lower_gemm_coalesced(requests)
         assert len(coalesced) == clients
-        for request, lowered in zip(requests, coalesced):
-            want = solo_vec.lower(request).result
-            scalar = solo_ref.lower(request).result
+        # Without a cache the plan is used once: never stored or counted.
+        assert tz.stats.plan_captures == (0 if cache == "none" else 1)
+        oracle = Tensorizer(options=TensorizerOptions(vectorized=False))
+        s = math.isqrt(n - 1) + 1
+        rows_only = oracle.cpu.elementwise_seconds(64 * s * s, bytes_per_elem=2)
+        refs = [oracle.lower(request) for request in requests]
+        for idx, (request, lowered, ref) in enumerate(zip(requests, coalesced, refs)):
+            assert lowered.request is request
             got = np.asarray(lowered.result)
-            assert got.tobytes() == np.asarray(want).tobytes()
-            assert got.tobytes() == np.asarray(scalar).tobytes()
+            assert got.tobytes() == np.asarray(ref.result).tobytes()
+            assert lowered.saturated == ref.saturated
+            shared = idx > 0 or cache == "warm"
+            want = [
+                replace(
+                    ri,
+                    model_cache_key=r0.model_cache_key,
+                    model_build_seconds=0.0 if shared else ri.model_build_seconds,
+                )
+                for ri, r0 in zip(ref.instrs, refs[0].instrs)
+            ]
+            assert lowered.instrs == want
+            assert lowered.cpu_seconds == (rows_only if shared else ref.cpu_seconds)
+            if integrity == "off":
+                assert lowered.integrity is None
+            else:
+                assert list(lowered.integrity.checks) == [i.label for i in ref.instrs]
 
     def test_gemm_conv2d_repeated_lowering_reuses_scratch(self):
         # Same-geometry re-lowering (iterative apps) hits the scratch

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edgetpu.isa import Opcode
-from repro.errors import TensorizerError
+from repro.errors import ServingError, TensorizerError
+from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
+from repro.serve import ServeConfig, TpuServer
 from repro.serve.coalescer import coalesce, coalesce_key
 from repro.serve.request import ServeRequest
 
@@ -184,13 +186,6 @@ class TestCoalescedLowering:
         with pytest.raises(TensorizerError):
             Tensorizer().lower_gemm_coalesced(bad)
 
-    def test_singleton_group_matches_plain_lowering(self):
-        rng = np.random.default_rng(2)
-        request = gemm_request(rng.normal(size=(24, 16)), rng.normal(size=(16, 12)))
-        solo = Tensorizer().lower(request).result
-        via_coalesce = Tensorizer().lower_gemm_coalesced([request])[0].result
-        assert np.asarray(solo).tobytes() == np.asarray(via_coalesce).tobytes()
-
     @given(
         m=st.integers(2, 70),
         k=st.integers(2, 70),
@@ -227,3 +222,35 @@ class TestCoalescedLowering:
             assert got.tobytes() == want.tobytes()
             # The lowered stream stays per-request (demultiplexed).
             assert op.request is request
+
+
+class TestServedGroupFailure:
+    def test_one_bad_operand_fails_only_its_request(self):
+        # Four clients share B and land in one serving window; one of
+        # them sends a NaN.  Only that request may fail: the others are
+        # lowered alone and arrive bit-identical to their solo lowering.
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(32, 32))
+        requests = [
+            gemm_request(rng.normal(size=(32, 32)), b, tenant=f"t{i}")
+            for i in range(4)
+        ]
+        requests[2].inputs[0][0, 0] = np.nan
+        platform = Platform.with_tpus(2)
+
+        async def main():
+            async with TpuServer(platform, ServeConfig(time_scale=0.0)) as server:
+                # No await between submits: all four share one drain.
+                futures = [server.submit_nowait(r) for r in requests]
+                outcomes = await asyncio.gather(*futures, return_exceptions=True)
+                return outcomes, server.snapshot()
+
+        outcomes, snap = asyncio.run(main())
+        assert isinstance(outcomes[2], ServingError)
+        assert "non-finite" in str(outcomes[2])
+        reference = Tensorizer(platform.config.edgetpu, cpu=platform.cpu)
+        for i in (0, 1, 3):
+            want = reference.lower(requests[i]).result
+            assert np.asarray(outcomes[i]).tobytes() == np.asarray(want).tobytes()
+        assert snap["outcomes"]["completed"] == 3
+        assert snap["outcomes"]["lost"] == 0
