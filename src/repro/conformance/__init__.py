@@ -14,6 +14,7 @@ from repro.conformance.campaign import (
     run_campaign,
 )
 from repro.conformance.cases import APP_PARAMS, OP_CASES, OpCase
+from repro.conformance.des import des_run
 from repro.conformance.format_fuzz import MUTATIONS, FuzzReport, run_fuzz
 from repro.conformance.integrity import (
     DEFAULT_INTEGRITY_SCENARIOS,
@@ -72,6 +73,7 @@ __all__ = [
     "ShardScenario",
     "app_oracles",
     "derive_rng",
+    "des_run",
     "parse_suites",
     "pipeline_context",
     "run_campaign",

@@ -486,18 +486,22 @@ def fully_connected_batched(
 ) -> BatchedOpResult:
     """Batched FullyConnected: ``(n, t)`` vectors times ``(n, t, t)`` weights.
 
-    The accumulation runs as a float64 batched matmul — every operand is
-    an integer with magnitude far below 2^53, so the products and sums
-    are exact and bit-identical to the scalar int64 path regardless of
-    summation order or zero padding of the inner dimension.
+    The accumulation runs as float32 batched matmuls over inner-dimension
+    slabs of at most ``_F32_EXACT_SLAB``: every partial sum of int8
+    products is bounded by 1024 * 128² = 2^24, so each slab is exact for
+    any BLAS summation order, and the slabs add up in int64 — bit-identical
+    to the scalar int64 path, with or without zero padding.
     """
     if vecs.shape[0] != weights.shape[0] or vecs.shape[1] != weights.shape[1]:
         raise UnsupportedInstructionError(
             f"batch mismatch: vecs {vecs.shape} vs weights {weights.shape}"
         )
-    acc = np.matmul(
-        vecs.astype(np.float64)[:, None, :], weights.astype(np.float64)
-    )[:, 0, :].astype(np.int64)
+    acc = np.zeros((weights.shape[0], weights.shape[2]), dtype=np.int64)
+    for k0 in f32_slab_starts(vecs.shape[1]):
+        k1 = k0 + _F32_EXACT_SLAB
+        acc += np.matmul(
+            vecs[:, None, k0:k1].astype(np.float32), weights[:, k0:k1].astype(np.float32)
+        )[:, 0, :].astype(np.int64)
     return BatchedOpResult(
         acc=acc,
         acc_scales=np.asarray(vec_scales, dtype=np.float64) * weight_scales,

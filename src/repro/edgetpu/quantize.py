@@ -15,7 +15,7 @@ implemented by :func:`operator_output_scale`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -164,6 +164,53 @@ def quantize_batched(
     np.rint(q, out=q)
     np.clip(q, QMIN, QMAX, out=q)
     return q.astype(np.int8)
+
+
+def quantize_tiles(
+    matrix: np.ndarray, tile: int, scale: Optional[float] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Quantize a 2-D matrix straight into its int8 tile stack.
+
+    Returns ``(q, scales)``: ``q`` is the ``(n_tiles, tile, tile)`` int8
+    stack in row-major tile order, ragged edges zero-padded, and
+    ``scales`` holds one scale per tile — each tile's own
+    ``127 / max|x|`` (the SCALE mode) or *scale* for every tile (the
+    GLOBAL mode).  Bit-identical to stacking the tiles, then
+    :func:`batch_max_abs`, :func:`scales_for_ranges` and
+    :func:`quantize_batched`, but it works one row of tiles at a time:
+    the float64 matrix is read once and every temporary stays the size
+    of one tile row.  GLOBAL callers have already validated the data
+    (deriving *scale* rejects a non-finite range).
+    """
+    rows, cols = matrix.shape
+    if matrix.size == 0:
+        raise QuantizationError("cannot derive quantization parameters from empty data")
+    n_r, n_c = -(-rows // tile), -(-cols // tile)
+    q = np.empty((n_r, n_c, tile, tile), dtype=np.int8)
+    scales = np.empty((n_r, n_c), dtype=np.float64)
+    band = np.zeros((tile, n_c, tile), dtype=np.float64)
+    flat = band.reshape(tile, n_c * tile)
+    for r in range(n_r):
+        h = min(tile, rows - r * tile)
+        if h < tile:
+            band.fill(0.0)
+        flat[:h, :cols] = matrix[r * tile : r * tile + h]
+        if scale is None:
+            # max|x| == max(max, -min); NaN survives both reductions.
+            max_abs = np.maximum(band.max(axis=0).max(axis=1), -band.min(axis=0).min(axis=1))
+            if not np.all(np.isfinite(max_abs)):
+                raise QuantizationError("data contains non-finite values")
+            scales[r] = scales_for_ranges(max_abs)
+            np.multiply(band, scales[r][None, :, None], out=band)
+            # |x| * 127 / max|x| rounds to at most 127: the clip is dead.
+            np.rint(band, out=band)
+        else:
+            scales[r] = scale
+            np.multiply(band, scale, out=band)
+            np.rint(band, out=band)
+            np.clip(band, QMIN, QMAX, out=band)
+        q[r] = band.astype(np.int8).swapaxes(0, 1)
+    return q.reshape(n_r * n_c, tile, tile), scales.reshape(-1)
 
 
 def requantize_batched(

@@ -1,4 +1,4 @@
-"""Replays lowered instruction streams on the DES platform.
+"""Replays each ``sync()``'s lowered instruction streams as a timeline.
 
 Each device runs a two-stage pipeline, the overlap §6.2.3 describes
 ("overlap Edge TPU matrix-input data movements with Tensorizer"):
@@ -11,6 +11,9 @@ Each device runs a two-stage pipeline, the overlap §6.2.3 describes
 Dispatch groups (§6.1 locality) stay whole on one device; a worker
 admits the next group once the current group's last instruction has
 executed, so groups pipeline within a device but never interleave.
+Transfers cross the topology store-and-forward, holding each link
+segment FIFO for its own occupancy (:class:`~repro.interconnect.
+transfer.DMAEngine`'s model).
 
 Per-operation CPU aggregation time (§6.2.1) is charged on the host once
 the operation's last instruction retires.  Host-only operations (no
@@ -18,19 +21,30 @@ device instructions) are charged serially at the end of the batch —
 applications sync at their dependency boundaries, so this preserves
 ordering.  Every activity lands in the platform tracer, which the
 energy model integrates (§8.1).
+
+The replay is a small event loop without generators: a heap of future
+instants and a FIFO for the current one.  The DES kernel runs every
+event of one instant in the order it was scheduled, so the replay
+matches the generator-process model in
+:mod:`repro.conformance.des` bit for bit as long as each wait there is
+one FIFO hop here and each timeout one heap entry.  The platform clock
+(``platform.engine.now``) advances to the replay's end through
+:meth:`~repro.sim.engine.Engine.advance_to`.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.edgetpu.device import EdgeTPUDevice
-from repro.errors import SchedulerError
+from repro.errors import DeadlockError, SchedulerError
 from repro.host.platform import Platform
 from repro.runtime.opqueue import LoweredInstr, LoweredOperation
 from repro.runtime.scheduler import DispatchGroup, SchedulePolicy, build_dispatch_groups
-from repro.sim import AllOf, SimEvent, Store
 from repro.telemetry import get_tracer
 
 
@@ -130,6 +144,8 @@ def group_service_seconds(
     )
 
 
+
+
 class Executor:
     """Drives a batch of lowered operations to completion on a platform."""
 
@@ -152,170 +168,389 @@ class Executor:
         if not ops:
             raise SchedulerError("nothing to execute")
         platform = self.platform
-        engine = platform.engine
-        start = engine.now
+        start = platform.engine.now
         bytes_before = sum(platform.dma.bytes_moved.values())
-
         device_ops = [op for op in ops if op.instrs]
         # Host-only operations: pure CPU phases an application routes
         # through the runtime so wall time and energy stay in one ledger.
         host_ops = [op for op in ops if not op.instrs]
+        if any(op.cpu_seconds < 0 for op in host_ops):
+            raise SchedulerError("host-only operations need cpu_seconds >= 0")
+        iq = [instr for op in device_ops for instr in op.instrs]
+        replay = _Replay(platform, self.policy, start)
+        instructions = replay.run(device_ops, build_dispatch_groups(iq, self.policy))
+        now = replay.now
+        for op in host_ops:
+            t0, now = now, now + op.cpu_seconds
+            platform.tracer.record(
+                t0, now, "cpu_host", "cpu-core", label=f"task{op.request.task_id}"
+            )
+        platform.engine.advance_to(now)
+        return Timeline(
+            makespan=now - start,
+            busy_by_unit=platform.tracer.busy_seconds(since=start),
+            instructions=instructions,
+            bytes_transferred=sum(platform.dma.bytes_moved.values()) - bytes_before,
+        )
 
-        iq: List[LoweredInstr] = [instr for op in device_ops for instr in op.instrs]
-        groups = build_dispatch_groups(iq, self.policy)
-        queue = Store(engine, name="dispatch")
-        for group in groups:
-            queue.put(group)
 
-        remaining = {id(op): len(op.instrs) for op in device_ops}
-        op_of_instr = {id(instr): op for op in device_ops for instr in op.instrs}
-        counters = {"instructions": 0}
-        all_procs: List[SimEvent] = []
+# -- the replay ---------------------------------------------------------------
+#
+# Everything below lives at module level on purpose: classes or closures
+# defined inside ``Executor._run`` form reference cycles with the
+# replay's state and keep every sync's operations alive until a full
+# garbage collection.
+#
+# Each method is one step of one of the DES reference's processes
+# (:mod:`repro.conformance.des`).  A step that waits schedules the next
+# step as a FIFO hop (``(method, state)``), exactly where the DES would
+# resume the generator; a step that sleeps pushes a heap entry.
 
+
+class _Flag:
+    """A one-shot event: each waiter runs one hop after it fires."""
+
+    __slots__ = ("fired", "waiters")
+
+    def __init__(self) -> None:
+        self.fired = False
+        self.waiters: List[tuple] = []
+
+
+class _Link:
+    """One link segment: held by one transfer, the rest wait FIFO."""
+
+    __slots__ = ("link", "busy", "waiters")
+
+    def __init__(self, link) -> None:
+        self.link = link
+        self.busy = False
+        self.waiters: Deque["_Transfer"] = deque()
+
+
+class _Op:
+    """Bookkeeping of one device operation."""
+
+    __slots__ = ("op", "remaining", "done", "gates", "t0")
+
+    def __init__(self, op: LoweredOperation, gates: List[_Flag]) -> None:
+        self.op = op
+        self.remaining = len(op.instrs)
+        self.done = _Flag()
+        self.gates = gates
+        self.t0 = 0.0
+
+
+class _Instr:
+    """One instruction in flight on one device."""
+
+    __slots__ = ("tpu", "instr", "op", "wait_exec", "exec_done", "pending", "t0", "build_t0")
+
+    def __init__(self, tpu: int, instr: LoweredInstr, op: _Op, wait_exec: Optional[_Flag]) -> None:
+        self.tpu = tpu
+        self.instr = instr
+        self.op = op
+        self.wait_exec = wait_exec
+        self.exec_done = _Flag()
+        #: Stage-1 activities (inbound DMA, model build) still running.
+        self.pending = 0
+        self.t0 = 0.0
+        self.build_t0 = 0.0
+
+
+class _Worker:
+    """The dispatch loop of one device."""
+
+    __slots__ = ("tpu", "group", "prev_exec")
+
+    def __init__(self, tpu: int) -> None:
+        self.tpu = tpu
+        self.group: Optional[DispatchGroup] = None
+        self.prev_exec: Optional[_Flag] = None
+
+
+class _Transfer:
+    """One store-and-forward DMA transfer."""
+
+    __slots__ = ("tpu", "nbytes", "label", "path", "hop", "start_wait", "start", "then")
+
+    def __init__(
+        self,
+        tpu: int,
+        nbytes: int,
+        label: str,
+        path: Tuple[_Link, ...],
+        start_wait: float,
+        then: tuple,
+    ) -> None:
+        self.tpu = tpu
+        self.nbytes = nbytes
+        self.label = label
+        self.path = path
+        self.hop = 0
+        self.start_wait = start_wait
+        self.start: Optional[float] = None
+        #: The hop that runs when the last byte lands.
+        self.then = then
+
+
+class _Replay:
+    """Replays one sync's dispatch groups on the platform's devices."""
+
+    def __init__(self, platform: Platform, policy: SchedulePolicy, start: float) -> None:
+        self.now = start
+        self.fifo: Deque[tuple] = deque()
+        self.heap: List[tuple] = []
+        self.seq = itertools.count()
+        self.pipelining = policy.pipelining
+        self.record = platform.tracer.record
+        dma = platform.dma
+        self.dma_record = dma.tracer.record if dma.tracer is not None else None
+        self.bytes_moved = dma.bytes_moved
+        self.devices = platform.devices
+        self.units = [f"tpu{i}" for i in range(platform.num_tpus)]
+        links = {name: _Link(link) for name, link in dma.topology.links.items()}
+        self.paths = [tuple(links[name] for name in path) for path in dma.topology.paths]
+        self.queue: Deque[DispatchGroup] = deque()
+        self.op_of: Dict[int, _Op] = {}
+        self.instructions = 0
+        self.live = 0
+
+    def run(self, device_ops: List[LoweredOperation], groups: List[DispatchGroup]) -> int:
+        """Replay to the last retirement; returns instructions executed."""
         # §5 dataflow ordering.  Operators within one task serialize; an
         # operation also waits for every task named in depends_on.  Since
         # intra-task order is serial, waiting on a task's most recent
         # operation implies all of its predecessors.
-        op_done = {id(op): engine.event(name=f"op-done:{op.request.task_id}") for op in device_ops}
-        gates: Dict[int, List[SimEvent]] = {}
-        last_in_task: Dict[int, LoweredOperation] = {}
+        last_in_task: Dict[int, _Op] = {}
         for op in device_ops:
-            pre: List[SimEvent] = []
             task = op.request.task_id
-            if task in last_in_task:
-                pre.append(op_done[id(last_in_task[task])])
-            for dep in op.request.depends_on:
-                if dep in last_in_task:
-                    pre.append(op_done[id(last_in_task[dep])])
-            gates[id(op)] = pre
-            last_in_task[task] = op
-
-        def instr_process(tpu_index: int, instr: LoweredInstr, wait_exec, exec_done: SimEvent):
-            # Stage 0: §5 ordering gates — earlier operators of this task
-            # and every depends_on task must have retired.
-            for gate in gates[id(op_of_instr[id(instr)])]:
-                if not gate.triggered:
-                    yield gate
-            if not self.policy.pipelining and wait_exec is not None and not wait_exec.triggered:
-                # Ablation: no double buffering — transfers wait for the
-                # previous instruction to finish executing.
-                yield wait_exec
-
-            # Stage 1: residency checks + inbound DMA + model build,
-            # overlapped with whatever the device is still executing.
-            device = platform.devices[tpu_index]
-            data_bytes = instr.data_bytes
-            if data_bytes and instr.cache_key:
-                if device.memory.ensure(instr.cache_key, max(1, data_bytes)):
-                    data_bytes = 0  # hit: chunk already on chip
-            model_bytes = instr.model_bytes
-            if model_bytes and instr.model_cache_key:
-                if device.memory.ensure(f"m:{instr.model_cache_key}", max(1, model_bytes)):
-                    model_bytes = 0
-            inbound = data_bytes + model_bytes
-            prep = []
-            if inbound:
-                prep.append(
-                    engine.process(
-                        platform.dma.transfer(tpu_index, inbound, label=instr.label),
-                        name=f"dma-in:{instr.label}",
-                    )
-                )
-            if instr.model_build_seconds > 0:
-                t0 = engine.now
-
-                def build_proc(t0=t0):
-                    yield engine.timeout(instr.model_build_seconds)
-                    platform.tracer.record(
-                        t0, engine.now, "model_build", "cpu-core", label=instr.label
-                    )
-
-                prep.append(engine.process(build_proc(), name=f"build:{instr.label}"))
-            if prep:
-                yield AllOf(engine, prep)
-
-            # Stage 2: in-order execution on the matrix unit.
-            if wait_exec is not None and not wait_exec.triggered:
-                yield wait_exec
-            t0 = engine.now
-            yield engine.timeout(instr.burst_exec_seconds)
-            exec_done.succeed()
-            platform.tracer.record(
-                t0,
-                engine.now,
-                "instruction",
-                f"tpu{tpu_index}",
-                label=instr.label,
-                opcode=instr.opcode.opname,
-                count=instr.count,
+            gates = [last_in_task[task].done] if task in last_in_task else []
+            gates += [
+                last_in_task[dep].done for dep in op.request.depends_on if dep in last_in_task
+            ]
+            state = last_in_task[task] = _Op(op, gates)
+            for instr in op.instrs:
+                self.op_of[id(instr)] = state
+        self.queue.extend(groups)
+        self.fifo.extend((self._worker_next, _Worker(i)) for i in range(len(self.devices)))
+        self._loop()
+        if self.live:
+            raise DeadlockError(
+                f"timeline replay ran out of events with {self.live} instruction(s) waiting"
             )
-            device.instructions_executed += instr.count
-            device.busy_seconds += instr.burst_exec_seconds
-            counters["instructions"] += instr.count
+        return self.instructions
 
-            # Stage 3: results stream back, overlapping the next exec.
-            if instr.out_bytes:
-                yield engine.process(
-                    platform.dma.transfer(tpu_index, instr.out_bytes, label=f"out:{instr.label}"),
-                    name=f"dma-out:{instr.label}",
-                )
+    # -- event loop -----------------------------------------------------------
 
-            # Operation bookkeeping + CPU aggregation (§6.2.1).
-            op = op_of_instr[id(instr)]
-            remaining[id(op)] -= 1
-            if remaining[id(op)] == 0:
-                if op.cpu_seconds > 0:
-                    t0 = engine.now
-                    yield engine.timeout(op.cpu_seconds)
-                    platform.tracer.record(
-                        t0, engine.now, "cpu_aggregate", "cpu-core",
-                        label=f"task{op.request.task_id}",
-                    )
-                op_done[id(op)].succeed()
+    def _loop(self) -> None:
+        fifo, heap = self.fifo, self.heap
+        popleft, append, heappop = fifo.popleft, fifo.append, heapq.heappop
+        while True:
+            while fifo:
+                step, state = popleft()
+                step(state)
+            if not heap:
+                return
+            # Everything due at the next instant runs before anything it
+            # schedules: the DES pops timers in (time, seq) order, and a
+            # fired timer's wakeup is one hop, behind all of them.
+            now = self.now = heap[0][0]
+            while heap and heap[0][0] == now:
+                _, _, step, state = heappop(heap)
+                append((step, state))
 
-        def worker(tpu_index: int):
-            prev_exec: Optional[SimEvent] = None
-            while len(queue) > 0:
-                group = yield queue.get()
-                for instr in group.instrs:
-                    exec_done = engine.event(name=f"exec:{instr.label}")
-                    proc = engine.process(
-                        instr_process(tpu_index, instr, prev_exec, exec_done),
-                        name=f"instr:{instr.label}",
-                    )
-                    all_procs.append(proc)
-                    prev_exec = exec_done
-                # Admit the next group only once this group has executed
-                # (groups pipeline, but never interleave on a device).
-                if prev_exec is not None and not prev_exec.triggered:
-                    yield prev_exec
-            # On-chip memory persists across syncs: iterative apps keep
-            # models (e.g. PageRank's adjacency tiles) resident.
+    def _sleep(self, delay: float, step: Callable, state) -> None:
+        due = self.now + delay
+        if due == self.now:
+            # A zero (or absorbed) delay stays in this instant: one hop
+            # for the timer, one for the wakeup, as in the DES.
+            self.fifo.append((self.fifo.append, (step, state)))
+        else:
+            heapq.heappush(self.heap, (due, next(self.seq), step, state))
 
-        workers = [
-            engine.process(worker(i), name=f"worker-tpu{i}") for i in range(platform.num_tpus)
-        ]
+    def _wait(self, flag: _Flag, step: Callable, state) -> None:
+        if flag.fired:
+            self.fifo.append((step, state))
+        else:
+            flag.waiters.append((step, state))
 
-        def drain():
-            for proc in workers:
-                yield proc
-            if all_procs:
-                yield AllOf(engine, all_procs)
-            for op in host_ops:
-                t0 = engine.now
-                yield engine.timeout(op.cpu_seconds)
-                platform.tracer.record(
-                    t0, engine.now, "cpu_host", "cpu-core",
-                    label=f"task{op.request.task_id}",
-                )
+    def _fire(self, flag: _Flag) -> None:
+        flag.fired = True
+        self.fifo.extend(flag.waiters)
+        flag.waiters = []
 
-        engine.run_process(drain(), name="executor-drain")
-        makespan = engine.now - start
-        busy = platform.tracer.busy_seconds(since=start)
-        total_bytes = sum(platform.dma.bytes_moved.values()) - bytes_before
-        return Timeline(
-            makespan=makespan,
-            busy_by_unit=busy,
-            instructions=counters["instructions"],
-            bytes_transferred=total_bytes,
+    # -- workers ----------------------------------------------------------------
+
+    def _worker_next(self, worker: _Worker) -> None:
+        # Take the next group now; start its instructions one hop later.
+        if self.queue:
+            worker.group = self.queue.popleft()
+            self.fifo.append((self._worker_admit, worker))
+
+    def _worker_admit(self, worker: _Worker) -> None:
+        prev = worker.prev_exec
+        for instr in worker.group.instrs:
+            run = _Instr(worker.tpu, instr, self.op_of[id(instr)], prev)
+            self.fifo.append((self._instr_start, run))
+            prev = run.exec_done
+        self.live += len(worker.group.instrs)
+        worker.prev_exec = prev
+        # Admit the next group only once this group has executed
+        # (groups pipeline, but never interleave on a device).
+        self._wait(prev, self._worker_next, worker)
+
+    # -- one instruction ----------------------------------------------------------
+
+    def _instr_start(self, run: _Instr) -> None:
+        # Stage 0: §5 ordering gates; a fired gate costs no hop.
+        for gate in run.op.gates:
+            if not gate.fired:
+                self._wait(gate, self._instr_start, run)
+                return
+        wait = run.wait_exec
+        if not self.pipelining and wait is not None and not wait.fired:
+            # Ablation: no double buffering — transfers wait for the
+            # previous instruction to finish executing.
+            self._wait(wait, self._instr_prep, run)
+            return
+        self._instr_prep(run)
+
+    def _instr_prep(self, run: _Instr) -> None:
+        # Stage 1: residency checks + inbound DMA + model build,
+        # overlapped with whatever the device is still executing.
+        instr = run.instr
+        memory = self.devices[run.tpu].memory
+        data_bytes = instr.data_bytes
+        if data_bytes and instr.cache_key and memory.ensure(instr.cache_key, max(1, data_bytes)):
+            data_bytes = 0  # hit: chunk already on chip
+        model_bytes = instr.model_bytes
+        if model_bytes and instr.model_cache_key and memory.ensure(
+            f"m:{instr.model_cache_key}", max(1, model_bytes)
+        ):
+            model_bytes = 0
+        inbound = data_bytes + model_bytes
+        if inbound:
+            run.pending += 1
+            self._transfer(run.tpu, inbound, instr.label, (self._instr_prepped, run))
+        if instr.model_build_seconds > 0:
+            run.pending += 1
+            run.build_t0 = self.now
+            self.fifo.append((self._build, run))  # the build process starts a hop later
+        if not run.pending:
+            self._instr_ready(run)
+
+    def _build(self, run: _Instr) -> None:
+        self._sleep(run.instr.model_build_seconds, self._built, run)
+
+    def _built(self, run: _Instr) -> None:
+        self.record(run.build_t0, self.now, "model_build", "cpu-core", label=run.instr.label)
+        self.fifo.append((self._instr_prepped, run))
+
+    def _instr_prepped(self, run: _Instr) -> None:
+        # One stage-1 activity finished; the last one wakes the
+        # instruction a hop later (the DES's ``AllOf``).
+        run.pending -= 1
+        if not run.pending:
+            self.fifo.append((self._instr_ready, run))
+
+    def _instr_ready(self, run: _Instr) -> None:
+        # Stage 2: in-order execution on the matrix unit.
+        wait = run.wait_exec
+        if wait is not None and not wait.fired:
+            self._wait(wait, self._instr_exec, run)
+            return
+        self._instr_exec(run)
+
+    def _instr_exec(self, run: _Instr) -> None:
+        run.t0 = self.now
+        self._sleep(run.instr.burst_exec_seconds, self._instr_executed, run)
+
+    def _instr_executed(self, run: _Instr) -> None:
+        self._fire(run.exec_done)
+        instr = run.instr
+        self.record(
+            run.t0,
+            self.now,
+            "instruction",
+            self.units[run.tpu],
+            label=instr.label,
+            opcode=instr.opcode.opname,
+            count=instr.count,
         )
+        device = self.devices[run.tpu]
+        device.instructions_executed += instr.count
+        device.busy_seconds += instr.burst_exec_seconds
+        self.instructions += instr.count
+        # Stage 3: results stream back, overlapping the next exec.
+        if instr.out_bytes:
+            then = (self._instr_retire, run)
+            self._transfer(run.tpu, instr.out_bytes, f"out:{instr.label}", then)
+        else:
+            self._instr_retire(run)
+
+    def _instr_retire(self, run: _Instr) -> None:
+        # Operation bookkeeping + CPU aggregation (§6.2.1).
+        op = run.op
+        op.remaining -= 1
+        if op.remaining == 0:
+            if op.op.cpu_seconds > 0:
+                op.t0 = self.now
+                self._sleep(op.op.cpu_seconds, self._op_aggregated, op)
+                return
+            self._fire(op.done)
+        self.live -= 1
+
+    def _op_aggregated(self, op: _Op) -> None:
+        label = f"task{op.op.request.task_id}"
+        self.record(op.t0, self.now, "cpu_aggregate", "cpu-core", label=label)
+        self._fire(op.done)
+        self.live -= 1
+
+    # -- DMA ---------------------------------------------------------------------
+
+    def _transfer(self, tpu: int, nbytes: int, label: str, then: tuple) -> None:
+        # Like every DES process, a transfer starts one hop after it is
+        # created.
+        tr = _Transfer(tpu, nbytes, label, self.paths[tpu], self.now, then)
+        self.fifo.append((self._request, tr))
+
+    def _request(self, tr: _Transfer) -> None:
+        # A free link is granted at once and its holder resumes a hop
+        # later; a busy one queues the transfer FIFO.
+        link = tr.path[tr.hop]
+        if link.busy:
+            link.waiters.append(tr)
+        else:
+            link.busy = True
+            self.fifo.append((self._granted, tr))
+
+    def _granted(self, tr: _Transfer) -> None:
+        if tr.start is None:
+            tr.start = self.now
+        self._sleep(tr.path[tr.hop].link.occupancy_seconds(tr.nbytes), self._hop_done, tr)
+
+    def _hop_done(self, tr: _Transfer) -> None:
+        # Store-and-forward: release this segment (granting its oldest
+        # waiter), then queue for the next one.
+        link = tr.path[tr.hop]
+        if link.waiters:
+            self.fifo.append((self._granted, link.waiters.popleft()))
+        else:
+            link.busy = False
+        tr.hop += 1
+        if tr.hop < len(tr.path):
+            self._request(tr)
+            return
+        self.bytes_moved[tr.tpu] = self.bytes_moved.get(tr.tpu, 0) + tr.nbytes
+        if self.dma_record is not None:
+            self.dma_record(
+                tr.start,
+                self.now,
+                kind="transfer",
+                unit=self.units[tr.tpu],
+                label=tr.label or f"{tr.nbytes}B",
+                nbytes=tr.nbytes,
+                queued_seconds=tr.start - tr.start_wait,
+            )
+        self.fifo.append(tr.then)

@@ -65,6 +65,7 @@ from repro.edgetpu.quantize import (
     params_for_range,
     quantize,
     quantize_batched,
+    quantize_tiles,
     requantize_batched,
     scales_for_ranges,
 )
@@ -128,6 +129,27 @@ def _gemm_scratch(
             for _ in functional.f32_slab_starts(n)
         ],
     }
+
+
+class _LazyRange:
+    """``data_range`` of some operands, scanned on first use.
+
+    The Eqs. 5-8 output scale needs the operands' (min, max) only when a
+    tile's measured Eq. 4 bound is zero or the scaling rule is
+    "formula"; the common case never scans the operands for it.
+    """
+
+    __slots__ = ("_arrays", "_range")
+
+    def __init__(self, *arrays: np.ndarray, known: Optional[Tuple[float, float]] = None) -> None:
+        self._arrays = arrays
+        self._range = known
+
+    def __call__(self) -> Tuple[float, float]:
+        if self._range is None:
+            self._range = data_range(*self._arrays)
+            self._arrays = ()
+        return self._range
 
 
 @dataclass(frozen=True)
@@ -558,34 +580,41 @@ class Tensorizer:
         return scales_for_ranges(batch_max_abs(stacked))
 
     def _output_params(
-        self, opname: str, measured_bound: float, lo: float, hi: float, n: int = 1
+        self, opname: str, measured_bound: float, minmax: _LazyRange, n: int = 1
     ) -> QuantParams:
-        """Output scale per §6.2.2: measured Eq. 4 bound or Eqs. 5-8."""
+        """Output scale per §6.2.2: measured Eq. 4 bound or Eqs. 5-8.
+
+        *minmax* yields the operands' (min, max), the Eqs. 5-8 input.
+        """
         if self.options.scaling_rule == "measured" and measured_bound > 0:
             return self._params_for_range(measured_bound * 1.05)
-        return output_quant_params(opname, lo, hi, n)
+        return output_quant_params(opname, *minmax(), n)
 
     def _output_scales(
         self,
         opname: str,
         measured: np.ndarray,
-        lo: float,
-        hi: float,
+        minmax: _LazyRange,
         ns: np.ndarray,
     ) -> np.ndarray:
         """Vectorized :meth:`_output_params`: one output scale per tile.
 
         ``ns`` broadcasts against ``measured``; the Eqs. 5-8 fallback is
-        evaluated once per distinct inner dimension.
+        evaluated once per distinct inner dimension, and only if some
+        tile needs it.
         """
         measured = np.asarray(measured, dtype=np.float64)
+        if self.options.scaling_rule == "measured":
+            meas_scales = scales_for_ranges(measured * 1.05)
+            if np.all(measured > 0):
+                return meas_scales
+        lo, hi = minmax()
         ns_arr = np.broadcast_to(np.asarray(ns, dtype=np.int64), measured.shape)
         fallback = np.empty_like(measured)
         for n in np.unique(ns_arr):
             fallback[ns_arr == n] = output_quant_params(opname, lo, hi, int(n)).scale
         if self.options.scaling_rule != "measured":
             return fallback
-        meas_scales = scales_for_ranges(measured * 1.05)
         return np.where(measured > 0, meas_scales, fallback)
 
     def _require_2d_pair(self, request: OperationRequest) -> Tuple[np.ndarray, np.ndarray]:
@@ -608,7 +637,7 @@ class Tensorizer:
             raise TensorizerError(f"pairwise shapes differ: {a.shape} vs {b.shape}")
         op = request.opcode
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(a, b)
+        minmax = _LazyRange(a, b)
         # Optional on-chip residency for the first operand when the
         # caller marks it stable across calls (e.g. Black-Scholes keeps
         # the option grid resident through the Horner recurrence).
@@ -627,7 +656,7 @@ class Tensorizer:
                 # add/sub share one scale so integer addition is aligned.
                 pa = pb = self._input_params(request, ta, tb)
             measured = float(np.abs(float_op(ta, tb)).max())
-            out_params = self._output_params(op.opname, measured, lo, hi)
+            out_params = self._output_params(op.opname, measured, minmax)
             instr = Instruction(
                 op,
                 quantize(ta, pa),
@@ -665,7 +694,7 @@ class Tensorizer:
             raise TensorizerError(f"pairwise shapes differ: {a.shape} vs {b.shape}")
         op = request.opcode
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(a, b)
+        minmax = _LazyRange(a, b)
         data_name = str(request.attrs.get("data_name", ""))
         float_op = {Opcode.ADD: np.add, Opcode.SUB: np.subtract, Opcode.MUL: np.multiply}[op]
 
@@ -686,7 +715,7 @@ class Tensorizer:
         # Measured Eq. 4 bound on the raw (pre-quantization) outputs;
         # op(0, 0) == 0 for add/sub/mul, so padding never wins the max.
         measured = np.abs(float_op(sa, sb)).max(axis=(1, 2))
-        out_scales = self._output_scales(op.opname, measured, lo, hi, np.int64(1))
+        out_scales = self._output_scales(op.opname, measured, minmax, np.int64(1))
 
         qa = quantize_batched(sa, a_scales, assume_finite=True)
         qb = quantize_batched(sb, b_scales, assume_finite=True)
@@ -978,7 +1007,7 @@ class Tensorizer:
     def _lower_matvec_scalar(self, request: OperationRequest) -> LoweredOperation:
         vec, mat = self._check_matvec(request)
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(vec, mat)
+        minmax = _LazyRange(vec, mat)
         instrs: List[LoweredInstr] = []
         result = np.zeros(mat.shape[1], dtype=np.float64)
         saturated = 0
@@ -995,7 +1024,7 @@ class Tensorizer:
             # the true per-instruction output extreme and adds headroom.
             measured = float(np.abs(seg @ wt).max())
             out_params = self._output_params(
-                Opcode.FULLY_CONNECTED.opname, measured, lo, hi, n=seg.size
+                Opcode.FULLY_CONNECTED.opname, measured, minmax, n=seg.size
             )
             instr = Instruction(
                 Opcode.FULLY_CONNECTED,
@@ -1023,25 +1052,20 @@ class Tensorizer:
     def _lower_matvec_batched(self, request: OperationRequest) -> LoweredOperation:
         vec, mat = self._check_matvec(request)
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(vec, mat)
         n_ktiles = -(-vec.shape[0] // tile)
 
-        smat, tiles = self._stack_with_stats(mat, tile)
-        n_r, n_c = grid_shape(mat.shape, tile)
+        n_r = grid_shape(mat.shape, tile)[0]
         # Vector segments, zero-padded to the tile length per k-tile row.
         vpad = np.zeros(n_r * tile, dtype=np.float64)
         vpad[: vec.shape[0]] = vec
         vseg = vpad.reshape(n_r, tile)
 
         if request.quant is QuantMode.GLOBAL:
-            g = self._input_params(request).scale
-            seg_scales = np.full(n_r, g)
-            wt_scales = np.full(len(tiles), g)
+            seg_scales = np.full(n_r, self._input_params(request).scale)
         else:
             seg_scales = scales_for_ranges(batch_max_abs(vseg))
-            wt_scales = scales_for_ranges(batch_max_abs(smat))
+        q_mat, wt_scales, tiles = self._model_tiles(request, mat, tile)
         q_vseg = quantize_batched(vseg, seg_scales, assume_finite=True)
-        q_mat = quantize_batched(smat, wt_scales, assume_finite=True)
 
         rows_idx = np.array([t.row for t in tiles], dtype=np.intp)
         seg_sizes = np.array([t.shape()[0] for t in tiles], dtype=np.int64)
@@ -1053,7 +1077,7 @@ class Tensorizer:
             [float(np.abs(vec[t.rows] @ mat[t.rows, t.cols]).max()) for t in tiles]
         )
         out_scales = self._output_scales(
-            Opcode.FULLY_CONNECTED.opname, measured, lo, hi, seg_sizes
+            Opcode.FULLY_CONNECTED.opname, measured, _LazyRange(vec, mat), seg_sizes
         )
 
         batched = functional.fully_connected_batched(
@@ -1089,10 +1113,14 @@ class Tensorizer:
         cpu_seconds = self.cpu.aggregate_seconds(mat.shape[1] * n_ktiles)
         return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
 
-    def _stack_with_stats(self, matrix: np.ndarray, tile: int):
-        stacked, tiles = stack_tiles(matrix, tile)
+    def _model_tiles(self, request: OperationRequest, matrix: np.ndarray, tile: int):
+        """A model operand's int8 tile stack, per-tile scales and tiles."""
+        tiles = list(iter_tiles(matrix.shape, tile))
         self.stats.tiles_lowered += len(tiles)
-        return stacked, tiles
+        glob = request.quant is QuantMode.GLOBAL
+        scale = self._input_params(request).scale if glob else None
+        q, scales = quantize_tiles(matrix, tile, scale)
+        return q, scales, tiles
 
     # ------------------------------------------------------------------
     # GEMM via FullyConnected (§7.1.1) — the slow path of Fig. 6
@@ -1129,7 +1157,7 @@ class Tensorizer:
         m, n = a.shape
         k = b.shape[1]
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(a, b)
+        minmax = _LazyRange(a, b)
         result = np.zeros((m, k), dtype=np.float64)
         instrs: List[LoweredInstr] = []
         saturated = 0
@@ -1149,7 +1177,7 @@ class Tensorizer:
             self.stats.scalar_dispatches += 1
             measured = float(np.abs(acc).max()) / (p_a.scale * p_w.scale)
             out_params = self._output_params(
-                Opcode.FULLY_CONNECTED.opname, measured, lo, hi, n=a_block.shape[1]
+                Opcode.FULLY_CONNECTED.opname, measured, minmax, n=a_block.shape[1]
             )
             rescale = out_params.scale / (p_a.scale * p_w.scale)
             q_out = np.rint(acc * rescale)
@@ -1176,18 +1204,14 @@ class Tensorizer:
         m, n = a.shape
         k = b.shape[1]
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(a, b)
+        minmax = _LazyRange(a, b)
         result = np.zeros((m, k), dtype=np.float64)
         instrs: List[LoweredInstr] = []
         saturated = 0
 
-        sb, tiles = self._stack_with_stats(b, tile)
+        q_b, wt_scales, tiles = self._model_tiles(request, b, tile)
         n_kt, n_ct = grid_shape(b.shape, tile)
-        if request.quant is QuantMode.GLOBAL:
-            wt_scales = np.full(len(tiles), self._input_params(request).scale)
-        else:
-            wt_scales = scales_for_ranges(batch_max_abs(sb))
-        q_b = quantize_batched(sb, wt_scales, assume_finite=True).reshape(n_kt, n_ct, tile, tile)
+        q_b = q_b.reshape(n_kt, n_ct, tile, tile)
         wt_scales_2d = wt_scales.reshape(n_kt, n_ct)
 
         # One batched matmul per k-block row: the A column block is
@@ -1207,7 +1231,7 @@ class Tensorizer:
             self.stats.batched_dispatches += 1
             measured = np.abs(acc).max(axis=(1, 2)) / (p_a.scale * wt_scales_2d[r])
             out_scales = self._output_scales(
-                Opcode.FULLY_CONNECTED.opname, measured, lo, hi, np.int64(w_r)
+                Opcode.FULLY_CONNECTED.opname, measured, minmax, np.int64(w_r)
             )
             rescale = out_scales / (p_a.scale * wt_scales_2d[r])
             q_out = np.rint(acc * rescale[:, None, None])
@@ -1378,7 +1402,7 @@ class Tensorizer:
         m, n = a.shape
         k = b.shape[1]
         s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
-        lo, hi = data_range(a, b)
+        minmax = _LazyRange(a, b)
 
         result = np.zeros((m, k), dtype=np.float64)
         instrs: List[LoweredInstr] = []
@@ -1409,7 +1433,7 @@ class Tensorizer:
                 self.stats.tiles_lowered += 1
                 self.stats.scalar_dispatches += 1
                 measured = float(np.abs(acc).max()) / (p_rows.scale * p_cols.scale)
-                out_params = self._output_params(Opcode.CONV2D.opname, measured, lo, hi, n=n)
+                out_params = self._output_params(Opcode.CONV2D.opname, measured, minmax, n=n)
                 rescale = out_params.scale / (p_rows.scale * p_cols.scale)
                 # ``+ 0.0``: the device returns int8, which has no signed
                 # zero, so the host's requantized grid must not either —
@@ -1654,7 +1678,7 @@ class Tensorizer:
         lowered: List[LoweredOperation] = []
         for idx, request in enumerate(requests):
             base = idx * m
-            lo, hi = ranges[idx]
+            minmax = _LazyRange(known=ranges[idx])
             result = np.empty((m, k), dtype=np.float64)
             saturated = 0
             integ = (
@@ -1682,7 +1706,7 @@ class Tensorizer:
                     acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
                     scale_prod = p_rows.scale * col_scales[bi]
                     measured = acc_bound / scale_prod
-                    out_params = self._output_params(Opcode.CONV2D.opname, measured, lo, hi, n=n)
+                    out_params = self._output_params(Opcode.CONV2D.opname, measured, minmax, n=n)
                     out_scales_row[bi] = out_params.scale
                     rescale_row[bi] = out_params.scale / scale_prod
                     # fl(·) is monotone, so acc_bound * rescale bounds every
@@ -1824,13 +1848,13 @@ class Tensorizer:
         if kh > a.shape[0] or kw > a.shape[1]:
             raise TensorizerError(f"kernel {kern.shape} larger than input {a.shape}")
         tile = self.options.arithmetic_tile
-        lo, hi = data_range(a, kern)
+        minmax = _LazyRange(a, kern)
         # Eq. 4 directly: for a convolution the output magnitude is bounded
         # exactly by max|data| * Σ|kernel|, which is far tighter than the
         # generic Eq. 5 worst case when kernels are normalized (HotSpot3D's
         # weighted average sums to ~1).
         bound = float(np.abs(a).max() * np.abs(kern).sum())
-        out_params = self._output_params(Opcode.CONV2D.opname, bound, lo, hi, n=kh * kw)
+        out_params = self._output_params(Opcode.CONV2D.opname, bound, minmax, n=kh * kw)
         p_kern = self._params_for_data(kern)
         q_kern = quantize(kern, p_kern)
         oh, ow = a.shape[0] - kh + 1, a.shape[1] - kw + 1

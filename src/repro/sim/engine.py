@@ -137,6 +137,19 @@ class Engine:
             )
         return self._now
 
+    def advance_to(self, time: float) -> float:
+        """Run every event due by *time*, then move the clock to *time*.
+
+        For models that compute a stretch of simulated time outside the
+        event queue (the runtime executor replays each ``sync()`` this
+        way) and then hand the clock back to the engine.
+        """
+        if time < self._now:
+            raise SimulationError(f"cannot move the clock back from {self._now} to {time}")
+        self.run(until=time)
+        self._now = time
+        return time
+
     def run_process(self, generator: Generator[SimEvent, Any, Any], name: str = "") -> Any:
         """Convenience: start *generator*, run to completion, return its value."""
         proc = self.process(generator, name=name)

@@ -104,6 +104,44 @@ class TestFullyConnected:
         np.testing.assert_array_equal(result.acc, ref)
 
 
+class TestFullyConnectedBatched:
+    """The float32 slab accumulation equals an int64 reference exactly."""
+
+    @staticmethod
+    def check(vecs, weights):
+        n, t = vecs.shape
+        ones, sizes = np.ones(n), np.full(n, t)
+        result = functional.fully_connected_batched(vecs, weights, ones, ones, sizes, sizes)
+        ref = (vecs.astype(np.int64)[:, None, :] @ weights.astype(np.int64))[:, 0, :]
+        assert result.acc.dtype == np.int64
+        np.testing.assert_array_equal(result.acc, ref)
+
+    @pytest.mark.parametrize("t", [128, 77])
+    def test_all_min_operands(self, t):
+        self.check(np.full((3, t), -128, np.int8), np.full((3, t, t), -128, np.int8))
+
+    def test_random_ragged_operands(self):
+        rng = np.random.default_rng(5)
+        self.check(
+            rng.integers(-128, 128, (4, 77), dtype=np.int8),
+            rng.integers(-128, 128, (4, 77, 77), dtype=np.int8),
+        )
+
+    @pytest.mark.parametrize("value", [-128, -127])
+    def test_inner_dim_past_one_exact_slab(self, value):
+        # 3000 products of 127² sum past 2^24, where float32 stops
+        # representing every integer (one float32 matmul rounds here);
+        # each <=1024-long slab stays below it.
+        self.check(np.full((1, 3000), value, np.int8), np.full((1, 3000, 3), value, np.int8))
+
+    def test_batch_mismatch_rejected(self):
+        with pytest.raises(UnsupportedInstructionError):
+            functional.fully_connected_batched(
+                np.zeros((2, 4), np.int8), np.zeros((3, 4, 4), np.int8),
+                np.ones(2), np.ones(3), np.full(2, 4), np.full(2, 4),
+            )
+
+
 class TestPairwise:
     def test_add_sub_mul(self):
         a, b = i8([[10, -20]]), i8([[5, 5]])

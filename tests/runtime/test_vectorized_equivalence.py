@@ -13,14 +13,22 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edgetpu.isa import Opcode
 from repro.edgetpu.quantize import params_for_data, quantize
-from repro.edgetpu.quantize import batch_max_abs, quantize_batched, scales_for_ranges
+from repro.edgetpu.quantize import (
+    batch_max_abs,
+    quantize_batched,
+    quantize_tiles,
+    scales_for_ranges,
+)
+from repro.errors import QuantizationError
 from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
+from repro.runtime import tensorizer as tensorizer_module
 from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
 from repro.runtime.tiling import fill_padding, iter_tiles, scatter_tiles, stack_tiles
 
@@ -65,10 +73,10 @@ def data(rng, shape, style):
 styles = st.sampled_from(["normal", "zeros", "negative", "constant", "sparse"])
 
 
-def assert_equivalent(build_request):
+def assert_equivalent(build_request, **options):
     """Lower one request through both paths and demand exact equality."""
-    vec = Tensorizer(options=TensorizerOptions(vectorized=True))
-    ref = Tensorizer(options=TensorizerOptions(vectorized=False))
+    vec = Tensorizer(options=TensorizerOptions(vectorized=True, **options))
+    ref = Tensorizer(options=TensorizerOptions(vectorized=False, **options))
     lv = vec.lower(build_request())
     ls = ref.lower(build_request())
     rv, rs = np.asarray(lv.result), np.asarray(ls.result)
@@ -259,6 +267,49 @@ class TestMatrixEquivalence:
             assert x.tobytes() == y.tobytes()
 
 
+def range_requests(rng):
+    """One request per rule that takes the Eqs. 5-8 range lazily."""
+    a = data(rng, (150, 140), "sparse")
+    a[:128, :128] = 0.0  # an all-zero tile has no measured bound
+    b = data(rng, (150, 140), "normal")
+    return {
+        "add": lambda: make_request(Opcode.ADD, a, b),
+        "mul": lambda: make_request(Opcode.MUL, a, b),
+        "matvec": lambda: make_request(Opcode.FULLY_CONNECTED, b[:, 0], a, model_name="w"),
+        "gemm_fc": lambda: make_request(Opcode.FULLY_CONNECTED, b[:40].T, a[:40]),
+        "stencil": lambda: make_request(Opcode.CONV2D, a, np.full((3, 3), 1 / 9)),
+    }
+
+
+class TestLazyRange:
+    """The Eqs. 5-8 range is scanned only when a tile needs it."""
+
+    @pytest.mark.parametrize("rule", ["measured", "formula"])
+    @pytest.mark.parametrize("name", ["add", "mul", "matvec", "gemm_fc", "stencil"])
+    def test_fallback_tiles_match_scalar(self, name, rule):
+        build = range_requests(np.random.default_rng(4))[name]
+        assert_equivalent(build, scaling_rule=rule)
+
+    @pytest.mark.parametrize("name", ["add", "mul", "matvec", "gemm_fc", "stencil"])
+    def test_range_not_scanned_when_every_bound_is_measured(self, name, monkeypatch):
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(0.5, 2.0, (150, 140)), rng.uniform(0.5, 2.0, (150, 140))
+        request = {
+            "add": (Opcode.ADD, a, b),
+            "mul": (Opcode.MUL, a, b),
+            "matvec": (Opcode.FULLY_CONNECTED, b[:, 0], a),
+            "gemm_fc": (Opcode.FULLY_CONNECTED, b[:40].T, a[:40]),
+            "stencil": (Opcode.CONV2D, a, np.full((3, 3), 1 / 9)),
+        }[name]
+
+        class Unscanned(tensorizer_module._LazyRange):
+            def __call__(self):
+                raise AssertionError("Eqs. 5-8 range scanned")
+
+        monkeypatch.setattr(tensorizer_module, "_LazyRange", Unscanned)
+        Tensorizer().lower(make_request(*request))
+
+
 class TestBatchedKernelEquivalence:
     @given(dims, dims, st.sampled_from([64, 128]), seeds)
     @settings(max_examples=40, deadline=None)
@@ -283,6 +334,33 @@ class TestBatchedKernelEquivalence:
             h, w = t.shape()
             expect = quantize(view, params_for_data(view))
             assert q[i, :h, :w].tobytes() == expect.tobytes()
+
+    @given(dims, dims, st.sampled_from([64, 128]), st.booleans(), seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_quantize_tiles_matches_stack_then_quantize(self, rows, cols, tile, glob, seed):
+        a = np.random.default_rng(seed).normal(size=(rows, cols)) * 9
+        a[: rows // 2, : cols // 3] = 0.0  # all-zero tiles take scale 1
+        a[rows // 2 :, : cols // 3] = -np.abs(a[rows // 2 :, : cols // 3])
+        stacked, _ = stack_tiles(a, tile)
+        scale = 0.25 if glob else None
+        expect = (
+            np.full(len(stacked), scale) if glob else scales_for_ranges(batch_max_abs(stacked))
+        )
+        q, scales = quantize_tiles(a, tile, scale)
+        assert scales.tobytes() == expect.tobytes()
+        assert q.tobytes() == quantize_batched(stacked, expect).tobytes()
+
+    def test_quantize_tiles_rejects_what_batch_max_abs_rejects(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.ones((150, 70))
+            a[140, 3] = bad
+            with pytest.raises(QuantizationError) as got:
+                quantize_tiles(a, 64)
+            with pytest.raises(QuantizationError) as want:
+                batch_max_abs(stack_tiles(a, 64)[0])
+            assert str(got.value) == str(want.value)
+        with pytest.raises(QuantizationError, match="empty"):
+            quantize_tiles(np.zeros((0, 4)), 64)
 
     def test_fill_padding_overwrites_only_padding(self):
         a = np.ones((70, 70))

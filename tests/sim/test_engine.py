@@ -207,3 +207,27 @@ def test_nested_processes_share_one_clock():
 
     assert eng.run_process(root()) == 2.0
     assert marks == [1.0, 2.0]
+
+
+def test_advance_to_runs_due_events_then_moves_the_clock():
+    eng = Engine()
+    log = []
+
+    def proc():
+        yield eng.timeout(1.0)
+        log.append(eng.now)
+        yield eng.timeout(5.0)
+        log.append(eng.now)
+
+    eng.process(proc())
+    assert eng.advance_to(2.5) == 2.5
+    assert log == [1.0] and eng.now == 2.5
+    eng.advance_to(7.0)
+    assert log == [1.0, 6.0] and eng.now == 7.0
+
+
+def test_advance_to_cannot_move_back():
+    eng = Engine()
+    eng.advance_to(1.0)
+    with pytest.raises(SimulationError):
+        eng.advance_to(0.5)
