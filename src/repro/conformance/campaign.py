@@ -36,7 +36,7 @@ from repro.errors import DeviceFailure, QueueFull, RequestTimeout
 from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.server import FrontDoor, ServeConfig, make_server
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ class ScenarioResult:
 
 
 async def _campaign_client(
-    server: TpuServer,
+    server: FrontDoor,
     tenant: str,
     requests: List[OperationRequest],
     results: dict,
@@ -179,22 +179,6 @@ async def _campaign_client(
             results[("__queue_full__", tenant, i)] = True
         except (DeviceFailure, RequestTimeout):
             continue  # surfaced failure — counted server-side
-
-
-def _make_server(platform: Platform, config: ServeConfig, workers: int):
-    """In-process server, or the multi-process one when *workers* > 0.
-
-    The scenario code is identical either way — that is the point: the
-    campaign proves the serving contract holds across process
-    boundaries without loosening a single invariant.
-    """
-    if workers:
-        from repro.mp import MpTpuServer
-
-        return MpTpuServer(
-            platform, config, workers=min(workers, platform.num_tpus)
-        )
-    return TpuServer(platform, config)
 
 
 async def _run_scenario(
@@ -241,7 +225,11 @@ async def _run_scenario(
 
     event_log: List[Tuple[str, int, int]] = []
     results: dict = {}
-    async with _make_server(platform, config, workers) as server:
+    # The scenario code is identical for both servers — that is the
+    # point: the serving contract must hold across process boundaries
+    # without loosening a single invariant.
+    workers = min(workers, platform.num_tpus)
+    async with make_server(platform, config, workers=workers) as server:
         server.pool.observer = lambda event, serve_id, device: event_log.append(
             (event, serve_id, device)
         )

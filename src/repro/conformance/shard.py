@@ -41,7 +41,7 @@ from repro.nn.models import MODELS, sample_input
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.scheduler import build_dispatch_groups
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.server import FrontDoor, ServeConfig, make_server
 from repro.shard import ShardPlanner, ShardProfile
 from repro.telemetry.tracer import SpanTracer
 
@@ -118,17 +118,11 @@ def _make_server(platform: Platform, config: ServeConfig, workers: int):
     invariants (bit-identity, fan-out, exactly-once, migration,
     quarantine, adjudication) must survive the process boundary intact.
     """
-    if workers:
-        from repro.mp import MpTpuServer
-
-        return MpTpuServer(
-            platform, config, workers=min(workers, platform.num_tpus)
-        )
-    return TpuServer(platform, config)
+    return make_server(platform, config, workers=min(workers, platform.num_tpus))
 
 
 async def _run_requests(
-    server: TpuServer,
+    server: FrontDoor,
     requests: Sequence[OperationRequest],
     events: List[Tuple[str, int, str]],
 ) -> List[np.ndarray]:
@@ -216,7 +210,7 @@ class _ServedContext:
     is preserved exactly as in the direct runtime.
     """
 
-    def __init__(self, server: TpuServer, loop: asyncio.AbstractEventLoop):
+    def __init__(self, server: FrontDoor, loop: asyncio.AbstractEventLoop):
         self._server = server
         self._loop = loop
         self.tracer = server.tracer
@@ -252,7 +246,7 @@ class _ServedContext:
 
 def _with_served_server(
     platform: Platform,
-    fn: Callable[[TpuServer, asyncio.AbstractEventLoop], np.ndarray],
+    fn: Callable[[FrontDoor, asyncio.AbstractEventLoop], np.ndarray],
     workers: int = 0,
 ) -> Tuple[np.ndarray, dict]:
     loop = asyncio.new_event_loop()
@@ -297,7 +291,7 @@ def _check_model(name: str, seed: int, faulted_device: int,
     )
     invocations = 0
 
-    def run(server: TpuServer, loop: asyncio.AbstractEventLoop) -> np.ndarray:
+    def run(server: FrontDoor, loop: asyncio.AbstractEventLoop) -> np.ndarray:
         nonlocal invocations
         ctx = _ServedContext(server, loop)
         out = model.forward(ctx, x)

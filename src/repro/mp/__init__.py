@@ -1,7 +1,8 @@
 """Multi-process data plane for the serving stack (ROADMAP item 1).
 
-The asyncio :class:`~repro.serve.server.TpuServer` stays the admission /
-coalescing / exactly-once tier; :class:`MpTpuServer` shards the
+:class:`MpTpuServer` shares the asyncio front door of
+:class:`~repro.serve.server.TpuServer` (admission, coalescing,
+preemption) and stays the exactly-once tier, while it shards the
 Tensorizer + simulated-device pool across spawned worker processes so
 host lowering escapes the GIL.  Tensors travel through
 :class:`~repro.mp.shm.ShmRing` shared-memory rings as zero-copy views;

@@ -1,11 +1,17 @@
 """Multi-process serving: asyncio admission tier + worker data planes.
 
-:class:`MpTpuServer` keeps the :class:`~repro.serve.server.TpuServer`
-front-of-house contract — admission control, tenant fairness, deadline
-expiry, GEMM coalescing, exactly-once delivery, the ``snapshot()``
-schema — while host lowering and simulated-device execution run in N
-spawned worker processes, each owning a contiguous slice of the TPUs
-(GPTPU's parallel host-side task dispatch, §6.1, without the GIL).
+:class:`MpTpuServer` is the same :class:`~repro.serve.server.FrontDoor`
+as :class:`~repro.serve.server.TpuServer` — one submit → shed → admit →
+expire → coalesce → preempt loop, one set of lifecycle events — while
+host lowering and simulated-device execution run in N spawned worker
+processes, each owning a contiguous slice of the TPUs (GPTPU's parallel
+host-side task dispatch, §6.1, without the GIL).  Only the two front
+door hooks are its own: a coalesced group is handed off by routing it
+to a worker (sticky per coalesce key, else least loaded) and staging
+it into that worker's ring, parking it when the ring is full; and a
+preemption may take back only parked groups.  Everything else here is
+genuinely multi-process: worker spawn and teardown, parking, crash
+requeue, plan gossip and the merged ``snapshot()``.
 
 Data path: operand and result tensors cross the boundary through
 per-worker :class:`~repro.mp.shm.ShmRing` segments (zero-copy views);
@@ -29,27 +35,26 @@ import multiprocessing as mp
 import threading
 import time
 from collections import deque
+from multiprocessing.connection import wait
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.edgetpu.isa import Opcode
-from repro.errors import DeviceFailure, LoadShed, RequestTimeout, ServingError
+from repro.errors import DeviceFailure, RequestTimeout, ServingError
 from repro.host.platform import Platform
 from repro.mp.messages import WorkerSpec, decode_error, encode_request
 from repro.mp.shm import RingFull, ShmRing
 from repro.mp.worker import worker_main
-from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.serve.admission import AdmissionController
-from repro.serve.coalescer import coalesce, coalesce_key
+# ``coalesce`` is unused here (the shared loop in repro.serve.server
+# calls it) but stays importable: benchmarks/e2e/layers.py wraps
+# repro.mp.server.coalesce and repro.mp.server.encode_request.
+from repro.serve.coalescer import coalesce, coalesce_key  # noqa: F401
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
-from repro.serve.server import ServeConfig
-from repro.serve.slo import OverloadController
+from repro.serve.server import FrontDoor, ServeConfig
 from repro.telemetry import (
     SpanTracer,
-    get_tracer,
     merge_chrome_traces,
     to_chrome_trace,
 )
@@ -61,18 +66,6 @@ from repro.telemetry import (
 DEFAULT_RING_BYTES = 16 * 1024 * 1024
 
 _SNAPSHOT_TIMEOUT = 30.0
-
-
-class _PoolFacade:
-    """The slice of ``DevicePool`` surface the MP parent re-exports.
-
-    The conformance campaigns arm ``server.pool.observer`` — events
-    stream in from the workers (non-terminal) and the parent (terminal),
-    so the suites run unchanged against the multi-process server.
-    """
-
-    def __init__(self) -> None:
-        self.observer: Optional[Callable[[str, int, int], None]] = None
 
 
 @dataclasses.dataclass
@@ -122,7 +115,7 @@ class _Worker:
             return False
 
 
-class MpTpuServer:
+class MpTpuServer(FrontDoor):
     """Drop-in multi-process variant of :class:`TpuServer`."""
 
     def __init__(
@@ -136,10 +129,10 @@ class MpTpuServer:
         base_seed: int = 0,
         ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
+        super().__init__(
+            config, clock, tracer, ServingMetrics(base_seed=base_seed, worker_id=0)
+        )
         self.platform = platform or Platform()
-        self.config = config or ServeConfig()
-        self._clock = clock
-        self.tracer = tracer if tracer is not None else get_tracer()
         n = self.platform.num_tpus
         if not 1 <= workers <= n:
             raise ValueError(
@@ -148,24 +141,10 @@ class MpTpuServer:
         self.num_workers = workers
         self.base_seed = base_seed
         self.ring_bytes = ring_bytes
-        self.metrics = ServingMetrics(base_seed=base_seed, worker_id=0)
-        self.slo = self.config.slo
-        scheduling = self.config.scheduling
-        if scheduling == "auto":
-            scheduling = "edf" if self.slo is not None else "rr"
-        self.admission = AdmissionController(
-            self.config.max_queue_depth,
-            self.config.per_tenant_limit,
-            scheduling=scheduling,
-        )
-        self.overload: Optional[OverloadController] = (
-            OverloadController(self.slo, self.config.max_queue_depth)
-            if self.slo is not None and self.config.shed_enabled
-            else None
-        )
-        #: Timeout count already fed to the overload governor.
-        self._timeouts_seen = 0
-        self.pool = _PoolFacade()
+        # The conformance campaigns arm ``server.pool.observer``: events
+        # stream in from the workers (non-terminal) and the parent
+        # (terminal), so the suites run unchanged against this server.
+        self.pool = SimpleNamespace(observer=None)
         # Contiguous device slices; worker 0 owns tpu0, so single-request
         # behaviour (and the shard suite's tpu0 expectations) match the
         # in-process server.
@@ -184,12 +163,8 @@ class MpTpuServer:
         self._routes: Dict[tuple, int] = {}
         self._inflight: Dict[int, _Shipment] = {}
         self._plan_blobs: Dict[str, bytes] = {}
-        self._serve_seq = 0
-        self._wakeup = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_task: Optional[asyncio.Task] = None
         self._stopping = False
-        self.started_at: Optional[float] = None
         self.worker_crashes = 0
         self.requeued = 0
         self._final_snapshot: Optional[dict] = None
@@ -254,19 +229,14 @@ class MpTpuServer:
             asyncio.gather(*(w.ready.wait() for w in self._workers)),
             timeout=120.0,
         )
-        self._loop_task = self._loop.create_task(
-            self._dispatch_loop(), name="mp-serve-dispatch"
-        )
+        self._start_dispatch()
 
     async def stop(self) -> None:
         """Drain snapshots, stop workers, reap processes, unlink rings."""
         if self._loop is None:
             return
         self._stopping = True
-        if self._loop_task is not None:
-            self._loop_task.cancel()
-            await asyncio.gather(self._loop_task, return_exceptions=True)
-            self._loop_task = None
+        await self._stop_dispatch()
         # Fail anything still unresolved (mirrors pool.stop semantics:
         # stop() after drain() sees none).
         for gid in list(self._inflight):
@@ -295,13 +265,6 @@ class MpTpuServer:
             self._teardown_worker(worker)
         self._loop = None
 
-    async def __aenter__(self) -> "MpTpuServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
-
     def _teardown_worker(self, worker: _Worker) -> None:
         """Remove readers, close pipes, unlink rings (idempotent)."""
         worker.alive = False
@@ -329,112 +292,6 @@ class MpTpuServer:
                 ring.unlink()
         worker.req_ring = worker.res_ring = None
 
-    # -- client API (mirrors TpuServer) ---------------------------------
-
-    def submit_nowait(
-        self,
-        request: OperationRequest,
-        *,
-        deadline_seconds: Optional[float] = None,
-    ) -> "asyncio.Future":
-        """Admit one request; raise :class:`QueueFull` synchronously."""
-        if self._loop_task is None:
-            raise ServingError(
-                "server is not started; use 'async with MpTpuServer(...)'"
-            )
-        now = self._clock()
-        self._serve_seq += 1
-        serve_id = self._serve_seq
-        request = dataclasses.replace(
-            request,
-            task_id=serve_id,
-            input_name=request.input_name or f"serve{serve_id}",
-        )
-        tier_name, priority, sheddable = "", 0, True
-        deadline = None if deadline_seconds is None else now + deadline_seconds
-        if self.slo is not None:
-            tier = self.slo.tier_of(request.tenant)
-            tier_name, priority, sheddable = tier.name, tier.priority, tier.sheddable
-            if deadline is None and tier.deadline_budget is not None:
-                deadline = now + tier.deadline_budget
-        sreq = ServeRequest(
-            serve_id=serve_id,
-            tenant=request.tenant,
-            request=request,
-            future=asyncio.get_running_loop().create_future(),
-            submitted=now,
-            deadline=deadline,
-            tier=tier_name,
-            priority=priority,
-            sheddable=sheddable,
-        )
-        self.metrics.submitted += 1
-        if tier_name:
-            self.metrics.submitted_by_tier[tier_name] += 1
-        if self.overload is not None and self.overload.should_shed(
-            priority, sheddable
-        ):
-            self.metrics.record_shed(tier_name)
-            self.tracer.instant(
-                "shed", cat="serve", track="mp-server", serve_id=serve_id,
-                tier=tier_name,
-            )
-            raise LoadShed(
-                f"tier {tier_name!r} shed under overload "
-                f"(level {self.overload.level}); retry later",
-                tier=tier_name,
-            )
-        try:
-            self.admission.offer(sreq)
-        except Exception:
-            self.metrics.rejected += 1
-            self.tracer.instant(
-                "reject", cat="serve", track="mp-server", serve_id=serve_id
-            )
-            raise
-        self.tracer.instant(
-            "submit",
-            cat="serve",
-            track="mp-server",
-            serve_id=serve_id,
-            tenant=request.tenant,
-        )
-        self._wakeup.set()
-        return sreq.future
-
-    async def submit(
-        self,
-        request: OperationRequest,
-        *,
-        deadline_seconds: Optional[float] = None,
-    ) -> np.ndarray:
-        """Admit one request and await its result."""
-        return await self.submit_nowait(request, deadline_seconds=deadline_seconds)
-
-    async def gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        tenant: str = "",
-        quant: QuantMode = QuantMode.SCALE,
-        chunks: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> np.ndarray:
-        """Convenience wrapper: submit one conv2D-style GEMM (§7.1.2)."""
-        attrs: Mapping[str, Any] = (
-            {"gemm": True} if chunks is None else {"gemm": True, "gemm_chunks": chunks}
-        )
-        request = OperationRequest(
-            task_id=0,
-            opcode=Opcode.CONV2D,
-            inputs=(np.asarray(a), np.asarray(b)),
-            quant=quant,
-            attrs=attrs,
-            tenant=tenant,
-        )
-        return await self.submit(request, deadline_seconds=deadline_seconds)
-
     async def drain(self) -> None:
         """Wait until no request is queued, parked, or in a worker."""
         while (
@@ -445,75 +302,30 @@ class MpTpuServer:
             self._wakeup.set()
             await asyncio.sleep(0.001)
 
-    # -- dispatch / shipping --------------------------------------------
+    # -- routing / shipping ---------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self.admission.depth == 0:
-                self._wakeup.clear()
-                await self._wakeup.wait()
-            await asyncio.sleep(0)
-            now = self._clock()
-            for sreq in self.admission.expire(now):
-                if sreq.reject(
-                    RequestTimeout(
-                        f"request {sreq.serve_id} expired in the admission queue"
-                    )
-                ):
-                    self.metrics.record_timeout(sreq)
-                    self._emit("timeout", sreq.serve_id, -1)
-            depth = self.admission.depth
-            self.metrics.sample_queue_depth(depth)
-            batch = self.admission.drain(self.config.max_batch)
-            if self.overload is not None:
-                # Timeout delta (admission + worker-reported) drives the
-                # EWMA: the slow-death overload signal.
-                misses = self.metrics.timeouts - self._timeouts_seen
-                self._timeouts_seen = self.metrics.timeouts
-                self.overload.observe(depth, misses, len(batch))
-            if not batch:
-                continue
-            if self.slo is not None and self.slo.preempt:
-                self._preempt_parked(batch)
-            sp = self.tracer.begin(
-                "ship_batch", cat="serve", track="mp-server", drained=len(batch)
-            )
-            for group in coalesce(batch, self.config.max_coalesce):
-                self._ship_group(group)
-            self.tracer.end(sp)
+    def _preemptible(self, urgent: int) -> List[ServeRequest]:
+        """Detach parked lower-tier groups; shipped work is never taken.
 
-    def _preempt_parked(self, batch: List[ServeRequest]) -> None:
-        """Requeue parked lower-tier groups ahead of an urgent batch.
-
-        In the MP server only groups still parked on a worker's pending
-        deque (never shipped, pre-lowering) are preemptible — anything
-        already in a worker's ring may be executing.  Whole groups are
-        un-coalesced and their members re-admitted via ``requeue``, so
-        exactly-once delivery is untouched: no work was in flight.
+        Only groups still parked on a worker's pending deque (never
+        shipped, not yet lowered) qualify — anything already in a
+        worker's ring may be executing.  Whole groups are un-coalesced,
+        so exactly-once delivery is untouched: no work was in flight.
         """
-        urgent = min(s.priority for s in batch if not s.failed)
+        victims: List[ServeRequest] = []
         for worker in self._workers:
-            if not worker.pending:
-                continue
             keep: deque = deque()
             for group in worker.pending:
                 live = [s for s in group if not s.failed]
                 if live and all(s.priority > urgent for s in live):
-                    for sreq in live:
-                        sreq.preemptions += 1
-                        self.metrics.preemptions += 1
-                        self._emit("preempt", sreq.serve_id, -1)
-                        self.admission.requeue(sreq)
+                    victims.extend(live)
                 else:
                     keep.append(group)
             worker.pending = keep
+        return victims
 
     def _alive_workers(self) -> List[_Worker]:
         return [w for w in self._workers if w.alive]
-
-    def _emit(self, event: str, serve_id: int, device: int) -> None:
-        if self.pool.observer is not None:
-            self.pool.observer(event, serve_id, device)
 
     def _route(self, group: List[ServeRequest]) -> Optional[_Worker]:
         """Pick the worker for one coalescible group (sticky by key)."""
@@ -530,7 +342,7 @@ class MpTpuServer:
             self._routes[key] = pick.wid
         return pick
 
-    def _ship_group(self, group: List[ServeRequest]) -> None:
+    def _hand_off(self, group: List[ServeRequest]) -> None:
         live = [s for s in group if not s.failed]
         if not live:
             return
@@ -541,7 +353,7 @@ class MpTpuServer:
                     DeviceFailure("no live data-plane workers remain")
                 ):
                     self.metrics.failed += 1
-                    self._emit("give-up", sreq.serve_id, -1)
+                    self._emit("give-up", sreq.serve_id)
             return
         if worker.pending:
             # Preserve FIFO per worker behind already-parked groups.
@@ -572,12 +384,10 @@ class MpTpuServer:
                 )
                 entries.append(entry)
                 staged.append((sreq, tuple(offsets)))
+            sent = worker.send(("req", entries))
         except RingFull:
-            for _sreq, offsets in staged:
-                for offset in offsets:
-                    worker.req_ring.free(offset)
-            return False
-        if not worker.send(("req", entries)):
+            sent = False
+        if not sent:
             for _sreq, offsets in staged:
                 for offset in offsets:
                     worker.req_ring.free(offset)
@@ -655,22 +465,22 @@ class MpTpuServer:
                     f"request {gid} completed after its deadline"
                 )):
                     self.metrics.record_timeout(sreq)
-                self._emit("timeout", gid, -1)
+                self._emit("timeout", gid)
                 return
             # resolve() reads sreq.op.result — THE single delivery path
             # (record_delivery) stays intact across the process boundary.
             sreq.op = SimpleNamespace(result=result)
             if self.metrics.record_delivery(sreq, self._clock()):
-                self._emit("deliver", gid, -1)
+                self._emit("deliver", gid)
         else:
             exc = decode_error(err)
             if sreq.reject(exc):
                 if isinstance(exc, RequestTimeout):
                     self.metrics.record_timeout(sreq)
-                    self._emit("timeout", gid, -1)
+                    self._emit("timeout", gid)
                 else:
                     self.metrics.failed += 1
-                    self._emit("give-up", gid, -1)
+                    self._emit("give-up", gid)
 
     def _gossip_plans(self, origin: _Worker, plans: List[Tuple[str, bytes]]) -> None:
         fresh = [
@@ -715,17 +525,27 @@ class MpTpuServer:
         for sreq in orphans:
             if not sreq.failed and not sreq.future.done():
                 self.requeued += 1
-                self._emit("retry", sreq.serve_id, -1)
-                self._ship_group([sreq])
+                self._emit("retry", sreq.serve_id)
+                self._hand_off([sreq])
         for group in parked:
-            self._ship_group([s for s in group if not s.failed])
+            self._hand_off([s for s in group if not s.failed])
 
     # -- snapshots / traces ---------------------------------------------
 
     def _round_trip(self, worker: _Worker, request: tuple, kind: str) -> Optional[Any]:
-        """Synchronously ask one worker for a reply of *kind*."""
+        """Synchronously ask one worker for a reply of *kind*.
+
+        On the event-loop thread the loop's own reader cannot run while
+        this blocks, so the worker's event pipe is read here too, through
+        the same handler: a worker blocked sending plan gossip into a
+        full event pipe would otherwise never read the request.
+        """
         if not worker.send(request):
             return None
+        try:
+            on_loop = asyncio.get_running_loop() is self._loop
+        except RuntimeError:
+            on_loop = False
         deadline = time.monotonic() + _SNAPSHOT_TIMEOUT
         stash = worker.snap_stash
         for _ in range(len(stash)):
@@ -735,7 +555,11 @@ class MpTpuServer:
             stash.append(msg)
         while time.monotonic() < deadline:
             try:
-                if not worker.snapbox.poll(0.05):
+                pipes = [worker.snapbox, worker.outbox] if on_loop else [worker.snapbox]
+                ready = wait(pipes, 0.05)
+                if worker.outbox in ready:
+                    self._drain_outbox(worker)
+                if worker.snapbox not in ready:
                     continue
                 msg = worker.snapbox.recv()
             except (EOFError, OSError):

@@ -284,7 +284,8 @@ class DevicePool:
         a device queue and none has started executing — preempting work
         a device already touched would force re-execution and break the
         busy/exactly-once accounting.  Removed groups retire here; the
-        caller resets the request's lowering state and re-admits it.
+        caller (the server's front door) resets the request's lowering
+        state, reports the ``preempt`` event and re-admits it.
         """
         queues: List["asyncio.Queue[DispatchWork]"] = [
             self._inbox, *self._device_queues
@@ -319,8 +320,6 @@ class DevicePool:
                     self._retire()
                 else:
                     queue.put_nowait(work)
-        for sreq in owners:
-            self._emit("preempt", sreq)
         return owners
 
     def _emit(self, event: str, sreq: ServeRequest, device: int = -1) -> None:

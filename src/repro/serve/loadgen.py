@@ -39,7 +39,7 @@ from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
 from repro.serve.arrivals import build_schedule
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.server import FrontDoor, ServeConfig, make_server
 from repro.serve.slo import SloPolicy, gold_silver_bronze
 
 
@@ -99,7 +99,7 @@ class LoadgenResult:
 
 
 async def _client(
-    server: TpuServer,
+    server: FrontDoor,
     tenant: str,
     requests: List[OperationRequest],
     results: dict,
@@ -227,14 +227,7 @@ async def _run(
             seed=spec.seed,
         )
 
-    if spec.workers:
-        # Multi-process data plane: the parent stays the admission /
-        # coalescing tier; lowering and device math run in workers.
-        from repro.mp import MpTpuServer
-
-        server = MpTpuServer(platform, config, workers=spec.workers, clock=clock)
-    else:
-        server = TpuServer(platform, config, clock=clock)
+    server = make_server(platform, config, workers=spec.workers, clock=clock)
 
     results: dict = {}
     start = clock()
@@ -436,12 +429,7 @@ async def _run_sustained(spec: SustainedSpec) -> SustainedResult:
         slo=policy,
         energy_aware=spec.energy_aware,
     )
-    if spec.workers:
-        from repro.mp import MpTpuServer
-
-        server = MpTpuServer(platform, config, workers=spec.workers, clock=clock)
-    else:
-        server = TpuServer(platform, config, clock=clock)
+    server = make_server(platform, config, workers=spec.workers, clock=clock)
 
     # One shared weight matrix per ladder size: keeps the stream
     # coalescible and the plan cache warm, like real shared-model serving.

@@ -6,12 +6,16 @@ device stack (paper §6.1, Fig. 4) into a continuously-fed service:
 1. clients :meth:`submit` :class:`OperationRequest`\\ s; admission
    control fast-rejects past capacity (:class:`~repro.errors.QueueFull`)
    and fair-queues across tenants;
-2. the dispatch loop drains a batch, expires deadlines, **coalesces**
-   compatible GEMMs into one batched lowering, and lowers the rest
-   individually;
-3. lowered instruction streams are partitioned into dispatch groups by
-   the locality scheduler and handed to the fault-tolerant
+2. the dispatch loop expires deadlines, drains a batch, and
+   **coalesces** compatible GEMMs into groups that share one lowering;
+3. each group is lowered, partitioned into dispatch groups by the
+   locality scheduler, and handed to the fault-tolerant
    :class:`~repro.serve.dispatcher.DevicePool`.
+
+Steps 1–2 are :class:`FrontDoor`, which the multi-process
+:class:`~repro.mp.server.MpTpuServer` shares: the two servers differ
+only in how a coalesced group is handed off and in which queued
+requests a preemption may take back.
 
 Time base: functional results are exact (computed at lowering, as in
 the batch path); *service* time is the closed-form pipeline model from
@@ -118,19 +122,33 @@ class ServeConfig:
     energy_headroom: float = 0.5
 
 
-class TpuServer:
-    """Async serving layer over one simulated Edge TPU platform."""
+class FrontDoor:
+    """The serving front end both servers share (the OPQ of §6.1).
+
+    Admission (capacity, per-tenant share, SLO tiers, the shed
+    governor), the client API, the dispatch loop (expire → sample depth
+    → drain → governor observe → preempt → :func:`coalesce` → hand off)
+    and the requeue half of preemption live here once.  A server
+    supplies exactly two things:
+
+    * :meth:`_hand_off` — run one coalesced group (lower and launch on
+      the in-process pool, or route and ship to a worker process);
+    * :meth:`_preemptible` — detach the queued requests a preemption
+      may take back, given the most urgent priority in the batch;
+
+    plus ``self.pool``, whose ``observer`` attribute is the campaign
+    hook every lifecycle event is reported to.
+    """
+
+    pool: Any
 
     def __init__(
         self,
-        platform: Optional[Platform] = None,
-        config: Optional[ServeConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-        tracer: Optional[SpanTracer] = None,
-        shard_profile: Optional[ShardProfile] = None,
-        metrics: Optional[ServingMetrics] = None,
+        config: Optional[ServeConfig],
+        clock: Callable[[], float],
+        tracer: Optional[SpanTracer],
+        metrics: ServingMetrics,
     ) -> None:
-        self.platform = platform or Platform()
         self.config = config or ServeConfig()
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -143,31 +161,7 @@ class TpuServer:
                 f"scheduling must be 'auto', 'rr' or 'edf', "
                 f"got {self.config.scheduling!r}"
             )
-        # The integrity mode may arrive on ServeConfig (the serving-layer
-        # knob) or on TensorizerOptions; the lowering side records the
-        # checksum plans and the pool side verifies them, so both must
-        # agree on one effective mode.
-        options = self.config.options or TensorizerOptions()
-        self.integrity = (
-            self.config.integrity if self.config.integrity != "off" else options.integrity
-        )
-        if options.integrity != self.integrity:
-            options = dataclasses.replace(options, integrity=self.integrity)
-        self.plan_cache = (
-            PlanCache(self.config.plan_cache_entries)
-            if self.config.plan_cache
-            else None
-        )
-        self.tensorizer = Tensorizer(
-            self.platform.config.edgetpu,
-            options,
-            self.platform.cpu,
-            tracer=self.tracer,
-            plan_cache=self.plan_cache,
-        )
-        #: Injectable so a multi-process worker can use seeds derived
-        #: from its worker id (see :class:`ServingMetrics`).
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = metrics
         self.slo = self.config.slo
         scheduling = self.config.scheduling
         if scheduling == "auto":
@@ -186,79 +180,40 @@ class TpuServer:
         )
         #: Timeout count already fed to the overload governor.
         self._timeouts_seen = 0
-        #: Per-device execution profile (pre-seeded in tests / shared
-        #: across servers when passed in); the pool feeds it and the
-        #: planner reads it, so split points follow measured rates.
-        self.shard_profile = (
-            shard_profile
-            if shard_profile is not None
-            else ShardProfile(self.platform.num_tpus)
-        )
-        self.shard_planner = (
-            ShardPlanner(
-                self.platform,
-                profile=self.shard_profile,
-                energy_aware=self.config.energy_aware,
-            )
-            if self.config.shard == "auto" and self.platform.num_tpus > 1
-            else None
-        )
-        self.pool = DevicePool(
-            self.platform,
-            self.metrics,
-            policy=self.config.policy,
-            max_retries=self.config.max_retries,
-            breaker_threshold=self.config.breaker_threshold,
-            breaker_cooldown=self.config.breaker_cooldown,
-            time_scale=self.config.time_scale,
-            clock=clock,
-            tracer=self.tracer,
-            integrity=self.integrity,
-            quarantine_seconds=self.config.quarantine_seconds,
-            shard_profile=self.shard_profile,
-        )
         self._serve_seq = 0
         self._wakeup = asyncio.Event()
         self._loop_task: Optional["asyncio.Task"] = None
         self.started_at: Optional[float] = None
 
+    # -- the two per-server hooks ---------------------------------------
+
+    def _hand_off(self, group: List[ServeRequest]) -> None:
+        """Run one coalesced group (members may have failed meanwhile)."""
+        raise NotImplementedError
+
+    def _preemptible(self, urgent: int) -> List[ServeRequest]:
+        """Detach queued requests of priority strictly below *urgent*."""
+        raise NotImplementedError
+
     # -- lifecycle ------------------------------------------------------
 
-    async def start(self) -> None:
-        """Start the device pool and the dispatch loop (idempotent)."""
-        if self._loop_task is not None:
-            return
-        self.started_at = self._clock()
-        self.pool.start()
+    def _start_dispatch(self) -> None:
         self._loop_task = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="serve-dispatch"
         )
 
-    async def stop(self) -> None:
-        """Stop the dispatch loop and device pool."""
+    async def _stop_dispatch(self) -> None:
         if self._loop_task is not None:
             self._loop_task.cancel()
             await asyncio.gather(self._loop_task, return_exceptions=True)
             self._loop_task = None
-        await self.pool.stop()
 
-    async def __aenter__(self) -> "TpuServer":
+    async def __aenter__(self) -> "FrontDoor":
         await self.start()
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.stop()
-
-    async def drain(self) -> None:
-        """Wait for the admission queue and device pool to go idle."""
-        while self.admission.depth > 0:
-            self._wakeup.set()
-            await asyncio.sleep(0)
-        await self.pool.drain()
-        # A dispatch-loop turn may still be lowering between queues.
-        while self.admission.depth > 0 or self.pool.in_flight > 0:
-            await asyncio.sleep(0)
-            await self.pool.drain()
 
     # -- client API -----------------------------------------------------
 
@@ -281,7 +236,9 @@ class TpuServer:
         :class:`~repro.errors.RequestTimeout`.
         """
         if self._loop_task is None:
-            raise ServingError("server is not started; use 'async with TpuServer(...)'")
+            raise ServingError(
+                f"server is not started; use 'async with {type(self).__name__}(...)'"
+            )
         now = self._clock()
         self._serve_seq += 1
         serve_id = self._serve_seq
@@ -389,6 +346,7 @@ class TpuServer:
                     f"request {sreq.serve_id} expired in the admission queue"
                 )):
                     self.metrics.record_timeout(sreq)
+                    self._lifecycle("timeout", sreq)
             depth = self.admission.depth
             self.metrics.sample_queue_depth(depth)
             batch = self.admission.drain(self.config.max_batch)
@@ -402,37 +360,147 @@ class TpuServer:
             if not batch:
                 continue
             if self.slo is not None and self.slo.preempt:
-                self._maybe_preempt(batch)
+                self._preempt(batch)
             sp = self.tracer.begin(
                 "dispatch_batch", cat="serve", track="server", drained=len(batch)
             )
             for group in coalesce(batch, self.config.max_coalesce):
-                self._lower_and_launch(group)
+                self._hand_off(group)
             self.tracer.end(sp)
 
-    def _maybe_preempt(self, batch: List[ServeRequest]) -> None:
-        """Yank queued lower-tier groups ahead of an urgent batch.
+    def _preempt(self, batch: List[ServeRequest]) -> None:
+        """Requeue queued lower-tier work ahead of an urgent batch.
 
-        Only requests whose every dispatch group is still queued (nothing
-        started) are preempted; victims are un-coalesced, their lowering
-        state reset, and re-admitted through :meth:`AdmissionController.
-        requeue` — an admitted request is never rejected on its way back.
+        Victims are un-coalesced, their lowering state reset, and
+        re-admitted through :meth:`AdmissionController.requeue` — an
+        admitted request is never rejected on its way back.
         """
-        if self.pool.in_flight == 0:
-            return
         urgent = min(s.priority for s in batch if not s.failed)
-        for sreq in self.pool.preempt(urgent):
+        for sreq in self._preemptible(urgent):
             sreq.op = None
             sreq.outstanding = 0
             sreq.merge = None
             sreq.preemptions += 1
             self.metrics.preemptions += 1
-            self.tracer.instant(
-                "preempt", cat="serve", track="server", serve_id=sreq.serve_id
-            )
+            self._lifecycle("preempt", sreq)
             self.admission.requeue(sreq)
 
-    def _lower_and_launch(self, group: List[ServeRequest]) -> None:
+    def _emit(self, event: str, serve_id: int, device: int = -1) -> None:
+        """Report one lifecycle event to the campaign hook."""
+        if self.pool.observer is not None:
+            self.pool.observer(event, serve_id, device)
+
+    def _lifecycle(self, event: str, sreq: ServeRequest) -> None:
+        """A front-door transition: observer event plus tracer instant."""
+        self._emit(event, sreq.serve_id)
+        self.tracer.instant(
+            event, cat="serve", track="server", serve_id=sreq.serve_id
+        )
+
+
+class TpuServer(FrontDoor):
+    """Async serving layer over one simulated Edge TPU platform."""
+
+    def __init__(
+        self,
+        platform: Optional[Platform] = None,
+        config: Optional[ServeConfig] = None,
+        clock: Callable[[], float] = time.monotonic,
+        tracer: Optional[SpanTracer] = None,
+        shard_profile: Optional[ShardProfile] = None,
+        metrics: Optional[ServingMetrics] = None,
+    ) -> None:
+        # *metrics* is injectable so a multi-process worker can use seeds
+        # derived from its worker id (see :class:`ServingMetrics`).
+        super().__init__(
+            config, clock, tracer, metrics if metrics is not None else ServingMetrics()
+        )
+        self.platform = platform or Platform()
+        # The integrity mode may arrive on ServeConfig (the serving-layer
+        # knob) or on TensorizerOptions; the lowering side records the
+        # checksum plans and the pool side verifies them, so both must
+        # agree on one effective mode.
+        options = self.config.options or TensorizerOptions()
+        self.integrity = (
+            self.config.integrity if self.config.integrity != "off" else options.integrity
+        )
+        if options.integrity != self.integrity:
+            options = dataclasses.replace(options, integrity=self.integrity)
+        self.plan_cache = (
+            PlanCache(self.config.plan_cache_entries)
+            if self.config.plan_cache
+            else None
+        )
+        self.tensorizer = Tensorizer(
+            self.platform.config.edgetpu,
+            options,
+            self.platform.cpu,
+            tracer=self.tracer,
+            plan_cache=self.plan_cache,
+        )
+        #: Per-device execution profile (pre-seeded in tests / shared
+        #: across servers when passed in); the pool feeds it and the
+        #: planner reads it, so split points follow measured rates.
+        self.shard_profile = (
+            shard_profile
+            if shard_profile is not None
+            else ShardProfile(self.platform.num_tpus)
+        )
+        self.shard_planner = (
+            ShardPlanner(
+                self.platform,
+                profile=self.shard_profile,
+                energy_aware=self.config.energy_aware,
+            )
+            if self.config.shard == "auto" and self.platform.num_tpus > 1
+            else None
+        )
+        self.pool = DevicePool(
+            self.platform,
+            self.metrics,
+            policy=self.config.policy,
+            max_retries=self.config.max_retries,
+            breaker_threshold=self.config.breaker_threshold,
+            breaker_cooldown=self.config.breaker_cooldown,
+            time_scale=self.config.time_scale,
+            clock=self._clock,
+            tracer=self.tracer,
+            integrity=self.integrity,
+            quarantine_seconds=self.config.quarantine_seconds,
+            shard_profile=self.shard_profile,
+        )
+
+    # -- lifecycle ------------------------------------------------------
+
+    async def start(self) -> None:
+        """Start the device pool and the dispatch loop (idempotent)."""
+        if self._loop_task is not None:
+            return
+        self.started_at = self._clock()
+        self.pool.start()
+        self._start_dispatch()
+
+    async def stop(self) -> None:
+        """Stop the dispatch loop and device pool."""
+        await self._stop_dispatch()
+        await self.pool.stop()
+
+    async def drain(self) -> None:
+        """Wait for the admission queue and device pool to go idle."""
+        while self.admission.depth > 0:
+            self._wakeup.set()
+            await asyncio.sleep(0)
+        await self.pool.drain()
+        # A dispatch-loop turn may still be lowering between queues.
+        while self.admission.depth > 0 or self.pool.in_flight > 0:
+            await asyncio.sleep(0)
+            await self.pool.drain()
+
+    def _preemptible(self, urgent: int) -> List[ServeRequest]:
+        """Requests whose every dispatch group is queued, none started."""
+        return self.pool.preempt(urgent) if self.pool.in_flight else []
+
+    def _hand_off(self, group: List[ServeRequest]) -> None:
         live = [s for s in group if not s.failed]
         if not live:
             return
@@ -450,7 +518,7 @@ class TpuServer:
                 # One bad operand fails only its own request: lower each
                 # member alone (bit-identical to its coalesced result).
                 for sreq in live:
-                    self._lower_and_launch([sreq])
+                    self._hand_off([sreq])
                 return
             for sreq in live:
                 if sreq.reject(ServingError(f"lowering failed: {exc}")):
@@ -568,3 +636,18 @@ class TpuServer:
         if self.overload is not None:
             snap["overload"] = self.overload.snapshot()
         return snap
+
+
+def make_server(
+    platform: Platform,
+    config: ServeConfig,
+    *,
+    workers: int = 0,
+    clock: Callable[[], float] = time.monotonic,
+) -> FrontDoor:
+    """The in-process server, or the multi-process one for *workers* > 0."""
+    if not workers:
+        return TpuServer(platform, config, clock=clock)
+    from repro.mp import MpTpuServer  # repro.mp imports this module
+
+    return MpTpuServer(platform, config, clock=clock, workers=workers)

@@ -1,6 +1,7 @@
 """MpTpuServer: bit-identity, merged snapshots, exactly-once events."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,27 @@ class TestMpServer:
         assert set(snap["breakers"]) == {f"tpu{i}" for i in range(4)}
         assert set(snap["devices"]) <= {f"tpu{i}" for i in range(4)}
         assert len(snap["devices"]) >= 2  # intra-worker shard fan-out
+
+    def test_snapshot_after_fresh_plans_does_not_stall(self):
+        """Plan gossip from fresh lowerings can fill the worker's event
+        pipe while ``snapshot()`` blocks the loop; the round trip must
+        keep reading that pipe instead of waiting out its timeout."""
+        rng = np.random.default_rng(14)
+
+        async def run():
+            config = ServeConfig(time_scale=0.0)
+            async with MpTpuServer(_platform(tpus=2), config, workers=1) as server:
+                for n in (384, 512):
+                    await server.gemm(
+                        rng.standard_normal((n, n)), rng.standard_normal((n, n))
+                    )
+                start = time.monotonic()
+                snap = server.snapshot()
+                return time.monotonic() - start, snap
+
+        elapsed, snap = asyncio.run(run())
+        assert elapsed < 5.0
+        assert snap["plan_cache"]["misses"] == 2
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):

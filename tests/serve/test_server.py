@@ -11,6 +11,11 @@ from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
 from repro.serve import LoadgenSpec, ServeConfig, TpuServer, run_loadgen
+from repro.serve.server import make_server
+
+#: Front-door behaviour is shared, so these tests run against both the
+#: in-process server (workers=0) and the multi-process one (workers=1).
+BOTH_SERVERS = pytest.mark.parametrize("workers", [0, 1])
 
 
 def _gemm_request(rng, size=32, b=None, tenant=""):
@@ -48,20 +53,23 @@ class TestServerBasics:
 
         asyncio.run(main())
 
-    def test_submit_requires_started_server(self):
+    @BOTH_SERVERS
+    def test_submit_requires_started_server(self, workers):
         async def main():
-            server = TpuServer(Platform.with_tpus(1), _config())
+            server = make_server(Platform.with_tpus(1), _config(), workers=workers)
             with pytest.raises(ServingError):
                 server.submit_nowait(_gemm_request(np.random.default_rng(0)))
 
         asyncio.run(main())
 
-    def test_gemm_convenience_wrapper(self):
+    @BOTH_SERVERS
+    def test_gemm_convenience_wrapper(self, workers):
         async def main():
             rng = np.random.default_rng(1)
             a = rng.normal(size=(16, 16))
             b = rng.normal(size=(16, 16))
-            async with TpuServer(Platform.with_tpus(1), _config()) as server:
+            platform = Platform.with_tpus(1)
+            async with make_server(platform, _config(), workers=workers) as server:
                 result = await server.gemm(a, b, tenant="x")
             assert np.asarray(result).shape == (16, 16)
 
@@ -96,11 +104,13 @@ class TestServerBasics:
 
 
 class TestBackpressureAndDeadlines:
-    def test_queue_full_fast_reject(self):
+    @BOTH_SERVERS
+    def test_queue_full_fast_reject(self, workers):
         async def main():
             rng = np.random.default_rng(3)
             config = _config(max_queue_depth=2)
-            async with TpuServer(Platform.with_tpus(1), config) as server:
+            platform = Platform.with_tpus(1)
+            async with make_server(platform, config, workers=workers) as server:
                 futures = []
                 rejected = 0
                 # Submit synchronously — no awaits — so the dispatch loop
@@ -120,10 +130,12 @@ class TestBackpressureAndDeadlines:
         assert snap["outcomes"]["rejected"] == 4
         assert snap["outcomes"]["lost"] == 0
 
-    def test_deadline_times_out_queued_request(self):
+    @BOTH_SERVERS
+    def test_deadline_times_out_queued_request(self, workers):
         async def main():
             rng = np.random.default_rng(4)
-            async with TpuServer(Platform.with_tpus(1), _config()) as server:
+            platform = Platform.with_tpus(1)
+            async with make_server(platform, _config(), workers=workers) as server:
                 future = server.submit_nowait(
                     _gemm_request(rng), deadline_seconds=-1.0
                 )  # already expired on arrival

@@ -102,7 +102,10 @@ class TestPoolPreemption:
             # No awaits since submit: everything still sits in the inbox.
             owners = pool.preempt(below_priority=0)
             assert [s.serve_id for s in owners] == [2]
-            assert ("preempt", 2) in events
+            # The server's front door reports the preemption when it
+            # requeues the owner (tests/serve/test_front_door_parity.py);
+            # the pool only detaches the work.
+            assert events == []
             assert pool.in_flight == 2  # gold + started stay
             for sreq in (gold, bronze, started):
                 sreq.future.cancel()
