@@ -17,7 +17,9 @@ Parent → worker::
 Worker → parent::
 
     ("ready", worker_id, pid)
-    ("done", serve_id, ok, result_ref | None, (errname, msg) | None)
+    ("done", serve_id, ok, result_ref | None, (errname, msg) | None,
+     device_index)                            the request's one outcome
+    ("preempted", [serve_id, ...])            detached, never started
     ("event", name, serve_id, device_index)   non-terminal pool events
     ("plans", [(signature, blob), ...])       newly captured plans
     ("snapshot", worker_id, payload)          on the snapshot pipe
@@ -34,7 +36,6 @@ from repro.edgetpu.isa import Opcode
 from repro.errors import (
     DeviceFailure,
     GPTPUError,
-    QueueFull,
     RequestTimeout,
     ServingError,
     SilentDataCorruption,
@@ -46,12 +47,6 @@ from repro.serve.server import ServeConfig
 #: Marker for an array-valued request attribute shipped through the ring.
 SHM_REF = "__shmref__"
 
-#: Terminal pool events the parent is authoritative for.  A worker never
-#: forwards these: its local deliver/reject may be replayed on a sibling
-#: after a crash requeue, and only the parent's once-only future resolve
-#: defines the exactly-once outcome.
-TERMINAL_EVENTS = frozenset({"deliver", "give-up", "timeout"})
-
 #: Error classes a worker may surface across the boundary, by name.
 ERROR_CLASSES = {
     cls.__name__: cls
@@ -60,7 +55,6 @@ ERROR_CLASSES = {
         DeviceFailure,
         SilentDataCorruption,
         ServingError,
-        QueueFull,
         RequestTimeout,
     )
 }
@@ -163,7 +157,7 @@ def decode_request(ring: ShmRing, entry: Dict[str, Any]) -> OperationRequest:
         else:
             attrs[key] = value
     return OperationRequest(
-        task_id=0,
+        task_id=entry["serve_id"],
         opcode=Opcode[entry["opcode"]],
         inputs=inputs,
         quant=QuantMode[entry["quant"]],

@@ -2,16 +2,18 @@
 
 :class:`MpTpuServer` is the same :class:`~repro.serve.server.FrontDoor`
 as :class:`~repro.serve.server.TpuServer` — one submit → shed → admit →
-expire → coalesce → preempt loop, one set of lifecycle events — while
-host lowering and simulated-device execution run in N spawned worker
-processes, each owning a contiguous slice of the TPUs (GPTPU's parallel
-host-side task dispatch, §6.1, without the GIL).  Only the two front
-door hooks are its own: a coalesced group is handed off by routing it
-to a worker (sticky per coalesce key, else least loaded) and staging
-it into that worker's ring, parking it when the ring is full; and a
-preemption may take back only parked groups.  Everything else here is
-genuinely multi-process: worker spawn and teardown, parking, crash
-requeue, plan gossip and the merged ``snapshot()``.
+expire → coalesce → preempt loop, one terminal path, one snapshot
+assembly — while host lowering and simulated-device execution run in N
+spawned worker processes, each owning a contiguous slice of the TPUs
+(GPTPU's parallel host-side task dispatch, §6.1, without the GIL).
+Only the two front door hooks are its own: a coalesced group is handed
+off by routing it to a worker (sticky per coalesce key, else least
+loaded) and staging it into that worker's ring, parking it when the
+ring is full; and a preemption may take back only parked groups (a
+worker reports the queued work it preempts, for the parent to
+re-admit).  Everything else here is genuinely multi-process: worker
+spawn and teardown, parking, crash requeue, plan gossip and merging
+per-worker snapshot payloads.
 
 Data path: operand and result tensors cross the boundary through
 per-worker :class:`~repro.mp.shm.ShmRing` segments (zero-copy views);
@@ -20,11 +22,12 @@ between workers as §3.3 byte blobs so every worker's
 :class:`~repro.plan.PlanCache` warms from any worker's first lowering.
 
 Crash contract: the parent owns every shared-memory segment and every
-terminal outcome.  When a worker dies (including SIGKILL), its pipe is
-drained to EOF, its unresolved in-flight requests are requeued to
-surviving workers, its segments are unlinked, and ``snapshot()`` keeps
-reporting its last known device state — delivery stays exactly-once
-because only the parent's once-only future resolve counts.
+terminal outcome (a worker only reports each as a ``done``).  When a
+worker dies (including SIGKILL), its pipe is drained to EOF, its
+unresolved in-flight requests are requeued to surviving workers, its
+segments are unlinked, and ``snapshot()`` keeps reporting its last
+known device state — delivery stays exactly-once because only the
+parent's once-only future resolve counts.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import DeviceFailure, RequestTimeout, ServingError
+from repro.errors import DeviceFailure
 from repro.host.platform import Platform
 from repro.mp.messages import WorkerSpec, decode_error, encode_request
 from repro.mp.shm import RingFull, ShmRing
@@ -101,8 +104,6 @@ class _Worker:
         self.lock = threading.Lock()
         #: Last snapshot payload received (survives a crash).
         self.last_payload: Optional[dict] = None
-        #: Out-of-band replies read while waiting for another kind.
-        self.snap_stash: deque = deque()
 
     def send(self, msg: tuple) -> bool:
         if not self.alive:
@@ -142,8 +143,8 @@ class MpTpuServer(FrontDoor):
         self.base_seed = base_seed
         self.ring_bytes = ring_bytes
         # The conformance campaigns arm ``server.pool.observer``: events
-        # stream in from the workers (non-terminal) and the parent
-        # (terminal), so the suites run unchanged against this server.
+        # stream in from the workers (non-terminal) and the parent's
+        # settle path (terminal), so the suites run unchanged here.
         self.pool = SimpleNamespace(observer=None)
         # Contiguous device slices; worker 0 owns tpu0, so single-request
         # behaviour (and the shard suite's tpu0 expectations) match the
@@ -237,14 +238,6 @@ class MpTpuServer(FrontDoor):
             return
         self._stopping = True
         await self._stop_dispatch()
-        # Fail anything still unresolved (mirrors pool.stop semantics:
-        # stop() after drain() sees none).
-        for gid in list(self._inflight):
-            shipment = self._inflight.pop(gid)
-            if shipment.sreq.reject(
-                ServingError("server stopped with requests in flight")
-            ):
-                self.metrics.failed += 1
         # Cache the final merged snapshot (and per-worker traces) while
         # the fleet can still answer, so post-stop snapshot() works.
         self._refresh_worker_payloads()
@@ -293,12 +286,8 @@ class MpTpuServer(FrontDoor):
         worker.req_ring = worker.res_ring = None
 
     async def drain(self) -> None:
-        """Wait until no request is queued, parked, or in a worker."""
-        while (
-            self.admission.depth > 0
-            or self._inflight
-            or any(w.pending for w in self._workers)
-        ):
+        """Wait until every admitted request has settled."""
+        while self._live:
             self._wakeup.set()
             await asyncio.sleep(0.001)
 
@@ -349,17 +338,10 @@ class MpTpuServer(FrontDoor):
         worker = self._route(live)
         if worker is None:
             for sreq in live:
-                if sreq.reject(
-                    DeviceFailure("no live data-plane workers remain")
-                ):
-                    self.metrics.failed += 1
-                    self._emit("give-up", sreq.serve_id)
+                self._settle(sreq, DeviceFailure("no live data-plane workers remain"))
             return
-        if worker.pending:
-            # Preserve FIFO per worker behind already-parked groups.
-            worker.pending.append(live)
-            return
-        if not self._try_ship(worker, live):
+        # Parked groups ship first: FIFO per worker.
+        if worker.pending or not self._try_ship(worker, live):
             worker.pending.append(live)
 
     def _try_ship(self, worker: _Worker, group: List[ServeRequest]) -> bool:
@@ -398,10 +380,7 @@ class MpTpuServer(FrontDoor):
         return True
 
     def _flush_pending(self, worker: _Worker) -> None:
-        while worker.pending:
-            group = worker.pending[0]
-            if not self._try_ship(worker, group):
-                return
+        while worker.pending and self._try_ship(worker, worker.pending[0]):
             worker.pending.popleft()
 
     # -- worker -> parent messages --------------------------------------
@@ -421,21 +400,23 @@ class MpTpuServer(FrontDoor):
             worker.pid = msg[2]
             worker.ready.set()
         elif kind == "done":
-            self._on_done(worker, *msg[1:])
+            self._on_done(worker, msg)
+        elif kind == "preempted":
+            victims = []
+            for gid in msg[1]:
+                shipment = self._release(gid)
+                if shipment is not None and not shipment.sreq.failed:
+                    victims.append(shipment.sreq)
+            self._readmit(victims)
+            self._wakeup.set()
         elif kind == "event":
             _kind, event, gid, device = msg
             self._emit(event, gid, device)
         elif kind == "plans":
             self._gossip_plans(worker, msg[1])
 
-    def _on_done(
-        self,
-        worker: _Worker,
-        gid: int,
-        ok: bool,
-        ref: Optional[tuple],
-        err: Optional[tuple],
-    ) -> None:
+    def _release(self, gid: int) -> Optional[_Shipment]:
+        """Forget one shipment the worker is done with; free its blocks."""
         shipment = self._inflight.pop(gid, None)
         if shipment is not None:
             owner = self._workers[shipment.worker_id]
@@ -444,43 +425,22 @@ class MpTpuServer(FrontDoor):
                 for offset in shipment.offsets:
                     owner.req_ring.free(offset)
                 self._flush_pending(owner)
-        if shipment is None:
-            # Late duplicate after a crash requeue already re-shipped
-            # (or resolved) this id; still recycle the result block.
-            if ok and ref is not None:
-                worker.send(("rfree", ref[0]))
-            return
-        sreq = shipment.sreq
+        return shipment
+
+    def _on_done(self, worker: _Worker, msg: tuple) -> None:
+        _kind, gid, ok, ref, err, device = msg
+        # None: a late duplicate after a crash requeue already re-shipped
+        # (or resolved) this id; its result block is still recycled.
+        shipment = self._release(gid)
         if ok:
             offset, _nbytes, shape, dtype = ref
-            result = np.array(
-                worker.res_ring.read_view(offset, shape, dtype), copy=True
-            )
+            if shipment is not None:
+                shipment.sreq.op = SimpleNamespace(result=np.array(
+                    worker.res_ring.read_view(offset, shape, dtype), copy=True
+                ))
             worker.send(("rfree", offset))
-            # Deadline holds at parent-side delivery (mirrors the
-            # in-process dispatcher): a worker answer that crossed the
-            # boundary after the budget elapsed is a miss, not a result.
-            if sreq.expired(self._clock()):
-                if sreq.reject(RequestTimeout(
-                    f"request {gid} completed after its deadline"
-                )):
-                    self.metrics.record_timeout(sreq)
-                self._emit("timeout", gid)
-                return
-            # resolve() reads sreq.op.result — THE single delivery path
-            # (record_delivery) stays intact across the process boundary.
-            sreq.op = SimpleNamespace(result=result)
-            if self.metrics.record_delivery(sreq, self._clock()):
-                self._emit("deliver", gid)
-        else:
-            exc = decode_error(err)
-            if sreq.reject(exc):
-                if isinstance(exc, RequestTimeout):
-                    self.metrics.record_timeout(sreq)
-                    self._emit("timeout", gid)
-                else:
-                    self.metrics.failed += 1
-                    self._emit("give-up", gid)
+        if shipment is not None:
+            self._settle(shipment.sreq, None if ok else decode_error(err), device)
 
     def _gossip_plans(self, origin: _Worker, plans: List[Tuple[str, bytes]]) -> None:
         fresh = [
@@ -509,14 +469,10 @@ class MpTpuServer(FrontDoor):
         # a request it completed (and reported) must not be re-executed.
         self._drain_outbox(worker)
         self.worker_crashes += 1
-        orphaned = [
-            gid
-            for gid, shipment in self._inflight.items()
-            if shipment.worker_id == worker.wid
-        ]
-        orphans = [self._inflight.pop(gid).sreq for gid in orphaned]
-        parked = [group for group in worker.pending]
-        worker.pending.clear()
+        orphans = [s.sreq for s in self._inflight.values() if s.worker_id == worker.wid]
+        for sreq in orphans:
+            del self._inflight[sreq.serve_id]
+        parked, worker.pending = worker.pending, deque()
         worker.inflight = 0
         self._routes = {
             key: wid for key, wid in self._routes.items() if wid != worker.wid
@@ -528,7 +484,7 @@ class MpTpuServer(FrontDoor):
                 self._emit("retry", sreq.serve_id)
                 self._hand_off([sreq])
         for group in parked:
-            self._hand_off([s for s in group if not s.failed])
+            self._hand_off(group)
 
     # -- snapshots / traces ---------------------------------------------
 
@@ -538,7 +494,9 @@ class MpTpuServer(FrontDoor):
         On the event-loop thread the loop's own reader cannot run while
         this blocks, so the worker's event pipe is read here too, through
         the same handler: a worker blocked sending plan gossip into a
-        full event pipe would otherwise never read the request.
+        full event pipe would otherwise never read the request.  A reply
+        of another kind is a late answer to a round trip that already
+        gave up, and is dropped.
         """
         if not worker.send(request):
             return None
@@ -547,12 +505,6 @@ class MpTpuServer(FrontDoor):
         except RuntimeError:
             on_loop = False
         deadline = time.monotonic() + _SNAPSHOT_TIMEOUT
-        stash = worker.snap_stash
-        for _ in range(len(stash)):
-            msg = stash.popleft()
-            if msg[0] == kind:
-                return msg[2]
-            stash.append(msg)
         while time.monotonic() < deadline:
             try:
                 pipes = [worker.snapbox, worker.outbox] if on_loop else [worker.snapbox]
@@ -566,7 +518,6 @@ class MpTpuServer(FrontDoor):
                 return None
             if msg[0] == kind:
                 return msg[2]
-            stash.append(msg)
         return None
 
     def _refresh_worker_payloads(self) -> None:
@@ -601,83 +552,14 @@ class MpTpuServer(FrontDoor):
         self._refresh_worker_payloads()
         return self._merged_snapshot()
 
-    @staticmethod
-    def _strip_terminal(state: dict) -> dict:
-        """Zero a worker's terminal accounting before merging.
-
-        The parent's once-only resolve is the authority for outcomes and
-        end-to-end latency; a worker's local view of the same requests
-        would double-count them (and its latencies exclude queueing in
-        the parent).
-        """
-        state = dict(state)
-        for key in ("submitted", "rejected", "shed", "timeouts", "completed", "failed"):
-            state[key] = 0
-        empty = {"count": 0, "total": 0.0, "max": float("-inf"), "values": []}
-        state["latencies"] = empty
-        state["queue_depth_samples"] = dict(empty)
-        # Per-tier terminal outcomes are parent-authoritative too; only
-        # busy_seconds-by-tier is genuinely worker-side (the parent never
-        # sees device occupancy).
-        for key in (
-            "submitted_by_tier",
-            "completed_by_tier",
-            "shed_by_tier",
-            "miss_by_tier",
-        ):
-            state[key] = {}
-        state["latency_by_tier"] = {}
-        return state
-
     def _merged_snapshot(self) -> dict:
-        elapsed = (
-            self._clock() - self.started_at if self.started_at is not None else None
-        )
-        merged = ServingMetrics(base_seed=self.base_seed, worker_id=0)
-        merged.merge_state(self.metrics.export_state())
         payloads = [w.last_payload for w in self._workers if w.last_payload]
-        for payload in payloads:
-            merged.merge_state(self._strip_terminal(payload["metrics"]))
-        snap = merged.snapshot(elapsed)
-        healthy = 0
-        breakers: dict = {}
-        quarantine: dict = {}
-        plan_cache: Optional[dict] = None
-        profile = {"observations": 0, "profiled": False, "seconds_per_instruction": {}}
-        shard_enabled = False
-        for payload in payloads:
-            wsnap = payload["snapshot"]
-            healthy += wsnap.get("platform", {}).get("healthy", 0)
-            breakers.update(wsnap.get("breakers", {}))
-            quarantine.update(wsnap.get("quarantine", {}))
-            if "plan_cache" in wsnap:
-                if plan_cache is None:
-                    plan_cache = dict.fromkeys(wsnap["plan_cache"], 0.0)
-                for key, value in wsnap["plan_cache"].items():
-                    plan_cache[key] += value
-            wprofile = wsnap.get("sharding", {}).get("profile", {})
-            profile["observations"] += wprofile.get("observations", 0)
-            profile["profiled"] = profile["profiled"] or wprofile.get("profiled", False)
-            profile["seconds_per_instruction"].update(
-                wprofile.get("seconds_per_instruction", {})
-            )
-            shard_enabled = shard_enabled or wsnap.get("sharding", {}).get(
-                "enabled", False
-            )
-        snap["platform"] = {"tpus": self.platform.num_tpus, "healthy": healthy}
-        snap["breakers"] = breakers
-        if quarantine:
-            snap["quarantine"] = quarantine
-        if plan_cache is not None:
-            lookups = plan_cache.get("hits", 0) + plan_cache.get("misses", 0)
-            plan_cache["hit_rate"] = (
-                plan_cache.get("hits", 0) / lookups if lookups else 0.0
-            )
-            snap["plan_cache"] = plan_cache
-        snap["sharding"]["enabled"] = shard_enabled
-        snap["sharding"]["profile"] = profile
-        if self.overload is not None:
-            snap["overload"] = self.overload.snapshot()
+        # Workers never settle a request, so their metrics hold only
+        # data-plane counters and fold in without double counting.
+        merged = ServingMetrics(base_seed=self.base_seed, worker_id=0)
+        for state in [self.metrics.export_state()] + [p["metrics"] for p in payloads]:
+            merged.merge_state(state)
+        snap = self._assemble_snapshot(merged, [p["plane"] for p in payloads])
         snap["workers"] = {
             "count": self.num_workers,
             "alive": len(self._alive_workers()),

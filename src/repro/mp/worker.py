@@ -1,17 +1,20 @@
 """The data-plane worker process.
 
-Each worker runs a complete in-process :class:`~repro.serve.server.TpuServer`
-over its own slice of the platform's simulated TPUs (devices renamed to
-their *global* identities, so breakers, quarantine, and shard profiles
-merge back into parent snapshots without translation).  Host lowering,
-the plan cache, the ABFT/vote integrity layer, intra-worker sharding,
-and quarantine/breaker handling all run here, on a core of their own —
-the escape hatch from the parent's GIL.
+Each worker owns one :class:`~repro.serve.server.DataPlane` over its own
+slice of the platform's simulated TPUs (devices renamed to their
+*global* identities, so breakers, quarantine, and shard profiles merge
+back into parent snapshots without translation).  Host lowering, the
+plan cache, the ABFT/vote integrity layer, intra-worker sharding, and
+quarantine/breaker handling all run here, on a core of their own — the
+escape hatch from the parent's GIL.
 
-Protocol: see :mod:`repro.mp.messages`.  The worker never forwards
-terminal pool events (deliver / give-up / timeout); the parent is
-authoritative for exactly-once accounting, which is what makes a crash
-requeue of this worker's in-flight requests safe.
+The worker runs no front door.  Each inbox pass builds the shipped
+requests under their parent serve ids, detaches queued lower-tier work
+when SLO preemption is armed (reporting it for the parent to re-admit),
+runs one ``coalesce()`` over the pass and hands the groups to the
+plane.  Every outcome goes back as one ``done`` (protocol:
+:mod:`repro.mp.messages`) and only the parent settles it, which is what
+makes a crash requeue of this worker's requests safe.
 """
 
 from __future__ import annotations
@@ -20,142 +23,144 @@ import asyncio
 import os
 import time
 from collections import deque
-from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.host.platform import Platform
-from repro.mp.messages import (
-    TERMINAL_EVENTS,
-    WorkerSpec,
-    decode_request,
-    encode_error,
-)
+from repro.mp.messages import WorkerSpec, decode_request, encode_error
 from repro.mp.shm import RingFull, ShmRing
 from repro.plan import parse_plan, serialize_plan
+from repro.serve.coalescer import coalesce
 from repro.serve.metrics import ServingMetrics
-from repro.serve.server import TpuServer
+from repro.serve.request import ServeRequest
+from repro.serve.server import DataPlane, stamp_request
 from repro.telemetry import SpanTracer, to_chrome_trace
 
 
 class _WorkerState:
-    """Mutable worker-side session state shared by the pipe handlers."""
+    """The worker's data plane plus its side of the pipes and rings."""
 
-    def __init__(self, spec: WorkerSpec, server: TpuServer, outbox) -> None:
+    def __init__(self, spec: WorkerSpec, outbox, req_ring, res_ring) -> None:
         self.spec = spec
-        self.server = server
         self.outbox = outbox
-        #: worker-local serve id -> parent (global) serve id.
-        self.id_map: Dict[int, int] = {}
-        #: global serve ids whose results wait for result-ring space.
-        self.parked: Deque[Tuple[int, np.ndarray]] = deque()
+        self.req_ring = req_ring
+        self.res_ring = res_ring
+        n_local = len(spec.device_names)
+        platform = Platform(spec.system_config.with_tpus(n_local), trace=False)
+        for device, name, injector in zip(
+            platform.devices, spec.device_names, spec.injectors or (None,) * n_local
+        ):
+            device.name = name  # global identity: snapshots merge key-for-key
+            if injector is not None:
+                device.fault_injector = injector
+        #: Global index of each local device.
+        self.devices = [int(name[3:]) for name in spec.device_names]
+        self.tracer = SpanTracer(enabled=spec.trace)
+        self.metrics = ServingMetrics(
+            base_seed=spec.base_seed, worker_id=spec.worker_id + 1
+        )
+        self.plane = DataPlane(
+            platform, spec.config, time.monotonic, self.tracer, self.metrics, self.settle
+        )
+        self.plane.pool.observer = lambda event, gid, device: self.send(
+            ("event", event, gid, self.global_device(device))
+        )
+        #: Requests held here, by parent serve id; an outcome is reported
+        #: only for an id still present (once-only, like a future).
+        self.live: Dict[int, ServeRequest] = {}
+        #: (serve id, result, device) waiting for result-ring space.
+        self.parked: deque = deque()
         #: plan signatures already shipped to the parent.
         self.shipped_plans: set = set()
-        self.stopping = False
 
-
-def _global_device(spec: WorkerSpec, local_index: int) -> int:
-    """Translate a worker-local device index to the global index."""
-    if 0 <= local_index < len(spec.device_names):
-        return int(spec.device_names[local_index][3:])
-    return -1
-
-
-def _forward_event(state: _WorkerState, event: str, local_id: int, device: int) -> None:
-    if event in TERMINAL_EVENTS:
-        return
-    gid = state.id_map.get(local_id, -1)
-    try:
-        state.outbox.send(("event", event, gid, _global_device(state.spec, device)))
-    except (BrokenPipeError, OSError):
-        pass  # parent is gone; the daemon flag reaps us shortly
-
-
-def _ship_new_plans(state: _WorkerState) -> None:
-    """Gossip freshly captured plans to the parent (§3.3 bytes)."""
-    cache = state.server.plan_cache
-    if cache is None:
-        return
-    fresh = []
-    for plan in cache.plans():
-        if plan.signature not in state.shipped_plans:
-            state.shipped_plans.add(plan.signature)
-            try:
-                fresh.append((plan.signature, serialize_plan(plan)))
-            except Exception:
-                pass  # non-serializable plan shapes stay worker-local
-    if fresh:
-        state.outbox.send(("plans", fresh))
-
-
-def _flush_parked(state: _WorkerState, res_ring: ShmRing) -> None:
-    while state.parked:
-        gid, result = state.parked[0]
-        if not _try_send_result(state, res_ring, gid, result):
-            return
-        state.parked.popleft()
-
-
-def _try_send_result(
-    state: _WorkerState, res_ring: ShmRing, gid: int, result: np.ndarray
-) -> bool:
-    try:
-        ref = res_ring.write_array(result)
-    except RingFull:
-        return False
-    state.outbox.send(("done", gid, True, ref, None))
-    return True
-
-
-def _on_future_done(state: _WorkerState, res_ring: ShmRing, gid: int, fut) -> None:
-    exc = fut.exception() if not fut.cancelled() else None
-    if fut.cancelled() or exc is not None:
-        err = encode_error(exc) if exc is not None else ("ServingError", "cancelled")
-        state.outbox.send(("done", gid, False, None, err))
-    else:
-        result = np.asarray(fut.result())
-        if not _try_send_result(state, res_ring, gid, result):
-            state.parked.append((gid, result))
-    _ship_new_plans(state)
-
-
-def _warm_plans(state: _WorkerState, blobs: List[bytes]) -> None:
-    cache = state.server.plan_cache
-    if cache is None:
-        return
-    for blob in blobs:
+    def send(self, msg: tuple) -> None:
         try:
-            plan = parse_plan(blob)
-        except Exception:
-            continue
-        state.shipped_plans.add(plan.signature)
-        if cache.peek(plan.signature) is None:
-            cache.put(plan.signature, plan)
+            self.outbox.send(msg)
+        except (BrokenPipeError, OSError):
+            pass  # parent is gone; the daemon flag reaps us shortly
 
+    def global_device(self, local_index: int) -> int:
+        return self.devices[local_index] if local_index >= 0 else -1
 
-def _remap_profile(spec: WorkerSpec, snap: dict) -> dict:
-    """Rewrite local ``tpu{i}`` shard-profile keys to global names."""
-    profile = snap.get("sharding", {}).get("profile")
-    if profile:
-        spi = profile.get("seconds_per_instruction", {})
-        profile["seconds_per_instruction"] = {
-            spec.device_names[int(name[3:])]: value for name, value in spi.items()
-        }
-    return snap
+    def run(self, entries: List[dict]) -> None:
+        """Build one inbox pass's requests and hand them to the plane."""
+        batch = []
+        now = time.monotonic()
+        slo = self.spec.config.slo
+        for entry in entries:
+            gid = entry["serve_id"]
+            try:
+                request = decode_request(self.req_ring, entry)
+            except Exception as exc:  # still a done, or the parent waits
+                self.send(("done", gid, False, None, encode_error(exc), -1))
+                continue
+            self.live[gid] = stamp_request(
+                slo, gid, request, now, entry["deadline"], None
+            )
+            batch.append(self.live[gid])
+        if batch and slo is not None and slo.preempt and self.plane.pool.in_flight:
+            victims = self.plane.pool.preempt(min(s.priority for s in batch))
+            for sreq in victims:
+                del self.live[sreq.serve_id]
+            if victims:
+                self.send(("preempted", [s.serve_id for s in victims]))
+        for group in coalesce(batch, self.spec.config.max_coalesce):
+            self.plane.hand_off(group)
 
+    def settle(
+        self, sreq: ServeRequest, exc: Optional[BaseException], device: int
+    ) -> None:
+        """The plane's terminal callback: report the outcome to the parent."""
+        if self.live.pop(sreq.serve_id, None) is not sreq:
+            return
+        device = self.global_device(device)
+        if exc is not None:
+            sreq.failed = True  # sibling groups still queued are dropped
+            self.send(("done", sreq.serve_id, False, None, encode_error(exc), device))
+        else:
+            self.parked.append((sreq.serve_id, np.asarray(sreq.op.result), device))
+            self.flush_parked()
+        self.ship_new_plans()
 
-def _snapshot_payload(
-    state: _WorkerState, host_t0: float, wall_t0: float
-) -> dict:
-    return {
-        "pid": os.getpid(),
-        "worker_id": state.spec.worker_id,
-        "host_seconds": time.process_time() - host_t0,
-        "wall_seconds": time.monotonic() - wall_t0,
-        "metrics": state.server.metrics.export_state(),
-        "snapshot": _remap_profile(state.spec, state.server.snapshot()),
-    }
+    def flush_parked(self) -> None:
+        while self.parked:
+            gid, result, device = self.parked[0]
+            try:
+                ref = self.res_ring.write_array(result)
+            except RingFull:
+                return
+            self.parked.popleft()
+            self.send(("done", gid, True, ref, None, device))
+
+    def ship_new_plans(self) -> None:
+        """Gossip freshly captured plans to the parent (§3.3 bytes)."""
+        cache = self.plane.plan_cache
+        if cache is None:
+            return
+        fresh = []
+        for plan in cache.plans():
+            if plan.signature not in self.shipped_plans:
+                self.shipped_plans.add(plan.signature)
+                try:
+                    fresh.append((plan.signature, serialize_plan(plan)))
+                except Exception:
+                    pass  # non-serializable plan shapes stay worker-local
+        if fresh:
+            self.send(("plans", fresh))
+
+    def warm_plans(self, blobs: List[bytes]) -> None:
+        cache = self.plane.plan_cache
+        if cache is None:
+            return
+        for blob in blobs:
+            try:
+                plan = parse_plan(blob)
+            except Exception:
+                continue
+            self.shipped_plans.add(plan.signature)
+            if cache.peek(plan.signature) is None:
+                cache.put(plan.signature, plan)
 
 
 async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
@@ -163,95 +168,51 @@ async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
     wall_t0 = time.monotonic()
     req_ring = ShmRing.attach(spec.req_ring_name, spec.req_ring_capacity)
     res_ring = ShmRing.attach(spec.res_ring_name, spec.res_ring_capacity)
-
-    n_local = len(spec.device_names)
-    platform = Platform(spec.system_config.with_tpus(n_local), trace=False)
-    for device, name, injector in zip(
-        platform.devices, spec.device_names, spec.injectors or (None,) * n_local
-    ):
-        device.name = name  # global identity: snapshots merge key-for-key
-        if injector is not None:
-            device.fault_injector = injector
-    # Admission already happened in the parent; the worker queue only
-    # buffers the parent's shipments, so it must never fast-reject or
-    # shed (the SLO policy stays so tiers still price deadlines/busy).
-    config = replace(
-        spec.config,
-        max_queue_depth=max(spec.config.max_queue_depth * 2, 64),
-        per_tenant_limit=None,
-        shed_enabled=False,
-    )
-    tracer = SpanTracer(enabled=spec.trace)
-    metrics = ServingMetrics(base_seed=spec.base_seed, worker_id=spec.worker_id + 1)
-    server = TpuServer(platform, config, tracer=tracer, metrics=metrics)
-    state = _WorkerState(spec, server, outbox)
+    state = _WorkerState(spec, outbox, req_ring, res_ring)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
 
     def handle_inbox() -> None:
+        entries: List[dict] = []
         try:
             while inbox.poll(0):
                 msg = inbox.recv()
                 kind = msg[0]
                 if kind == "req":
-                    for entry in msg[1]:
-                        try:
-                            request = decode_request(req_ring, entry)
-                            fut = server.submit_nowait(
-                                request, deadline_seconds=entry["deadline"]
-                            )
-                        except Exception as exc:
-                            # A synchronous reject (QueueFull should be
-                            # impossible at worker depth, decode bugs) must
-                            # still produce a done, or the parent waits
-                            # forever.
-                            outbox.send(
-                                ("done", entry["serve_id"], False, None, encode_error(exc))
-                            )
-                            continue
-                        state.id_map[server._serve_seq] = entry["serve_id"]
-                        fut.add_done_callback(
-                            lambda f, gid=entry["serve_id"]: _on_future_done(
-                                state, res_ring, gid, f
-                            )
-                        )
+                    entries.extend(msg[1])
                 elif kind == "rfree":
                     res_ring.free(msg[1])
-                    _flush_parked(state, res_ring)
+                    state.flush_parked()
                 elif kind == "warm":
-                    _warm_plans(state, msg[1])
+                    state.warm_plans(msg[1])
                 elif kind == "snapshot":
-                    snapbox.send(
-                        ("snapshot", spec.worker_id, _snapshot_payload(state, host_t0, wall_t0))
-                    )
+                    snapbox.send(("snapshot", spec.worker_id, {
+                        "pid": os.getpid(),
+                        "worker_id": spec.worker_id,
+                        "host_seconds": time.process_time() - host_t0,
+                        "wall_seconds": time.monotonic() - wall_t0,
+                        "metrics": state.metrics.export_state(),
+                        "plane": state.plane.payload(),
+                    }))
                 elif kind == "trace":
-                    snapbox.send(
-                        (
-                            "trace",
-                            spec.worker_id,
-                            to_chrome_trace(
-                                tracer,
-                                pid=os.getpid(),
-                                process_name=f"repro-worker{spec.worker_id}",
-                                time_origin=wall_t0,
-                            ),
-                        )
-                    )
+                    snapbox.send(("trace", spec.worker_id, to_chrome_trace(
+                        state.tracer,
+                        pid=os.getpid(),
+                        process_name=f"repro-worker{spec.worker_id}",
+                        time_origin=wall_t0,
+                    )))
                 elif kind == "stop":
-                    state.stopping = True
                     stop.set()
         except (EOFError, OSError):
             stop.set()  # parent went away
+        state.run(entries)
 
-    server.pool.observer = lambda event, sid, dev: _forward_event(
-        state, event, sid, dev
-    )
     loop.add_reader(inbox.fileno(), handle_inbox)
-    async with server:
-        outbox.send(("ready", spec.worker_id, os.getpid()))
-        await stop.wait()
-        await server.drain()
+    state.plane.pool.start()
+    outbox.send(("ready", spec.worker_id, os.getpid()))
+    await stop.wait()
     loop.remove_reader(inbox.fileno())
+    await state.plane.pool.stop()
     req_ring.close()
     res_ring.close()
 

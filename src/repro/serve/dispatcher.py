@@ -35,15 +35,17 @@ against real time and drive the fault-tolerance machinery:
   delivered result, so delivered bytes are bit-identical to a clean
   run.
 
-Delivery is exactly-once by construction: group completions decrement
-the owning request's outstanding count, and both resolve and reject
-paths go through the :class:`ServeRequest` once-only guards.
+The pool never ends a request itself: completion (the last group
+retired), expiry before dispatch, give-up after retries and a failed
+shard merge all go to :attr:`DevicePool.settle`, the one terminal
+callback its owner supplies.
 
 The pool exposes a campaign hook: assign :attr:`DevicePool.observer`
-before :meth:`DevicePool.start` and every lifecycle transition
-(``dispatch``, ``failure``, ``retry``, ``give-up``, ``timeout``,
-``deliver``, ``bounce``, ``drop``, ``sdc``, ``migrate``) is reported
-with its serve ID and device.  The conformance fault-injection campaigns replay these
+before :meth:`DevicePool.start` and every non-terminal transition
+(``dispatch``, ``failure``, ``retry``, ``bounce``, ``drop``, ``sdc``,
+``migrate``) is reported with its serve ID and device; the owner's
+settle path reports ``deliver``, ``give-up`` and ``timeout`` to the
+same hook.  The conformance fault-injection campaigns replay these
 event streams to prove the zero-lost / exactly-once invariants from the
 outside rather than trusting the pool's own counters.
 """
@@ -71,6 +73,10 @@ from repro.telemetry import SpanTracer, get_tracer
 #: is not bound to one (router drops, give-ups after the last retry).
 DispatchObserver = Callable[[str, int, int], None]
 
+#: Signature of the terminal callback: ``settle(sreq, exc, device)``;
+#: ``exc`` is None when ``sreq.op.result`` is complete.
+SettleHook = Callable[[ServeRequest, Optional[BaseException], int], None]
+
 
 @dataclass
 class DispatchWork:
@@ -93,6 +99,18 @@ class DispatchWork:
     #: Output row span this group produces ``[start, stop)``; drives
     #: the row-merge buffer on delivery.
     rows: Optional[Tuple[int, int]] = None
+
+
+def lifecycle_instant(
+    tracer: SpanTracer, event: str, serve_id: int, device: int
+) -> None:
+    """One ``serve.lifecycle`` instant on the device's track (or the router's)."""
+    tracer.instant(
+        event,
+        cat="serve.lifecycle",
+        track=f"tpu{device}" if device >= 0 else "router",
+        serve_id=serve_id,
+    )
 
 
 class CircuitBreaker:
@@ -219,6 +237,8 @@ class DevicePool:
         #: are deliberately NOT swallowed — a conformance assertion firing
         #: inside the hook must fail the run, not vanish into a worker.
         self.observer: Optional[DispatchObserver] = None
+        #: The owner's terminal path; must be assigned before start().
+        self.settle: Optional[SettleHook] = None
         # Uncontended host<->device transfer latency per device path.
         self._transfer_fns = [
             self._make_transfer_fn(i) for i in range(platform.num_tpus)
@@ -240,6 +260,8 @@ class DevicePool:
         """Spawn the router and one worker per device (idempotent)."""
         if self._tasks:
             return
+        if self.settle is None:
+            raise ValueError("assign DevicePool.settle before start()")
         loop = asyncio.get_running_loop()
         self._tasks.append(loop.create_task(self._router(), name="serve-router"))
         for i in range(self.platform.num_tpus):
@@ -327,13 +349,8 @@ class DevicePool:
             self.observer(event, sreq.serve_id, device)
         if self._tracer.enabled and event != "dispatch":
             # "dispatch" is subsumed by the worker's exec span; the rest
-            # are lifecycle instants (retry, timeout, breaker bounce...).
-            self._tracer.instant(
-                event,
-                cat="serve.lifecycle",
-                track=f"tpu{device}" if device >= 0 else "router",
-                serve_id=sreq.serve_id,
-            )
+            # are lifecycle instants (retry, breaker bounce...).
+            lifecycle_instant(self._tracer, event, sreq.serve_id, device)
 
     # -- routing --------------------------------------------------------
 
@@ -424,13 +441,10 @@ class DevicePool:
                 self._emit("bounce", sreq, tpu_index)
                 self._inbox.put_nowait(work)
                 continue
-            now = self._clock()
-            if sreq.expired(now):
-                if sreq.reject(RequestTimeout(
+            if sreq.expired(self._clock()):
+                self.settle(sreq, RequestTimeout(
                     f"request {sreq.serve_id} expired before dispatch"
-                )):
-                    self.metrics.record_timeout(sreq)
-                self._emit("timeout", sreq, tpu_index)
+                ), tpu_index)
                 self._retire()
                 continue
             sreq.started += 1  # past this point the request is not preemptible
@@ -586,28 +600,15 @@ class DevicePool:
                 )
             sreq.outstanding -= 1
             if sreq.outstanding == 0:
-                # Deadline holds at *delivery*, not just at dispatch: a
-                # result computed after its budget elapsed is a miss —
-                # returning it late would make per-tier p99 meaningless.
-                if sreq.expired(self._clock()):
-                    if sreq.reject(RequestTimeout(
-                        f"request {sreq.serve_id} completed after its deadline"
-                    )):
-                        self.metrics.record_timeout(sreq)
-                    self._emit("timeout", sreq, tpu_index)
-                    self._retire()
-                    continue
+                # The last group: assemble the result and report it.
+                exc = None
                 if sreq.merge is not None:
                     try:
                         sreq.op.result = sreq.merge.finalize()
-                    except MergeError as exc:
-                        if sreq.reject(exc):
-                            self.metrics.failed += 1
-                        self._retire()
-                        continue
-                    self.metrics.shard_merged += 1
-                if self.metrics.record_delivery(sreq, self._clock()):
-                    self._emit("deliver", sreq, tpu_index)
+                        self.metrics.shard_merged += 1
+                    except MergeError as merge_error:
+                        exc = merge_error
+                self.settle(sreq, exc, tpu_index)
             self._retire()
 
     def _pick_witness(self, primary: int) -> Optional[int]:
@@ -639,12 +640,10 @@ class DevicePool:
         work.excluded.add(tpu_index)
         work.sreq.retries += 1
         if work.attempts > self.max_retries:
-            if work.sreq.reject(DeviceFailure(
+            self.settle(work.sreq, DeviceFailure(
                 f"dispatch group failed {work.attempts} times, giving up: {exc}",
                 device=exc.device,
-            )):
-                self.metrics.failed += 1
-            self._emit("give-up", work.sreq)
+            ), -1)
             self._retire()
             return
         self.metrics.retries += 1

@@ -142,14 +142,9 @@ class ServingMetrics:
             self._tier_reservoir(tier).add(latency_seconds)
 
     def record_delivery(self, sreq, now: float) -> bool:
-        """THE single completion path: resolve *sreq* and account it.
-
-        Every layer that delivers a result (the dispatcher's last-group
-        completion, the server's degenerate-op fast path) must go
-        through here, so resolve and latency accounting cannot drift
-        apart.  Returns True when this call won the once-only resolve —
-        i.e. exactly one caller per request sees True.
-        """
+        """Resolve *sreq* and account its latency (the front door's
+        settle path is the only caller).  True when this call won the
+        once-only resolve."""
         if not sreq.resolve():
             return False
         self.record_completion(now - sreq.submitted, tier=sreq.tier)

@@ -26,7 +26,8 @@ class ServeRequest:
     serve_id: int
     tenant: str
     request: OperationRequest
-    future: "asyncio.Future"
+    #: What the client awaits (None in an MP worker: the parent holds it).
+    future: Optional["asyncio.Future"]
     #: Monotonic instant the client submitted (latency measurement base).
     submitted: float
     #: Absolute monotonic deadline, or None for no deadline.

@@ -15,7 +15,9 @@ device stack (paper §6.1, Fig. 4) into a continuously-fed service:
 Steps 1–2 are :class:`FrontDoor`, which the multi-process
 :class:`~repro.mp.server.MpTpuServer` shares: the two servers differ
 only in how a coalesced group is handed off and in which queued
-requests a preemption may take back.
+requests a preemption may take back; every request ends through the
+front door's one terminal path.  Step 3 is :class:`DataPlane`, which
+:class:`TpuServer` owns one of and each MP worker process owns directly.
 
 Time base: functional results are exact (computed at lowering, as in
 the batch path); *service* time is the closed-form pipeline model from
@@ -31,7 +33,7 @@ import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +46,12 @@ from repro.runtime.scheduler import SchedulePolicy, build_dispatch_groups
 from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
 from repro.serve.admission import AdmissionController
 from repro.serve.coalescer import coalesce
-from repro.serve.dispatcher import DevicePool, DispatchWork
+from repro.serve.dispatcher import (
+    DevicePool,
+    DispatchWork,
+    SettleHook,
+    lifecycle_instant,
+)
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
 from repro.serve.slo import OverloadController, SloPolicy
@@ -111,9 +118,6 @@ class ServeConfig:
     #: Admission scheduling: "auto" picks "edf" when an SLO policy is
     #: set and "rr" otherwise; explicit "rr"/"edf" override.
     scheduling: str = "auto"
-    #: Overload shedding armed (MP workers set False: admission already
-    #: happened in the parent, so a worker must never shed).
-    shed_enabled: bool = True
     #: Energy-aware shard placement: within a request's deadline slack,
     #: candidates compete on §8.1 active joules instead of makespan.
     energy_aware: bool = False
@@ -122,14 +126,35 @@ class ServeConfig:
     energy_headroom: float = 0.5
 
 
+def stamp_request(
+    slo: Optional[SloPolicy],
+    serve_id: int,
+    request: OperationRequest,
+    now: float,
+    budget: Optional[float],
+    future: Any,
+) -> ServeRequest:
+    """Wrap *request* with its SLO tier and a deadline *budget* seconds
+    from *now* (None: the tier's budget, if any)."""
+    tier = slo.tier_of(request.tenant) if slo is not None else None
+    if budget is None and tier is not None:
+        budget = tier.deadline_budget
+    deadline = None if budget is None else now + budget
+    sreq = ServeRequest(serve_id, request.tenant, request, future, now, deadline)
+    if tier is not None:
+        sreq.tier, sreq.priority, sreq.sheddable = tier.name, tier.priority, tier.sheddable
+    return sreq
+
+
 class FrontDoor:
     """The serving front end both servers share (the OPQ of §6.1).
 
     Admission (capacity, per-tenant share, SLO tiers, the shed
     governor), the client API, the dispatch loop (expire → sample depth
-    → drain → governor observe → preempt → :func:`coalesce` → hand off)
-    and the requeue half of preemption live here once.  A server
-    supplies exactly two things:
+    → drain → governor observe → preempt → :func:`coalesce` → hand off),
+    the requeue half of preemption, the terminal path
+    (:meth:`_settle`) and the snapshot assembly live here once.  A
+    server supplies exactly two things:
 
     * :meth:`_hand_off` — run one coalesced group (lower and launch on
       the in-process pool, or route and ship to a worker process);
@@ -141,6 +166,7 @@ class FrontDoor:
     """
 
     pool: Any
+    platform: Platform
 
     def __init__(
         self,
@@ -171,16 +197,17 @@ class FrontDoor:
             self.config.per_tenant_limit,
             scheduling=scheduling,
         )
-        #: Hysteresis shed governor, armed only with an SLO policy (and
-        #: not in MP workers, where the parent already admitted).
+        #: Hysteresis shed governor, armed only with an SLO policy.
         self.overload: Optional[OverloadController] = (
             OverloadController(self.slo, self.config.max_queue_depth)
-            if self.slo is not None and self.config.shed_enabled
+            if self.slo is not None
             else None
         )
         #: Timeout count already fed to the overload governor.
         self._timeouts_seen = 0
         self._serve_seq = 0
+        #: Admitted requests not yet settled, wherever they are.
+        self._live: Dict[int, ServeRequest] = {}
         self._wakeup = asyncio.Event()
         self._loop_task: Optional["asyncio.Task"] = None
         self.started_at: Optional[float] = None
@@ -203,10 +230,15 @@ class FrontDoor:
         )
 
     async def _stop_dispatch(self) -> None:
+        """Stop the loop; settle every request still unresolved."""
         if self._loop_task is not None:
             self._loop_task.cancel()
             await asyncio.gather(self._loop_task, return_exceptions=True)
             self._loop_task = None
+        for sreq in list(self._live.values()):
+            self._settle(sreq, ServingError(
+                f"server stopped before request {sreq.serve_id} settled"
+            ))
 
     async def __aenter__(self) -> "FrontDoor":
         await self.start()
@@ -250,29 +282,16 @@ class FrontDoor:
             task_id=serve_id,
             input_name=request.input_name or f"serve{serve_id}",
         )
-        tier_name, priority, sheddable = "", 0, True
-        deadline = None if deadline_seconds is None else now + deadline_seconds
-        if self.slo is not None:
-            tier = self.slo.tier_of(request.tenant)
-            tier_name, priority, sheddable = tier.name, tier.priority, tier.sheddable
-            if deadline is None and tier.deadline_budget is not None:
-                deadline = now + tier.deadline_budget
-        sreq = ServeRequest(
-            serve_id=serve_id,
-            tenant=request.tenant,
-            request=request,
-            future=asyncio.get_running_loop().create_future(),
-            submitted=now,
-            deadline=deadline,
-            tier=tier_name,
-            priority=priority,
-            sheddable=sheddable,
+        sreq = stamp_request(
+            self.slo, serve_id, request, now, deadline_seconds,
+            asyncio.get_running_loop().create_future(),
         )
+        tier_name = sreq.tier
         self.metrics.submitted += 1
         if tier_name:
             self.metrics.submitted_by_tier[tier_name] += 1
         if self.overload is not None and self.overload.should_shed(
-            priority, sheddable
+            sreq.priority, sreq.sheddable
         ):
             self.metrics.record_shed(tier_name)
             self.tracer.instant(
@@ -291,6 +310,7 @@ class FrontDoor:
                 "reject", cat="serve", track="server", serve_id=serve_id
             )
             raise
+        self._live[serve_id] = sreq
         self.tracer.instant(
             "submit", cat="serve", track="server", serve_id=serve_id, tenant=request.tenant
         )
@@ -342,11 +362,9 @@ class FrontDoor:
             await asyncio.sleep(0)
             now = self._clock()
             for sreq in self.admission.expire(now):
-                if sreq.reject(RequestTimeout(
+                self._settle(sreq, RequestTimeout(
                     f"request {sreq.serve_id} expired in the admission queue"
-                )):
-                    self.metrics.record_timeout(sreq)
-                    self._lifecycle("timeout", sreq)
+                ))
             depth = self.admission.depth
             self.metrics.sample_queue_depth(depth)
             batch = self.admission.drain(self.config.max_batch)
@@ -360,7 +378,8 @@ class FrontDoor:
             if not batch:
                 continue
             if self.slo is not None and self.slo.preempt:
-                self._preempt(batch)
+                urgent = min(s.priority for s in batch if not s.failed)
+                self._readmit(self._preemptible(urgent))
             sp = self.tracer.begin(
                 "dispatch_batch", cat="serve", track="server", drained=len(batch)
             )
@@ -368,21 +387,23 @@ class FrontDoor:
                 self._hand_off(group)
             self.tracer.end(sp)
 
-    def _preempt(self, batch: List[ServeRequest]) -> None:
-        """Requeue queued lower-tier work ahead of an urgent batch.
+    def _readmit(self, victims: Sequence[ServeRequest]) -> None:
+        """Requeue preempted lower-tier work behind an urgent batch.
 
         Victims are un-coalesced, their lowering state reset, and
         re-admitted through :meth:`AdmissionController.requeue` — an
         admitted request is never rejected on its way back.
         """
-        urgent = min(s.priority for s in batch if not s.failed)
-        for sreq in self._preemptible(urgent):
+        for sreq in victims:
             sreq.op = None
             sreq.outstanding = 0
             sreq.merge = None
             sreq.preemptions += 1
             self.metrics.preemptions += 1
-            self._lifecycle("preempt", sreq)
+            self._emit("preempt", sreq.serve_id)
+            self.tracer.instant(
+                "preempt", cat="serve", track="server", serve_id=sreq.serve_id
+            )
             self.admission.requeue(sreq)
 
     def _emit(self, event: str, serve_id: int, device: int = -1) -> None:
@@ -390,117 +411,154 @@ class FrontDoor:
         if self.pool.observer is not None:
             self.pool.observer(event, serve_id, device)
 
-    def _lifecycle(self, event: str, sreq: ServeRequest) -> None:
-        """A front-door transition: observer event plus tracer instant."""
-        self._emit(event, sreq.serve_id)
-        self.tracer.instant(
-            event, cat="serve", track="server", serve_id=sreq.serve_id
+    # -- the terminal path ----------------------------------------------
+
+    def _settle(
+        self,
+        sreq: ServeRequest,
+        exc: Optional[BaseException] = None,
+        device: int = -1,
+    ) -> None:
+        """End one request: THE terminal path of both servers.
+
+        ``exc`` None delivers ``sreq.op.result``, unless the deadline has
+        passed.  Only the call that wins the once-only resolve/reject
+        counts the outcome and reports its event.
+        """
+        self._live.pop(sreq.serve_id, None)
+        now = self._clock()
+        if exc is None and sreq.expired(now):
+            exc = RequestTimeout(
+                f"request {sreq.serve_id} completed after its deadline"
+            )
+        if exc is None:
+            if not self.metrics.record_delivery(sreq, now):
+                return
+            event = "deliver"
+        elif not sreq.reject(exc):
+            return
+        elif isinstance(exc, RequestTimeout):
+            self.metrics.record_timeout(sreq)
+            event = "timeout"
+        else:
+            self.metrics.failed += 1
+            event = "give-up"
+        self._emit(event, sreq.serve_id, device)
+        if self.tracer.enabled:
+            lifecycle_instant(self.tracer, event, sreq.serve_id, device)
+
+    # -- reporting ------------------------------------------------------
+
+    def _assemble_snapshot(
+        self, metrics: ServingMetrics, planes: Sequence[dict]
+    ) -> dict:
+        """THE snapshot: serving metrics plus one
+        :meth:`DataPlane.payload` per device slice (in-process: one)."""
+        elapsed = (
+            self._clock() - self.started_at if self.started_at is not None else None
         )
+        snap = metrics.snapshot(elapsed)
+        snap["platform"] = {"tpus": self.platform.num_tpus, "healthy": 0}
+        snap["breakers"] = {}
+        snap["sharding"].update(enabled=False, profile={
+            "observations": 0, "profiled": False, "seconds_per_instruction": {},
+        })
+        for plane in planes:
+            _fold(snap, plane)
+        cache = snap.get("plan_cache")
+        if cache is not None:
+            lookups = cache["hits"] + cache["misses"]
+            cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
+        if self.overload is not None:
+            snap["overload"] = self.overload.snapshot()
+        return snap
 
 
-class TpuServer(FrontDoor):
-    """Async serving layer over one simulated Edge TPU platform."""
+def _fold(into: dict, part: dict) -> None:
+    """Merge one slice's payload: counts add, flags OR, device maps union."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            _fold(into.setdefault(key, {}), value)
+        elif key not in into:
+            into[key] = value
+        elif isinstance(value, bool):
+            into[key] = into[key] or value
+        else:
+            into[key] += value
+
+
+class DataPlane:
+    """Tensorizer, plan cache, shard planner and :class:`DevicePool`
+    over one slice of TPUs.
+
+    :meth:`hand_off` lowers one coalesced group and launches it.  Every
+    outcome goes to *settle*, the owner's terminal path
+    (:meth:`FrontDoor._settle`, or an MP worker's ship to its parent).
+    """
 
     def __init__(
         self,
-        platform: Optional[Platform] = None,
-        config: Optional[ServeConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-        tracer: Optional[SpanTracer] = None,
+        platform: Platform,
+        config: ServeConfig,
+        clock: Callable[[], float],
+        tracer: SpanTracer,
+        metrics: ServingMetrics,
+        settle: SettleHook,
         shard_profile: Optional[ShardProfile] = None,
-        metrics: Optional[ServingMetrics] = None,
     ) -> None:
-        # *metrics* is injectable so a multi-process worker can use seeds
-        # derived from its worker id (see :class:`ServingMetrics`).
-        super().__init__(
-            config, clock, tracer, metrics if metrics is not None else ServingMetrics()
-        )
-        self.platform = platform or Platform()
+        self.platform = platform
+        self.config = config
+        self.metrics = metrics
+        self.tracer = tracer
+        self.settle = settle
+        self._clock = clock
         # The integrity mode may arrive on ServeConfig (the serving-layer
         # knob) or on TensorizerOptions; the lowering side records the
         # checksum plans and the pool side verifies them, so both must
         # agree on one effective mode.
-        options = self.config.options or TensorizerOptions()
-        self.integrity = (
-            self.config.integrity if self.config.integrity != "off" else options.integrity
-        )
-        if options.integrity != self.integrity:
-            options = dataclasses.replace(options, integrity=self.integrity)
+        options = config.options or TensorizerOptions()
+        integrity = config.integrity if config.integrity != "off" else options.integrity
+        if options.integrity != integrity:
+            options = dataclasses.replace(options, integrity=integrity)
         self.plan_cache = (
-            PlanCache(self.config.plan_cache_entries)
-            if self.config.plan_cache
-            else None
+            PlanCache(config.plan_cache_entries) if config.plan_cache else None
         )
         self.tensorizer = Tensorizer(
-            self.platform.config.edgetpu,
+            platform.config.edgetpu,
             options,
-            self.platform.cpu,
-            tracer=self.tracer,
+            platform.cpu,
+            tracer=tracer,
             plan_cache=self.plan_cache,
         )
         #: Per-device execution profile (pre-seeded in tests / shared
         #: across servers when passed in); the pool feeds it and the
         #: planner reads it, so split points follow measured rates.
-        self.shard_profile = (
-            shard_profile
-            if shard_profile is not None
-            else ShardProfile(self.platform.num_tpus)
-        )
+        self.shard_profile = shard_profile or ShardProfile(platform.num_tpus)
         self.shard_planner = (
             ShardPlanner(
-                self.platform,
-                profile=self.shard_profile,
-                energy_aware=self.config.energy_aware,
+                platform, profile=self.shard_profile, energy_aware=config.energy_aware
             )
-            if self.config.shard == "auto" and self.platform.num_tpus > 1
+            if config.shard == "auto" and platform.num_tpus > 1
             else None
         )
         self.pool = DevicePool(
-            self.platform,
-            self.metrics,
-            policy=self.config.policy,
-            max_retries=self.config.max_retries,
-            breaker_threshold=self.config.breaker_threshold,
-            breaker_cooldown=self.config.breaker_cooldown,
-            time_scale=self.config.time_scale,
-            clock=self._clock,
-            tracer=self.tracer,
-            integrity=self.integrity,
-            quarantine_seconds=self.config.quarantine_seconds,
+            platform,
+            metrics,
+            policy=config.policy,
+            max_retries=config.max_retries,
+            breaker_threshold=config.breaker_threshold,
+            breaker_cooldown=config.breaker_cooldown,
+            time_scale=config.time_scale,
+            clock=clock,
+            tracer=tracer,
+            integrity=integrity,
+            quarantine_seconds=config.quarantine_seconds,
             shard_profile=self.shard_profile,
         )
+        self.pool.settle = settle
 
-    # -- lifecycle ------------------------------------------------------
-
-    async def start(self) -> None:
-        """Start the device pool and the dispatch loop (idempotent)."""
-        if self._loop_task is not None:
-            return
-        self.started_at = self._clock()
-        self.pool.start()
-        self._start_dispatch()
-
-    async def stop(self) -> None:
-        """Stop the dispatch loop and device pool."""
-        await self._stop_dispatch()
-        await self.pool.stop()
-
-    async def drain(self) -> None:
-        """Wait for the admission queue and device pool to go idle."""
-        while self.admission.depth > 0:
-            self._wakeup.set()
-            await asyncio.sleep(0)
-        await self.pool.drain()
-        # A dispatch-loop turn may still be lowering between queues.
-        while self.admission.depth > 0 or self.pool.in_flight > 0:
-            await asyncio.sleep(0)
-            await self.pool.drain()
-
-    def _preemptible(self, urgent: int) -> List[ServeRequest]:
-        """Requests whose every dispatch group is queued, none started."""
-        return self.pool.preempt(urgent) if self.pool.in_flight else []
-
-    def _hand_off(self, group: List[ServeRequest]) -> None:
+    def hand_off(self, group: List[ServeRequest]) -> None:
+        """Lower one coalesced group and launch it (failed members skip)."""
         live = [s for s in group if not s.failed]
         if not live:
             return
@@ -518,11 +576,9 @@ class TpuServer(FrontDoor):
                 # One bad operand fails only its own request: lower each
                 # member alone (bit-identical to its coalesced result).
                 for sreq in live:
-                    self._hand_off([sreq])
+                    self.hand_off([sreq])
                 return
-            for sreq in live:
-                if sreq.reject(ServingError(f"lowering failed: {exc}")):
-                    self.metrics.failed += 1
+            self.settle(live[0], ServingError(f"lowering failed: {exc}"), -1)
             return
         for sreq, op in zip(live, ops):
             self._launch(sreq, op)
@@ -531,10 +587,9 @@ class TpuServer(FrontDoor):
         sreq.op = op
         groups = build_dispatch_groups(op.instrs, self.config.policy, tracer=self.tracer)
         if not groups:
-            # Nothing to execute on-device (degenerate op): deliver now,
-            # through the same once-only accounting path the dispatcher
-            # uses (these two used to duplicate the latency arithmetic).
-            self.metrics.record_delivery(sreq, self._clock())
+            # Nothing to execute on-device (degenerate op): it is
+            # complete already.
+            self.settle(sreq, None, -1)
             return
         plan = None
         if self.shard_planner is not None and len(groups) >= 2:
@@ -591,15 +646,98 @@ class TpuServer(FrontDoor):
                     ),
                 ))
 
+    def payload(self) -> dict:
+        """This slice's snapshot sections, keyed by global device names."""
+        names = [d.name for d in self.platform.devices]
+        profile = self.shard_profile.snapshot()
+        profile["seconds_per_instruction"] = {
+            names[int(local[3:])]: spi
+            for local, spi in profile["seconds_per_instruction"].items()
+        }
+        payload = {
+            "platform": {"healthy": sum(1 for d in self.platform.devices if d.healthy)},
+            "breakers": {
+                names[i]: {
+                    "open": b.is_open,
+                    "opened": b.opened,
+                    # None while closed; the monotonic half-open instant
+                    # only exists while the breaker is actually open.
+                    "reopens_at": b.reopens_at,
+                }
+                for i, b in enumerate(self.pool.breakers)
+            },
+        }
+        if self.pool.quarantine is not None:
+            payload["quarantine"] = self.pool.quarantine.snapshot(names)
+        if self.plan_cache is not None:
+            payload["plan_cache"] = self.plan_cache.counters()
+        payload["sharding"] = {
+            "enabled": self.shard_planner is not None, "profile": profile,
+        }
+        return payload
+
+
+class TpuServer(FrontDoor):
+    """Async serving layer over one simulated Edge TPU platform."""
+
+    def __init__(
+        self,
+        platform: Optional[Platform] = None,
+        config: Optional[ServeConfig] = None,
+        clock: Callable[[], float] = time.monotonic,
+        tracer: Optional[SpanTracer] = None,
+        shard_profile: Optional[ShardProfile] = None,
+    ) -> None:
+        super().__init__(config, clock, tracer, ServingMetrics())
+        self.platform = platform or Platform()
+        self.plane = DataPlane(
+            self.platform, self.config, clock, self.tracer, self.metrics,
+            self._settle, shard_profile,
+        )
+        self.pool = self.plane.pool
+
+    # -- lifecycle ------------------------------------------------------
+
+    async def start(self) -> None:
+        """Start the device pool and the dispatch loop (idempotent)."""
+        if self._loop_task is not None:
+            return
+        self.started_at = self._clock()
+        self.pool.start()
+        self._start_dispatch()
+
+    async def stop(self) -> None:
+        """Stop the dispatch loop and device pool; fail what is left."""
+        await self._stop_dispatch()
+        await self.pool.stop()
+
+    async def drain(self) -> None:
+        """Wait for the admission queue and device pool to go idle."""
+        while self.admission.depth > 0:
+            self._wakeup.set()
+            await asyncio.sleep(0)
+        await self.pool.drain()
+        # A dispatch-loop turn may still be lowering between queues.
+        while self.admission.depth > 0 or self.pool.in_flight > 0:
+            await asyncio.sleep(0)
+            await self.pool.drain()
+
+    def _preemptible(self, urgent: int) -> List[ServeRequest]:
+        """Requests whose every dispatch group is queued, none started."""
+        return self.pool.preempt(urgent) if self.pool.in_flight else []
+
+    def _hand_off(self, group: List[ServeRequest]) -> None:
+        self.plane.hand_off(group)
+
     # -- reporting ------------------------------------------------------
 
     def counter_registry(self) -> CounterRegistry:
         """Unified counter snapshot: lowering + serving + device memory."""
         registry = CounterRegistry()
-        registry.register("tensorizer", tensorizer_counters(self.tensorizer.stats))
+        registry.register("tensorizer", tensorizer_counters(self.plane.tensorizer.stats))
         registry.register("serving", serving_counters(self.metrics))
-        if self.plan_cache is not None:
-            registry.register("plan", plan_counters(self.plan_cache))
+        if self.plane.plan_cache is not None:
+            registry.register("plan", plan_counters(self.plane.plan_cache))
         for device in self.platform.devices:
             registry.register(f"memory.{device.name}", memory_counters(device.memory))
             registry.register(f"device.{device.name}", device_counters(device))
@@ -607,35 +745,7 @@ class TpuServer(FrontDoor):
 
     def snapshot(self) -> dict:
         """Metrics snapshot including elapsed serving time."""
-        elapsed = (
-            self._clock() - self.started_at if self.started_at is not None else None
-        )
-        snap = self.metrics.snapshot(elapsed)
-        snap["platform"] = {
-            "tpus": self.platform.num_tpus,
-            "healthy": sum(1 for d in self.platform.devices if d.healthy),
-        }
-        snap["breakers"] = {
-            self.platform.devices[i].name: {
-                "open": b.is_open,
-                "opened": b.opened,
-                # None while closed; the monotonic half-open instant
-                # only exists while the breaker is actually open.
-                "reopens_at": b.reopens_at,
-            }
-            for i, b in enumerate(self.pool.breakers)
-        }
-        if self.pool.quarantine is not None:
-            snap["quarantine"] = self.pool.quarantine.snapshot(
-                [d.name for d in self.platform.devices]
-            )
-        if self.plan_cache is not None:
-            snap["plan_cache"] = self.plan_cache.counters()
-        snap["sharding"]["enabled"] = self.shard_planner is not None
-        snap["sharding"]["profile"] = self.shard_profile.snapshot()
-        if self.overload is not None:
-            snap["overload"] = self.overload.snapshot()
-        return snap
+        return self._assemble_snapshot(self.metrics, [self.plane.payload()])
 
 
 def make_server(

@@ -101,7 +101,7 @@ class TestDeliveryPathsEndToEnd:
                     request, [], np.full((2, 2), 5.0), cpu_seconds=0.0
                 )
 
-            server.tensorizer.lower = lower_to_nothing
+            server.plane.tensorizer.lower = lower_to_nothing
             async with server:
                 result = await server.gemm(np.eye(2), np.eye(2))
                 await server.drain()

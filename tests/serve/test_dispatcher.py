@@ -1,6 +1,7 @@
 """Fault-tolerant dispatch: circuit breaker, retries, exactly-once."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,15 @@ from repro.runtime.scheduler import build_dispatch_groups
 from repro.serve.dispatcher import CircuitBreaker, DevicePool, DispatchWork
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
+from repro.serve.server import FrontDoor
+
+
+def _pool(platform, metrics, **kwargs):
+    """A pool whose terminal outcomes settle through a bare front door."""
+    door = FrontDoor(None, kwargs.get("clock", time.monotonic), None, metrics)
+    door.pool = DevicePool(platform, metrics, **kwargs)
+    door.pool.settle = door._settle
+    return door.pool
 
 
 class FakeClock:
@@ -113,7 +123,7 @@ def _work(task_id=1):
 
 async def _run_pool(platform, works, **kwargs):
     metrics = ServingMetrics()
-    pool = DevicePool(platform, metrics, time_scale=0.0, **kwargs)
+    pool = _pool(platform, metrics, time_scale=0.0, **kwargs)
     pool.start()
     try:
         for work in works:
@@ -194,7 +204,7 @@ class TestDevicePool:
             platform.devices[0].inject_fault(after_instructions=0, failures=1)
             works, sreq = _work()
             metrics = ServingMetrics()
-            pool = DevicePool(platform, metrics, time_scale=0.0)
+            pool = _pool(platform, metrics, time_scale=0.0)
             events = []
 
             def observer(event, serve_id, device):
@@ -230,7 +240,7 @@ class TestDevicePool:
             platform = Platform.with_tpus(2)
             works, sreq = _work()
             metrics = ServingMetrics()
-            pool = DevicePool(platform, metrics, time_scale=0.0)
+            pool = _pool(platform, metrics, time_scale=0.0)
             events = []
             pool.observer = lambda event, serve_id, device: events.append(
                 (event, serve_id, device)
@@ -294,7 +304,7 @@ class TestInjectableClock:
             works, sreq = _work()
             sreq.submitted = 10.0
             metrics = ServingMetrics()
-            pool = DevicePool(platform, metrics, time_scale=0.0, clock=clock)
+            pool = _pool(platform, metrics, time_scale=0.0, clock=clock)
             pool.start()
             try:
                 clock.now = 13.5  # "time passes" only on the fake clock
@@ -320,7 +330,7 @@ class TestInjectableClock:
             works, sreq = _work()
             sreq.deadline = 100.0
             metrics = ServingMetrics()
-            pool = DevicePool(platform, metrics, time_scale=0.0, clock=clock)
+            pool = _pool(platform, metrics, time_scale=0.0, clock=clock)
             pool.start()
             try:
                 for work in works:
@@ -343,7 +353,7 @@ class TestInjectableClock:
             works, sreq = _work()
             sreq.deadline = 100.0  # already past on the fake clock
             metrics = ServingMetrics()
-            pool = DevicePool(platform, metrics, time_scale=0.0, clock=clock)
+            pool = _pool(platform, metrics, time_scale=0.0, clock=clock)
             pool.start()
             try:
                 for work in works:

@@ -250,13 +250,13 @@ class TestProfileFeedback:
     def test_pool_feeds_profile_during_sharded_traffic(self):
         a, b = _gemm_inputs(10)
         server = _serve()
-        assert server.shard_profile.observations == 0
+        assert server.plane.shard_profile.observations == 0
 
         async def run():
             return await _run_one(server, _request(a, b))
 
         _, snap = asyncio.run(run())
-        assert server.shard_profile.observations > 0
+        assert server.plane.shard_profile.observations > 0
         profile_snap = snap["sharding"]["profile"]
         assert profile_snap["profiled"]
         assert len(profile_snap["seconds_per_instruction"]) == (

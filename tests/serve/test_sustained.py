@@ -1,6 +1,7 @@
 """Sustained open-loop serving: EDF, shedding, preemption, determinism."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.dispatcher import DevicePool, DispatchWork
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
+from repro.serve.server import FrontDoor
 
 
 def _sreq(serve_id, tenant="t", deadline=None, priority=0, outstanding=0):
@@ -89,6 +91,8 @@ class TestPoolPreemption:
             platform = Platform.with_tpus(2)
             metrics = ServingMetrics()
             pool = DevicePool(platform, metrics, time_scale=0.0)
+            door = FrontDoor(None, time.monotonic, None, metrics)
+            door.pool, pool.settle = pool, door._settle
             pool.start()
             events = []
             pool.observer = lambda e, sid, dev: events.append((e, sid))
