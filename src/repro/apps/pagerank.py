@@ -15,9 +15,9 @@ matvec and folds the factor back on the host — standard dynamic scaling
 
 from __future__ import annotations
 
-from typing import Dict
+import random
+from typing import Dict, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.apps.base import Application, CPUResult, GPTPUResult
@@ -26,10 +26,55 @@ from repro.ops.gemm import tpu_matvec
 from repro.runtime.api import OpenCtpu
 
 
+def _gnm_edges(n: int, m: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges of ``networkx.gnm_random_graph(n, m, seed, directed=True)``.
+
+    Replays that function's draw loop without it: ``random.Random(seed)``
+    picks ``u`` then ``v`` with ``choice``, whose ``_randbelow(n)`` keeps
+    the top ``n.bit_length()`` bits of each 32-bit Mersenne Twister word
+    and rejects values ``>= n``; a self-loop or repeated edge is
+    redrawn.  A NumPy ``MT19937`` seeded from the same state yields the
+    same words, so the first *m* distinct non-loop pairs are the graph.
+    Requires ``1 <= m < n·(n-1)``.
+    """
+    state = random.Random(seed).getstate()[1]
+    words = np.random.MT19937()
+    words.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:624], dtype=np.uint32), "pos": state[624]},
+    }
+    shift = np.uint64(32 - n.bit_length())
+    # Two accepted draws per edge, acceptance n / 2**bit_length, plus a
+    # little for rejected loops and repeats; extend if still short.
+    batch = int(2.1 * m * (1 << n.bit_length()) / n) + 64
+    drawn = np.empty(0, dtype=np.int64)
+    while True:
+        raw = words.random_raw(batch) >> shift
+        drawn = np.concatenate([drawn, raw[raw < n].astype(np.int64)])
+        u, v = drawn[0 : drawn.size - 1 : 2], drawn[1::2]
+        kept = np.flatnonzero(u != v)
+        _, first = np.unique(u[kept] * n + v[kept], return_index=True)
+        if first.size >= m:
+            chosen = kept[np.sort(first)[:m]]
+            return u[chosen], v[chosen]
+
+
 def make_link_matrix(n: int, seed: int, avg_degree: int = 16) -> np.ndarray:
-    """Column-stochastic link matrix of a random directed graph."""
-    graph = nx.gnm_random_graph(n, n * avg_degree, seed=seed, directed=True)
-    adj = nx.to_numpy_array(graph, dtype=np.float64).T  # adj[i, j] = edge j→i
+    """Column-stochastic link matrix of a random directed G(n, m) graph.
+
+    Bit-identical to building ``nx.gnm_random_graph(n, n·avg_degree,
+    seed, directed=True)`` and densifying it, without networkx's
+    per-edge Python loop.
+    """
+    m = n * avg_degree
+    adj = np.zeros((n, n), dtype=np.float64)  # adj[u, v] = edge u→v
+    if m >= n * (n - 1):
+        adj[:] = 1.0  # the complete graph
+        np.fill_diagonal(adj, 0.0)
+    elif m > 0:
+        u, v = _gnm_edges(n, m, seed)
+        adj[u, v] = 1.0
+    adj = adj.T  # adj[i, j] = edge j→i
     out_degree = adj.sum(axis=0)
     dangling = out_degree == 0
     adj[:, dangling] = 1.0  # dangling nodes link everywhere

@@ -145,6 +145,18 @@ OP_CASES: List[OpCase] = [
         lambda d: _conv2d_valid(d["data"], d["kernel"]),
     ),
     OpCase(
+        # Ragged 3x3 halo patches on every edge: the batched stencil
+        # against its per-tile twin.  Positive data and weights keep
+        # outputs off zero, where MAPE (relative error) is meaningless.
+        "conv2d-stencil-tiled", "conv2d",
+        lambda rng: {
+            "data": rng.uniform(0.5, 6.0, size=(261, 199)),
+            "kernel": rng.uniform(0.1, 1.0, size=(3, 3)),
+        },
+        lambda ctx, d: ops.tpu_stencil2d(ctx, d["data"], d["kernel"]),
+        lambda d: _conv2d_valid(d["data"], d["kernel"]),
+    ),
+    OpCase(
         "crop", "movement", _single_builder(127, 66),
         lambda ctx, d: ops.tpu_crop(ctx, d["a"], (3, 5, 60, 33)),
         lambda d: d["a"][3:63, 5:38],
@@ -257,6 +269,17 @@ NN_OP_CASES: List[OpCase] = [
             ctx, d["a"], window=(2, 2), stride=(2, 2), kind="avg"
         ),
         lambda d: _pool_ref(d["a"], (2, 2), (2, 2), "avg"),
+    ),
+    OpCase(
+        # One POOL over a (P, H, W) plane stack; planes of very different
+        # ranges keep their own scales.
+        "pool-stack", "pool",
+        lambda rng: {
+            "a": rng.normal(size=(5, 37, 29))
+            * np.array([4.0, 0.05, 1.0, 9.0, 0.5])[:, None, None],
+        },
+        lambda ctx, d: ops.tpu_pool2d(ctx, d["a"], window=(3, 2), stride=(2, 2)),
+        lambda d: np.stack([_pool_ref(p, (3, 2), (2, 2), "max") for p in d["a"]]),
     ),
     OpCase(
         # Ten columns — a classifier-head shape.  Wider rows drive most

@@ -9,8 +9,8 @@ Parent → worker::
 
     ("req", [encoded request, ...])   one coalescible shipment
     ("warm", [plan blob, ...])        §3.3-serialized plans to pre-warm
-    ("snapshot",)                     reply on the snapshot pipe
-    ("trace",)                        reply with pid-tagged Chrome trace
+    ("snapshot", seq)                 reply on the snapshot pipe
+    ("trace", seq)                    reply with pid-tagged Chrome trace
     ("rfree", offset)                 result block consumed, reuse it
     ("stop",)                         drain, report, exit 0
 
@@ -22,8 +22,12 @@ Worker → parent::
     ("preempted", [serve_id, ...])            detached, never started
     ("event", name, serve_id, device_index)   non-terminal pool events
     ("plans", [(signature, blob), ...])       newly captured plans
-    ("snapshot", worker_id, payload)          on the snapshot pipe
-    ("trace", worker_id, chrome_trace_dict)   on the snapshot pipe
+    ("snapshot", worker_id, payload, seq)     on the snapshot pipe
+    ("trace", worker_id, chrome_trace_dict, seq)
+                                              on the snapshot pipe
+
+A snapshot/trace reply echoes its request's ``seq``, so the parent can
+drop a late reply to a round trip that already timed out.
 """
 
 from __future__ import annotations

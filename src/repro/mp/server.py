@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import multiprocessing as mp
 import threading
 import time
@@ -169,6 +170,8 @@ class MpTpuServer(FrontDoor):
         self.worker_crashes = 0
         self.requeued = 0
         self._final_snapshot: Optional[dict] = None
+        #: Round-trip sequence numbers; workers echo them in replies.
+        self._trip_seq = itertools.count()
         self.worker_traces: List[dict] = []
 
     # -- lifecycle ------------------------------------------------------
@@ -488,17 +491,19 @@ class MpTpuServer(FrontDoor):
 
     # -- snapshots / traces ---------------------------------------------
 
-    def _round_trip(self, worker: _Worker, request: tuple, kind: str) -> Optional[Any]:
+    def _round_trip(self, worker: _Worker, kind: str) -> Optional[Any]:
         """Synchronously ask one worker for a reply of *kind*.
 
         On the event-loop thread the loop's own reader cannot run while
         this blocks, so the worker's event pipe is read here too, through
         the same handler: a worker blocked sending plan gossip into a
-        full event pipe would otherwise never read the request.  A reply
-        of another kind is a late answer to a round trip that already
-        gave up, and is dropped.
+        full event pipe would otherwise never read the request.  Each
+        request carries a fresh sequence number that the worker echoes;
+        a reply with another number is a late answer to a round trip
+        that already gave up, and is dropped.
         """
-        if not worker.send(request):
+        seq = next(self._trip_seq)
+        if not worker.send((kind, seq)):
             return None
         try:
             on_loop = asyncio.get_running_loop() is self._loop
@@ -516,20 +521,20 @@ class MpTpuServer(FrontDoor):
                 msg = worker.snapbox.recv()
             except (EOFError, OSError):
                 return None
-            if msg[0] == kind:
+            if msg[0] == kind and msg[3] == seq:
                 return msg[2]
         return None
 
     def _refresh_worker_payloads(self) -> None:
         for worker in self._alive_workers():
-            payload = self._round_trip(worker, ("snapshot",), "snapshot")
+            payload = self._round_trip(worker, "snapshot")
             if payload is not None:
                 worker.last_payload = payload
 
     def _collect_traces(self) -> None:
         self.worker_traces = []
         for worker in self._alive_workers():
-            trace = self._round_trip(worker, ("trace",), "trace")
+            trace = self._round_trip(worker, "trace")
             if trace is not None:
                 self.worker_traces.append(trace)
 

@@ -186,6 +186,7 @@ async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
                 elif kind == "warm":
                     state.warm_plans(msg[1])
                 elif kind == "snapshot":
+                    # Replies echo the request's sequence number.
                     snapbox.send(("snapshot", spec.worker_id, {
                         "pid": os.getpid(),
                         "worker_id": spec.worker_id,
@@ -193,14 +194,14 @@ async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
                         "wall_seconds": time.monotonic() - wall_t0,
                         "metrics": state.metrics.export_state(),
                         "plane": state.plane.payload(),
-                    }))
+                    }, msg[1]))
                 elif kind == "trace":
                     snapbox.send(("trace", spec.worker_id, to_chrome_trace(
                         state.tracer,
                         pid=os.getpid(),
                         process_name=f"repro-worker{spec.worker_id}",
                         time_origin=wall_t0,
-                    )))
+                    ), msg[1]))
                 elif kind == "stop":
                     stop.set()
         except (EOFError, OSError):

@@ -78,19 +78,13 @@ class Pool2d:
 
     def __call__(self, ctx: OpenCtpu, x: np.ndarray) -> np.ndarray:
         x = _require_nchw(x, "Pool2d")
-        n, c = x.shape[:2]
-        # One POOL invocation per plane: windows must never straddle the
-        # image boundary, so planes cannot be concatenated into one
-        # matrix for the general (window, stride) case.
-        planes = [
-            tpu_pool2d(
-                ctx, x[i, j], window=self.window, stride=self.stride, kind=self.kind
-            )
-            for i in range(n)
-            for j in range(c)
-        ]
-        oh, ow = planes[0].shape
-        return np.stack(planes).reshape(n, c, oh, ow)
+        n, c, h, w = x.shape
+        # One POOL over the (N·C, H, W) plane stack: each plane keeps its
+        # own row bands and scales, so windows never straddle planes.
+        out = tpu_pool2d(
+            ctx, x.reshape(n * c, h, w), window=self.window, stride=self.stride, kind=self.kind
+        )
+        return out.reshape((n, c) + out.shape[1:])
 
 
 class Flatten:

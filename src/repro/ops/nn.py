@@ -94,11 +94,13 @@ def tpu_pool2d(
     kind: str = "max",
     out: Optional[Buffer] = None,
 ) -> np.ndarray:
-    """Windowed 2-D pooling of one matrix (valid windows only).
+    """Windowed 2-D pooling of a matrix or a ``(P, H, W)`` plane stack.
 
-    ``stride`` defaults to the window (non-overlapping pooling).  For a
-    batched ``(N, C, H, W)`` activation map, loop per plane or use
-    :class:`repro.nn.layers.Pool2d`, which handles the plumbing.
+    Valid windows only; ``stride`` defaults to the window
+    (non-overlapping pooling).  A stack pools each plane on its own, in
+    one operation, and returns ``(P, OH, OW)``.  For a batched
+    ``(N, C, H, W)`` activation map use :class:`repro.nn.layers.Pool2d`,
+    which reshapes it to an ``(N·C, H, W)`` stack.
     """
     win = _norm_pair(window, "window")
     st = win if stride is None else _norm_pair(stride, "stride")

@@ -143,6 +143,36 @@ class TestMpServer:
         assert elapsed < 5.0
         assert snap["plan_cache"]["misses"] == 2
 
+    def test_late_snapshot_reply_never_answers_the_next_round_trip(self):
+        """A reply to an abandoned round trip (one that timed out) still
+        arrives on the snapshot pipe; the next ``snapshot()`` must drop
+        it and wait for its own reply, not report stale counts.  The
+        hand-sent request below stands in for the abandoned one."""
+        rng = np.random.default_rng(15)
+
+        async def run():
+            config = ServeConfig(time_scale=0.0)
+            async with MpTpuServer(_platform(tpus=2), config, workers=1) as server:
+                await server.submit(_gemm(1, rng))
+                await server.drain()
+                before = server.snapshot()
+                stale = -1
+                assert server._workers[0].send(("snapshot", stale))
+                await server.submit(_gemm(2, rng))
+                await server.drain()
+                return before, server.snapshot()
+
+        before, after = asyncio.run(run())
+
+        def groups(snap):
+            return sum(d["groups"] for d in snap["devices"].values())
+
+        assert after["outcomes"]["completed"] == 2
+        # Device groups come from the worker's payload: the second
+        # request's groups must be in it.
+        assert groups(before) > 0
+        assert groups(after) == 2 * groups(before)
+
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
             MpTpuServer(_platform(tpus=2), ServeConfig(), workers=3)
