@@ -3,8 +3,8 @@
 Prices European calls.  The cumulative normal distribution function is
 the transcendental bottleneck; "GPTPU uses a ninth-degree polynomial
 function [75] ... to compute the cumulative normal distribution
-function".  We fit the degree-9 polynomial to Φ on [-4, 4] once at
-import and evaluate it on-device with Horner's rule: nine pairwise
+function".  We fit the degree-9 polynomial to Φ on [-4, 4] once, on
+first use, and evaluate it on-device with Horner's rule: nine pairwise
 ``mul`` instructions, with the tiny per-step coefficient adds folded
 into the host aggregation (§6.2.1).
 
@@ -14,10 +14,10 @@ AxBench per-option cost.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict
 
 import numpy as np
-from scipy.special import ndtr  # exact Φ
 
 from repro.apps.base import Application, CPUResult, GPTPUResult
 from repro.host.cpu import CPUCoreModel
@@ -28,18 +28,35 @@ from repro.runtime.api import OpenCtpu
 #: here (Φ saturates to 0/1 outside anyway).
 CNDF_DOMAIN = 4.0
 
-def _fit_cndf_poly(degree: int = 9) -> np.ndarray:
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Exact Φ (scipy loads on first use, not at import)."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
+@lru_cache(maxsize=None)
+def _cndf_coeffs() -> np.ndarray:
     xs = np.linspace(-CNDF_DOMAIN, CNDF_DOMAIN, 2001)
-    return np.polynomial.polynomial.polyfit(xs, ndtr(xs), degree)
+    coeffs = np.polynomial.polynomial.polyfit(xs, _ndtr(xs), 9)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-#: Coefficients c0..c9 of the ninth-degree CNDF approximation.
-CNDF_COEFFS = _fit_cndf_poly()
+def __getattr__(name: str):
+    # ``CNDF_COEFFS``: coefficients c0..c9 of the ninth-degree CNDF
+    # approximation, fitted on first use.
+    if name == "CNDF_COEFFS":
+        return _cndf_coeffs()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cndf_poly_reference(x: np.ndarray) -> np.ndarray:
     """Float evaluation of the fitted polynomial (error bound ~1e-3)."""
-    return np.polynomial.polynomial.polyval(np.clip(x, -CNDF_DOMAIN, CNDF_DOMAIN), CNDF_COEFFS)
+    return np.polynomial.polynomial.polyval(
+        np.clip(x, -CNDF_DOMAIN, CNDF_DOMAIN), _cndf_coeffs()
+    )
 
 
 class BlackScholesApp(Application):
@@ -87,7 +104,7 @@ class BlackScholesApp(Application):
 
     def run_cpu(self, inputs: Dict[str, np.ndarray], cpu: CPUCoreModel) -> CPUResult:
         d1, d2 = self._d1_d2(inputs)
-        value = self._price(inputs, ndtr(d1), ndtr(d2))
+        value = self._price(inputs, _ndtr(d1), _ndtr(d2))
         # Two CNDF evaluations per option at the AxBench reference cost.
         seconds = cpu.transcendental_seconds(2 * value.size)
         return CPUResult(value=value, seconds=seconds)
@@ -102,9 +119,10 @@ class BlackScholesApp(Application):
         cpu = ctx.platform.cpu
         side = int(np.sqrt(x.size))
         grid = np.clip(x, -CNDF_DOMAIN, CNDF_DOMAIN).reshape(side, side)
-        acc = np.full_like(grid, CNDF_COEFFS[-1])
+        coeffs = _cndf_coeffs()
+        acc = np.full_like(grid, coeffs[-1])
         prev_task = None
-        for c in CNDF_COEFFS[-2::-1]:
+        for c in coeffs[-2::-1]:
             deps = [prev_task] if prev_task is not None else []
             acc = tpu_mul(ctx, grid, acc, data_name=f"bs-grid-{tag}", depends_on=deps)
             prev_task = ctx.last_task

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.apps.base import Application, CPUResult, GPTPUResult
 from repro.apps.lud import make_dd_matrix, packed_lu_cpu
@@ -53,6 +52,8 @@ class GaussianApp(Application):
         return {"a": make_dd_matrix(n, seed), "b": rng.uniform(0.0, 1.0, n)}
 
     def run_cpu(self, inputs: Dict[str, np.ndarray], cpu: CPUCoreModel) -> CPUResult:
+        from scipy.linalg import solve_triangular  # scipy loads on first use
+
         a = inputs["a"].copy()
         b = inputs["b"].copy()
         n = a.shape[0]
@@ -67,6 +68,8 @@ class GaussianApp(Application):
         return CPUResult(value=x, seconds=seconds)
 
     def run_gptpu(self, inputs: Dict[str, np.ndarray], ctx: OpenCtpu) -> GPTPUResult:
+        from scipy.linalg import solve_triangular  # scipy loads on first use
+
         a = np.asarray(inputs["a"], dtype=np.float64).copy()
         rhs = np.asarray(inputs["b"], dtype=np.float64).copy()
         n = a.shape[0]

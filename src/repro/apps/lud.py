@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.apps.base import Application, CPUResult, GPTPUResult
 from repro.host.cpu import CPUCoreModel
@@ -96,6 +95,8 @@ class LUDApp(Application):
         return self._collect(ctx, self._reconstruct(packed), reports)
 
     def _lud_recursive(self, ctx: OpenCtpu, cpu: CPUCoreModel, a: np.ndarray, reports) -> np.ndarray:
+        from scipy.linalg import solve_triangular  # scipy loads on first use
+
         n = a.shape[0]
         if n <= self.leaf:
             # Leaf panel: host CPU factorization (charged).

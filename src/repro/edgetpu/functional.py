@@ -279,58 +279,6 @@ class BatchedOpResult:
     macs: np.ndarray
 
 
-def pairwise_batched(
-    op: Opcode,
-    a: np.ndarray,
-    b: np.ndarray,
-    a_scales: np.ndarray,
-    b_scales: np.ndarray,
-    sizes: np.ndarray,
-) -> BatchedOpResult:
-    """Batched add / sub / mul over two ``(n, t, t)`` int8 stacks."""
-    if a.shape != b.shape:
-        raise UnsupportedInstructionError(f"pairwise shapes differ: {a.shape} vs {b.shape}")
-    wa = a.astype(np.int64)
-    wb = b.astype(np.int64)
-    if op is Opcode.MUL:
-        return BatchedOpResult(acc=wa * wb, acc_scales=a_scales * b_scales, macs=sizes)
-    if not np.allclose(a_scales, b_scales, rtol=1e-12):
-        raise UnsupportedInstructionError(
-            f"{op.opname} requires operands quantized with one scale; requantize first"
-        )
-    acc = wa + wb if op is Opcode.ADD else wa - wb
-    return BatchedOpResult(acc=acc, acc_scales=np.asarray(a_scales), macs=np.zeros_like(sizes))
-
-
-def relu_batched(data: np.ndarray, scales: np.ndarray) -> BatchedOpResult:
-    """Batched elementwise ReLU — exact, like :func:`relu`."""
-    zeros = np.zeros(data.shape[0], dtype=np.int64)
-    return BatchedOpResult(
-        acc=np.maximum(data.astype(np.int64), 0),
-        acc_scales=np.asarray(scales, dtype=np.float64),
-        macs=zeros,
-    )
-
-
-def tanh_batched(data: np.ndarray, scales: np.ndarray) -> BatchedOpResult:
-    """Batched tanh through per-tile 256-entry lookup tables.
-
-    Builds one ``(n, 256)`` LUT block — the same
-    ``rint(tanh(level / scale) * 127)`` entries :func:`tanh` computes per
-    tile — then gathers.
-    """
-    scales = np.asarray(scales, dtype=np.float64)
-    levels = np.arange(-128, 128, dtype=np.int64)
-    luts = np.rint(np.tanh(levels[None, :] / scales[:, None]) * QMAX).astype(np.int64)
-    n = data.shape[0]
-    gather = (np.arange(n)[:, None, None], data.astype(np.int64) + 128)
-    return BatchedOpResult(
-        acc=luts[gather],
-        acc_scales=np.full(n, float(QMAX)),
-        macs=np.zeros(n, dtype=np.int64),
-    )
-
-
 def mean_batched(
     data: np.ndarray, scales: np.ndarray, sizes: np.ndarray
 ) -> BatchedOpResult:
@@ -430,6 +378,11 @@ def softmax_batched(
 _F32_EXACT_SLAB = 1024
 
 
+#: Weight tiles per batched FullyConnected matmul (16 × 128² float32
+#: is 1 MiB of widened weights).
+_FC_TILES_PER_MATMUL = 16
+
+
 def f32_slab_starts(n: int) -> range:
     """Slab start offsets :func:`f32_slab_products` uses for inner dim *n*."""
     return range(0, n, _F32_EXACT_SLAB)
@@ -497,11 +450,16 @@ def fully_connected_batched(
             f"batch mismatch: vecs {vecs.shape} vs weights {weights.shape}"
         )
     acc = np.zeros((weights.shape[0], weights.shape[2]), dtype=np.int64)
-    for k0 in f32_slab_starts(vecs.shape[1]):
-        k1 = k0 + _F32_EXACT_SLAB
-        acc += np.matmul(
-            vecs[:, None, k0:k1].astype(np.float32), weights[:, k0:k1].astype(np.float32)
-        )[:, 0, :].astype(np.int64)
+    # A few tiles per matmul: the float32 widening of the weights stays
+    # that small instead of four times the int8 stack.
+    for i0 in range(0, weights.shape[0], _FC_TILES_PER_MATMUL):
+        i1 = i0 + _FC_TILES_PER_MATMUL
+        for k0 in f32_slab_starts(vecs.shape[1]):
+            k1 = k0 + _F32_EXACT_SLAB
+            acc[i0:i1] += np.matmul(
+                vecs[i0:i1, None, k0:k1].astype(np.float32),
+                weights[i0:i1, k0:k1].astype(np.float32),
+            )[:, 0, :].astype(np.int64)
     return BatchedOpResult(
         acc=acc,
         acc_scales=np.asarray(vec_scales, dtype=np.float64) * weight_scales,

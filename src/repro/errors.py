@@ -151,3 +151,12 @@ class LoadShed(QueueFull):
 
 class RequestTimeout(ServingError):
     """A request's deadline expired before its results were delivered."""
+
+
+class WorkerStartError(ServingError):
+    """A multi-process server's worker fleet failed to come up.
+
+    Raised by ``MpTpuServer.start()`` when a worker exits before it
+    reports ready (or the fleet does not report ready in time); the
+    server has already torn down every worker and shared-memory ring.
+    """

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import DeviceFailure
+from repro.errors import DeviceFailure, WorkerStartError
 from repro.host.platform import Platform
 from repro.mp.messages import WorkerSpec, decode_error, encode_request
 from repro.mp.shm import RingFull, ShmRing
@@ -70,6 +70,7 @@ from repro.telemetry import (
 DEFAULT_RING_BYTES = 16 * 1024 * 1024
 
 _SNAPSHOT_TIMEOUT = 30.0
+_START_TIMEOUT = 120.0
 
 
 @dataclasses.dataclass
@@ -170,6 +171,8 @@ class MpTpuServer(FrontDoor):
         self.worker_crashes = 0
         self.requeued = 0
         self._final_snapshot: Optional[dict] = None
+        #: Resolved with the error when a worker dies during start().
+        self._start_failed: Optional[asyncio.Future] = None
         #: Round-trip sequence numbers; workers echo them in replies.
         self._trip_seq = itertools.count()
         self.worker_traces: List[dict] = []
@@ -177,11 +180,45 @@ class MpTpuServer(FrontDoor):
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the worker fleet and start the admission loop."""
+        """Spawn the worker fleet and start the admission loop.
+
+        Raises :class:`~repro.errors.WorkerStartError` as soon as a
+        worker exits before it reports ready (or the fleet is not ready
+        in time), after tearing down every worker and ring.
+        """
         if self._loop_task is not None:
             return
         self._loop = asyncio.get_running_loop()
         self.started_at = self._clock()
+        failed = self._start_failed = self._loop.create_future()
+        ready = asyncio.ensure_future(
+            asyncio.gather(*(w.ready.wait() for w in self._workers))
+        )
+        try:
+            self._spawn_workers()
+            await asyncio.wait(
+                (ready, failed), timeout=_START_TIMEOUT,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if failed.done():
+                failed.result()  # raises the worker's WorkerStartError
+            if not ready.done():
+                raise WorkerStartError(
+                    f"worker fleet not ready within {_START_TIMEOUT:.0f} s"
+                )
+        except BaseException:
+            ready.cancel()
+            await asyncio.gather(ready, return_exceptions=True)
+            self._stopping = True
+            await self._reap_workers(graceful=False)
+            self._loop = None
+            raise
+        finally:
+            self._start_failed = None
+        self._start_dispatch()
+
+    def _spawn_workers(self) -> None:
+        """Create each worker's rings and pipes and start its process."""
         ctx = mp.get_context("spawn")
         base = 0
         for worker in self._workers:
@@ -229,11 +266,6 @@ class MpTpuServer(FrontDoor):
             self._loop.add_reader(
                 worker.process.sentinel, self._on_worker_exit, worker
             )
-        await asyncio.wait_for(
-            asyncio.gather(*(w.ready.wait() for w in self._workers)),
-            timeout=120.0,
-        )
-        self._start_dispatch()
 
     async def stop(self) -> None:
         """Drain snapshots, stop workers, reap processes, unlink rings."""
@@ -247,19 +279,24 @@ class MpTpuServer(FrontDoor):
         if self.tracer.enabled:
             self._collect_traces()
         self._final_snapshot = self._merged_snapshot()
-        for worker in self._workers:
-            worker.send(("stop",))
-        deadline = time.monotonic() + 10.0
-        for worker in self._workers:
-            if worker.process is None:
-                continue
-            timeout = max(deadline - time.monotonic(), 0.1)
-            await self._loop.run_in_executor(None, worker.process.join, timeout)
-            if worker.process.exitcode is None:
-                worker.process.terminate()
-                await self._loop.run_in_executor(None, worker.process.join, 5.0)
-            self._teardown_worker(worker)
+        await self._reap_workers(graceful=True)
         self._loop = None
+
+    async def _reap_workers(self, graceful: bool) -> None:
+        """Stop (or, not *graceful*, terminate) and join every worker
+        process, then tear down its pipes and rings."""
+        if graceful:
+            for worker in self._workers:
+                worker.send(("stop",))
+        deadline = time.monotonic() + (10.0 if graceful else 0.0)
+        for worker in self._workers:
+            if worker.process is not None:
+                timeout = max(deadline - time.monotonic(), 0.1)
+                await self._loop.run_in_executor(None, worker.process.join, timeout)
+                if worker.process.exitcode is None:
+                    worker.process.terminate()
+                    await self._loop.run_in_executor(None, worker.process.join, 5.0)
+            self._teardown_worker(worker)
 
     def _teardown_worker(self, worker: _Worker) -> None:
         """Remove readers, close pipes, unlink rings (idempotent)."""
@@ -467,6 +504,14 @@ class MpTpuServer(FrontDoor):
             except (OSError, ValueError):
                 pass
         if self._stopping or not worker.alive:
+            return
+        if not worker.ready.is_set():
+            # Died before reporting ready: start() fails (and tears the
+            # whole fleet down) instead of waiting out its timeout.
+            if self._start_failed is not None and not self._start_failed.done():
+                self._start_failed.set_exception(WorkerStartError(
+                    f"worker {worker.wid} exited before it was ready"
+                ))
             return
         # Consume everything the worker managed to send before dying —
         # a request it completed (and reported) must not be re-executed.

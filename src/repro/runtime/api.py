@@ -179,6 +179,10 @@ class OpenCtpu:
         lowered = self.tensorizer.lower(request)
         sp.add_device_seconds(lowered.total_exec_seconds)
         self.tracer.end(sp.set(instructions=lowered.instruction_count))
+        # The sync replay reads only the request's task id and
+        # dependencies: release the operands (and any float64 copies
+        # lowering made of them) now, not at sync.
+        request.inputs = ()
         self._pending.append(lowered)
         self._last_task = task_id
         if out is not None:

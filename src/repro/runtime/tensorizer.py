@@ -30,10 +30,12 @@ Two execution strategies produce that functional result:
 
 * the **scalar path** (``TensorizerOptions.vectorized=False``) dispatches
   one Python/scratch-device call per tile — the reference oracle;
-* the **vectorized path** (the default) stacks all same-shape tiles of
-  an operand into one ``(n_tiles, t, t)`` array and runs each lowering
-  rule as a handful of batched NumPy kernels (see
-  ``docs/performance.md``).  Both paths emit byte-for-byte identical
+* the **vectorized path** (the default) runs each lowering rule as a
+  handful of batched NumPy kernels: pairwise and unary ops one 128-row
+  band at a time on the operand's own layout, conv2D-GEMM over row
+  blocks of a fixed byte budget, the other rules over stacks of
+  same-shape tiles (see ``docs/performance.md``).  Host memory then
+  stays near the working set.  Both paths emit byte-for-byte identical
   ``LoweredInstr`` streams and bit-identical results; the property tests
   in ``tests/runtime/test_vectorized_equivalence.py`` enforce it.
 """
@@ -94,7 +96,6 @@ from repro.runtime.tiling import (
     fill_padding,
     grid_shape,
     iter_tiles,
-    scatter_tiles,
     stack_tiles,
     tile_sizes,
 )
@@ -108,27 +109,73 @@ MODEL_OVERHEAD_BYTES = HEADER_SIZE + 12
 _QUANT_CACHE_MAX = 65536
 
 #: Conv2D-GEMM scratch-buffer LRU bound.  A serving mix alternating
-#: between a few GEMM geometries keeps each one's ~tens-of-MB buffers
-#: resident; anything beyond a handful of live geometries is churn.
+#: between a few GEMM geometries keeps each one's buffers resident;
+#: anything beyond a handful of live geometries is churn.
 _GEMM_SCRATCH_SLOTS = 4
 
+#: Byte budget of one conv2D-GEMM row block: its quantized A rows plus
+#: their float32 slab products.  A GEMM streams over blocks of whole row
+#: chunks, so its scratch stays block-sized however tall A is, while a
+#: full serving group (16 coalesced 256² GEMMs) still fits in one block.
+_GEMM_BLOCK_BYTES = 8 << 20
 
-def _gemm_scratch(
-    m: int, n: int, k: int, rows_per_chunk: int, batch: int, members: int = 1
-) -> dict:
-    """Conv2D-GEMM buffers for *members* stacked (m, n) data operands."""
-    strip_h = min(rows_per_chunk, m)
+
+def _gemm_block_rows(n: int, k: int, rows_per_chunk: int, total_rows: int) -> int:
+    """Rows per streamed conv2D-GEMM block: whole row chunks within the
+    byte budget, at least one chunk, at most the rows there are."""
+    row_bytes = 4 * (n + k * len(functional.f32_slab_starts(n)))
+    chunks = max(_GEMM_BLOCK_BYTES // (row_bytes * rows_per_chunk), 1)
+    return min(chunks * rows_per_chunk, total_rows)
+
+
+def _gemm_scratch(block_rows: int, n: int, k: int, rows_per_chunk: int) -> dict:
+    """Conv2D-GEMM buffers: one row block, one strip, the quantized B.
+
+    The float64 strip holds one row chunk's accumulator at requantize,
+    and B's rows at quantize — as many as fit an eighth of the budget.
+    """
+    chunk_h = min(rows_per_chunk, block_rows)
+    strip_h = max(chunk_h, min(n, _GEMM_BLOCK_BYTES // (64 * k)))
     return {
-        "q_a": np.empty((members * m, n), dtype=np.float32),
+        "q_a": np.empty((block_rows, n), dtype=np.float32),
         "q_b": np.empty((n, k), dtype=np.float32),
-        "tmp_a": np.empty((strip_h, n), dtype=np.float64),
-        "tmp_b": np.empty((n, min(batch, k)), dtype=np.float64),
+        "tmp_a": np.empty((chunk_h, n), dtype=np.float64),
         "strip": np.empty((strip_h, k), dtype=np.float64),
         "parts": [
-            np.empty((members * m, k), dtype=np.float32)
+            np.empty((block_rows, k), dtype=np.float32)
             for _ in functional.f32_slab_starts(n)
         ],
     }
+
+
+def _tile_columns(cols: int, tile: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Start column and width of each tile column of a *cols*-wide matrix."""
+    starts = np.arange(0, cols, tile)
+    return starts, np.minimum(starts + tile, cols) - starts
+
+
+def _band_max_abs(band: np.ndarray, col_starts: np.ndarray) -> np.ndarray:
+    """Per-tile ``max |x|`` over one row band's tiles (no ``|x|`` temporary).
+
+    ``max(max, -min)`` per tile, its columns reduced with ``reduceat``:
+    bit-identical to :func:`batch_max_abs` of the tiles.  NaN survives
+    both reductions and ±inf the fold, so callers can validate the
+    reduced vector instead of the band.
+    """
+    hi = np.maximum.reduceat(band, col_starts, axis=1).max(axis=0)
+    lo = np.minimum.reduceat(band, col_starts, axis=1).min(axis=0)
+    return np.maximum(hi, -lo)
+
+
+def _quantize_band(band: np.ndarray, col_scales: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rint(x * f)`` with per-column scales, into the float64 *out*.
+
+    The int8 values :func:`quantize` produces, held as floats.  The clip
+    is dead: every scale is ``127 / max|x|`` of data covering the band
+    (or 1 where that range is too small to quantize).
+    """
+    np.multiply(band, col_scales, out=out)
+    return np.rint(out, out=out)
 
 
 class _LazyRange:
@@ -486,18 +533,21 @@ class Tensorizer:
 
     @staticmethod
     def _normalize_inputs(request: OperationRequest) -> None:
-        """Convert operands to C-contiguous float64 exactly once.
+        """Convert operands to float64 exactly once.
 
-        Every lowering rule (and, in GLOBAL mode, every per-tile range
-        scan) used to re-run ``np.asarray(x, dtype=np.float64)`` on the
-        full operands; converting up front makes all later ``asarray``
-        calls free and keeps tile slices views of one buffer.
+        Pairwise, unary and conv2D-GEMM rules read their operands in any
+        layout (transposed or broadcast views cost no copy); every other
+        rule gets C-contiguous operands, so its tile slices are views of
+        one buffer.
         """
-        request.inputs = tuple(
-            np.ascontiguousarray(x, dtype=np.float64) for x in request.inputs
+        op = request.opcode
+        any_layout = (
+            op.is_pairwise
+            or op.is_elementwise_unary
+            or (op is Opcode.CONV2D and request.attrs.get("gemm", False))
         )
-        for arr in request.inputs:
-            assert arr.flags.c_contiguous, "normalized operand must be C-contiguous"
+        convert = np.asarray if any_layout else np.ascontiguousarray
+        request.inputs = tuple(convert(x, dtype=np.float64) for x in request.inputs)
 
     def _model_build_seconds(self, elems: int) -> float:
         """Cost of creating one model blob (fast path or TFLite)."""
@@ -698,43 +748,66 @@ class Tensorizer:
             )
         return LoweredOperation(request, instrs, result, saturated=saturated)
 
+    def _band_input_scales(
+        self, request: OperationRequest, col_starts: np.ndarray, *bands: np.ndarray
+    ) -> np.ndarray:
+        """Input scales (§6.2.2) of one row band's tiles, covering *bands*.
+
+        One scale per tile: each tile's own ``127 / max|x|`` (SCALE) or
+        the whole-dataset scale (GLOBAL), exactly as
+        :meth:`_input_params` derives it for that tile alone.
+        """
+        if request.quant is QuantMode.GLOBAL:
+            return np.full(len(col_starts), self._input_params(request).scale)
+        max_abs = _band_max_abs(bands[0], col_starts)
+        for band in bands[1:]:
+            np.maximum(max_abs, _band_max_abs(band, col_starts), out=max_abs)
+        if not np.all(np.isfinite(max_abs)):
+            raise QuantizationError("data contains non-finite values")
+        return scales_for_ranges(max_abs)
+
+    def _elementwise_instr(
+        self, request: OperationRequest, index: Tuple[int, int], h: int, w: int
+    ) -> LoweredInstr:
+        """The IQ entry for tile *index* (h×w) of a pairwise or unary op.
+
+        Pairwise ops ship their second operand as a model; a request
+        naming its first operand (``data_name``) keeps that tile on chip.
+        """
+        op = request.opcode
+        elems = h * w
+        pairwise = op.is_pairwise
+        data_name = str(request.attrs.get("data_name", "")) if pairwise else ""
+        return LoweredInstr(
+            opcode=op,
+            task_id=request.task_id,
+            group_key="",
+            cache_key=f"{data_name}:t{index}" if data_name else "",
+            data_bytes=elems,
+            model_bytes=self._model_bytes(elems) if pairwise else 0,
+            model_build_seconds=self._model_build_seconds(elems) if pairwise else 0.0,
+            exec_seconds=self.timing.instruction_seconds(
+                op, elems, elems if op is Opcode.MUL else 0
+            ),
+            out_bytes=elems,
+            label=f"{op.opname}@{index}",
+        )
+
     def _lower_pairwise_batched(self, request: OperationRequest) -> LoweredOperation:
         a, b = self._require_2d_pair(request)
         if a.shape != b.shape:
             raise TensorizerError(f"pairwise shapes differ: {a.shape} vs {b.shape}")
         op = request.opcode
         tile = self.options.arithmetic_tile
+        rows, cols = a.shape
         minmax = _LazyRange(a, b)
-        data_name = str(request.attrs.get("data_name", ""))
         float_op = {Opcode.ADD: np.add, Opcode.SUB: np.subtract, Opcode.MUL: np.multiply}[op]
-
-        sa, tiles = stack_tiles(a, tile)
-        sb, _ = stack_tiles(b, tile)
-        sizes = tile_sizes(tiles)
-        # Input scales (§6.2.2): padding zeros cannot change a max |x|.
-        if request.quant is QuantMode.GLOBAL:
-            a_scales = b_scales = self._input_scales(request, sa)
-        elif op is Opcode.MUL:
-            a_scales = scales_for_ranges(batch_max_abs(sa))
-            b_scales = scales_for_ranges(batch_max_abs(sb))
-        else:
-            # add/sub share one scale so integer addition is aligned.
-            a_scales = b_scales = scales_for_ranges(
-                np.maximum(batch_max_abs(sa), batch_max_abs(sb))
-            )
-        # Measured Eq. 4 bound on the raw (pre-quantization) outputs;
-        # op(0, 0) == 0 for add/sub/mul, so padding never wins the max.
-        measured = np.abs(float_op(sa, sb)).max(axis=(1, 2))
-        out_scales = self._output_scales(op.opname, measured, minmax, np.int64(1))
-
-        qa = quantize_batched(sa, a_scales, assume_finite=True)
-        qb = quantize_batched(sb, b_scales, assume_finite=True)
-        batched = functional.pairwise_batched(op, qa, qb, a_scales, b_scales, sizes)
-        q_out, saturated = requantize_batched(batched.acc, batched.acc_scales, out_scales)
-        result = scatter_tiles(dequantize_batched(q_out, out_scales), a.shape, tile)
-        self.stats.tiles_lowered += len(tiles)
-        self.stats.batched_dispatches += 1
-
+        col_starts, widths = _tile_columns(cols, tile)
+        one = np.int64(1)
+        result = np.empty((rows, cols))
+        qa_buf = np.empty((min(tile, rows), cols))
+        qb_buf = np.empty_like(qa_buf)
+        saturated = 0
         # Pairwise ops have no linear accumulator structure for ABFT, so
         # their plan carries exact post-requantization checksums (and,
         # under "vote", the payload for dual-device byte comparison).
@@ -744,33 +817,54 @@ class Tensorizer:
             else None
         )
         instrs: List[LoweredInstr] = []
-        for i, t in enumerate(tiles):
-            elems = int(sizes[i])
-            instrs.append(
-                LoweredInstr(
-                    opcode=op,
-                    task_id=request.task_id,
-                    group_key="",
-                    cache_key=f"{data_name}:t{t.index}" if data_name else "",
-                    data_bytes=elems,
-                    model_bytes=self._model_bytes(elems),
-                    model_build_seconds=self._model_build_seconds(elems),
-                    exec_seconds=self.timing.instruction_seconds(
-                        op, elems, int(batched.macs[i])
-                    ),
-                    out_bytes=elems,
-                    label=f"{op.opname}@{t.index}",
+        # One 128-row band at a time, on the operands' own layout: every
+        # temporary is band-sized, and each tile's arithmetic is the
+        # scalar oracle's, applied with per-column expanded scales.
+        for r, r0 in enumerate(range(0, rows, tile)):
+            r1 = min(r0 + tile, rows)
+            a_band, b_band = a[r0:r1], b[r0:r1]
+            if op is Opcode.MUL:
+                a_scales = self._band_input_scales(request, col_starts, a_band)
+                b_scales = self._band_input_scales(request, col_starts, b_band)
+                acc_scales = a_scales * b_scales
+            else:
+                # add/sub share one scale so integer addition is aligned.
+                a_scales = b_scales = acc_scales = self._band_input_scales(
+                    request, col_starts, a_band, b_band
                 )
+            qa, qb = qa_buf[: r1 - r0], qb_buf[: r1 - r0]
+            # Measured Eq. 4 bound on the raw (pre-quantization) outputs.
+            measured = _band_max_abs(float_op(a_band, b_band, out=qa), col_starts)
+            out_scales = self._output_scales(op.opname, measured, minmax, one)
+            _quantize_band(a_band, np.repeat(a_scales, widths), qa)
+            _quantize_band(b_band, np.repeat(b_scales, widths), qb)
+            # The int8 products / sums are exact in float64.
+            float_op(qa, qb, out=qa)
+            # EdgeTPUDevice._requantize: rescale = out/acc, rint, clip.
+            # ``+ 0.0``: int8 has no signed zero, nor may the result.
+            np.multiply(qa, np.repeat(out_scales / acc_scales, widths), out=qa)
+            np.rint(qa, out=qa)
+            np.add(qa, 0.0, out=qa)
+            band_saturated = int(np.count_nonzero(qa > QMAX)) + int(
+                np.count_nonzero(qa < QMIN)
             )
-            if plan is not None:
-                h, w = t.shape()
-                plan.add(make_exact_check(
-                    label=f"{op.opname}@{t.index}",
-                    rows=(t.rows.start, t.rows.stop),
-                    cols=(t.cols.start, t.cols.stop),
-                    q=q_out[i, :h, :w],
-                    out_scale=float(out_scales[i]),
-                ))
+            if band_saturated:
+                saturated += band_saturated
+                np.clip(qa, QMIN, QMAX, out=qa)
+            np.divide(qa, np.repeat(out_scales, widths), out=result[r0:r1])
+            for c, c0 in enumerate(col_starts.tolist()):
+                c1 = c0 + int(widths[c])
+                instrs.append(self._elementwise_instr(request, (r, c), r1 - r0, c1 - c0))
+                if plan is not None:
+                    plan.add(make_exact_check(
+                        label=instrs[-1].label,
+                        rows=(r0, r1),
+                        cols=(c0, c1),
+                        q=qa[:, c0:c1],
+                        out_scale=float(out_scales[c]),
+                    ))
+        self.stats.tiles_lowered += len(instrs)
+        self.stats.batched_dispatches += 1
         if plan is not None:
             self.stats.integrity_plans += 1
             self.stats.integrity_tiles_planned += plan.tiles
@@ -824,46 +918,43 @@ class Tensorizer:
             raise TensorizerError(f"{request.opcode.opname} operates on a 2-D matrix")
         op = request.opcode
         tile = self.options.arithmetic_tile
-
-        sa, tiles = stack_tiles(a, tile)
-        sizes = tile_sizes(tiles)
-        scales = self._input_scales(request, sa)
-        qa = quantize_batched(sa, scales, assume_finite=True)
+        rows, cols = a.shape
+        col_starts, widths = _tile_columns(cols, tile)
+        result = np.empty((rows, cols))
+        q_buf = np.empty((min(tile, rows), cols))
         if op is Opcode.TANH:
-            batched = functional.tanh_batched(qa, scales)
-        else:
-            batched = functional.relu_batched(qa, scales)
-        # The device requantizes these ops losslessly at the accumulator
-        # scale (out/acc == 1.0 exactly), mirroring its default out_params.
-        q_out, saturated = requantize_batched(
-            batched.acc, batched.acc_scales, batched.acc_scales
-        )
-        result = scatter_tiles(
-            dequantize_batched(q_out, batched.acc_scales), a.shape, tile
-        )
-        self.stats.tiles_lowered += len(tiles)
-        self.stats.batched_dispatches += 1
-
+            levels = np.arange(-128, 128, dtype=np.int64)
+            # Column c of a band reads its tile's 256-entry table.
+            lut_offsets = np.repeat(np.arange(len(col_starts)) * 256 + 128, widths)
+            lut_idx = np.empty(q_buf.shape, dtype=np.intp)
         instrs: List[LoweredInstr] = []
-        for i, t in enumerate(tiles):
-            elems = int(sizes[i])
-            instrs.append(
-                LoweredInstr(
-                    opcode=op,
-                    task_id=request.task_id,
-                    group_key="",
-                    cache_key="",
-                    data_bytes=elems,
-                    model_bytes=0,
-                    model_build_seconds=0.0,
-                    exec_seconds=self.timing.instruction_seconds(
-                        op, elems, int(batched.macs[i])
-                    ),
-                    out_bytes=elems,
-                    label=f"{op.opname}@{t.index}",
-                )
+        for r, r0 in enumerate(range(0, rows, tile)):
+            r1 = min(r0 + tile, rows)
+            band = a[r0:r1]
+            scales = self._band_input_scales(request, col_starts, band)
+            q = _quantize_band(band, np.repeat(scales, widths), q_buf[: r1 - r0])
+            # The device requantizes these ops losslessly at the
+            # accumulator scale (out/acc == 1.0 exactly): the accumulator
+            # is the int8 output, and nothing saturates.
+            if op is Opcode.TANH:
+                # The same rint(tanh(level / scale) * 127) entries
+                # functional.tanh computes per tile, one table per tile.
+                luts = np.rint(np.tanh(levels[None, :] / scales[:, None]) * QMAX) + 0.0
+                idx = lut_idx[: r1 - r0]
+                np.add(q, lut_offsets, out=idx, casting="unsafe")
+                np.take(luts, idx, out=q)
+                np.divide(q, float(QMAX), out=result[r0:r1])
+            else:
+                np.maximum(q, 0.0, out=q)
+                np.add(q, 0.0, out=q)
+                np.divide(q, np.repeat(scales, widths), out=result[r0:r1])
+            instrs.extend(
+                self._elementwise_instr(request, (r, c), r1 - r0, int(w))
+                for c, w in enumerate(widths)
             )
-        return LoweredOperation(request, instrs, result, saturated=saturated)
+        self.stats.tiles_lowered += len(instrs)
+        self.stats.batched_dispatches += 1
+        return LoweredOperation(request, instrs, result)
 
     # ------------------------------------------------------------------
     # matrix-wise reductions: mean / max (§6.2.1 rule 2)
@@ -1345,20 +1436,20 @@ class Tensorizer:
     ) -> dict:
         """Keyed LRU of conv2D-GEMM scratch buffers (solo GEMMs).
 
-        Scratch (quantized operands, slab products, one strip
-        accumulator) survives between calls of the same geometry —
-        iterative apps re-lower identical shapes every step, and
-        refaulting ~50 MB of pages per call costs more than the
-        arithmetic.  The old single slot thrashed the moment a serving
-        mix *alternated* between two geometries (every call refaulted);
-        a small LRU keeps the few live geometries resident.
+        Scratch (one row block of quantized A and its slab products, the
+        quantized B, one strip accumulator) survives between calls of
+        the same geometry — iterative apps re-lower identical shapes
+        every step, and refaulting the pages per call costs more than
+        the arithmetic.  A small LRU keeps the few live geometries of a
+        serving mix resident.
         """
         key = (m, n, k, rows_per_chunk, batch)
         sc = self._gemm_scratch.get(key)
         if sc is not None:
             self._gemm_scratch.move_to_end(key)
             return sc
-        sc = _gemm_scratch(m, n, k, rows_per_chunk, batch)
+        block_rows = _gemm_block_rows(n, k, rows_per_chunk, m)
+        sc = _gemm_scratch(block_rows, n, k, rows_per_chunk)
         self._gemm_scratch[key] = sc
         while len(self._gemm_scratch) > _GEMM_SCRATCH_SLOTS:
             self._gemm_scratch.popitem(last=False)
@@ -1501,10 +1592,12 @@ class Tensorizer:
         A solo GEMM is a group of one; the serving coalescer's groups
         (:meth:`lower_gemm_coalesced`) arrive already checked to share B,
         the data shape, ``gemm_chunks`` and SCALE quantization.  B is
-        quantized once, every member's A is quantized chunk by chunk with
-        its *own* scales and stacked row-wise, and ONE exact-f32 slab
-        product serves the whole group.  Each member's strip is then
-        requantized with its own measured output bounds.
+        quantized once; the members' row chunks, each quantized with its
+        member's *own* scales, stream through row blocks of at most
+        ``_GEMM_BLOCK_BYTES``, and one exact-f32 slab product serves each
+        block (a serving group fits in one).  Each member's strips are
+        then requantized with its own measured output bounds.  Operands
+        are read in place, in any layout.
 
         Instructions always come from binding a :class:`CompiledPlan`:
         the cached one (a warm replay binds model builds at zero cost),
@@ -1564,9 +1657,9 @@ class Tensorizer:
             )
 
         # The warm-path host work the plan cache does NOT amortize: input
-        # range scans + quantization of A, and template binding.  (The
-        # slab product and requantize below are the modeled *device*
-        # math — on real hardware they run on the TPU.)
+        # range scans and template binding (A's quantize streams with the
+        # slab product below).  (The slab product and requantize are the
+        # modeled *device* math — on real hardware they run on the TPU.)
         bind_sp = (
             tracer.begin("plan_bind", cat="plan", track="tensorizer", op=op, requests=n_req)
             if replay
@@ -1583,12 +1676,17 @@ class Tensorizer:
             p_glob = self._input_params(first, a0)
             if not np.all(np.isfinite(a0)) or not np.all(np.isfinite(b)):
                 raise QuantizationError("data contains non-finite values")
-        # A solo GEMM keeps its geometry's scratch resident (iterative
-        # apps); a coalesced group's taller stack is allocated per call.
+        # Scratch is block-sized (see _gemm_block_rows).  A solo GEMM
+        # keeps its geometry's scratch resident (iterative apps); a
+        # coalesced group's is allocated per call.
+        block_rows = _gemm_block_rows(n, k, rows_per_chunk, n_req * m)
+        batch_sizes = np.array(
+            [min(j0 + batch, k) - j0 for j0 in col_starts], dtype=np.intp
+        )
         sc = (
             self._gemm_scratch_for(m, n, k, rows_per_chunk, batch)
             if n_req == 1
-            else _gemm_scratch(m, n, k, rows_per_chunk, batch, members=n_req)
+            else _gemm_scratch(block_rows, n, k, rows_per_chunk)
         )
 
         # Shared model operand.  A warm replay whose cached model block
@@ -1607,26 +1705,26 @@ class Tensorizer:
                 p_glob.scale if glob else self._chunk_params(b[:, j0 : j0 + batch]).scale
                 for j0 in col_starts
             ])
-            # Quantize chunk by chunk into a float32 buffer.  The scaling
-            # and rint arithmetic stay float64, so the stored integers
-            # are bit-identical to the scalar path's; the clip is
-            # provably dead because every scale is 127/max_abs of the
-            # very data it multiplies.  ``+ 0.0`` normalizes rint's
-            # ``-0.0`` to the ``+0.0`` the scalar path's int8 round-trip
-            # produces, keeping signed zeros bit-identical.
-            q_b, tmp_b = sc["q_b"], sc["tmp_b"]
-            for j0, scale in zip(col_starts, col_scales):
-                j1 = min(j0 + batch, k)
-                t = tmp_b[:, : j1 - j0]
-                np.multiply(b[:, j0:j1], scale, out=t)
+            # Quantize strip by strip into a float32 buffer, each column
+            # at its batch's scale.  The scaling and rint arithmetic stay
+            # float64, so the stored integers are bit-identical to the
+            # scalar path's; the clip is provably dead because every
+            # scale is 127/max_abs of the very data it multiplies.
+            # ``+ 0.0`` normalizes rint's ``-0.0`` to the ``+0.0`` the
+            # scalar path's int8 round-trip produces, keeping signed
+            # zeros bit-identical.
+            q_b, tmp = sc["q_b"], sc["strip"]
+            b_col_scales = np.repeat(col_scales, batch_sizes)
+            for r0 in range(0, n, len(tmp)):
+                t = tmp[: min(len(tmp), n - r0)]
+                np.multiply(b[r0 : r0 + len(t)], b_col_scales, out=t)
                 np.rint(t, out=t)
-                np.add(t, 0.0, out=q_b[:, j0:j1])
+                np.add(t, 0.0, out=q_b[r0 : r0 + len(t)])
             b_lo, b_hi = data_range(b)
 
-        # Each member's data operand, quantized with its own per-chunk
-        # scales into its rows of the stack.  Folding A's range with B's
+        # Each member's per-chunk scales, taken up front so a bad operand
+        # raises before anything is bound.  Folding A's range with B's
         # equals data_range(a, b) (the Eqs. 5-8 fallback input).
-        q_a, tmp_a = sc["q_a"], sc["tmp_a"]
         sources: List[str] = []
         ranges: List[Tuple[float, float]] = []
         all_row_params: List[List[QuantParams]] = []
@@ -1638,19 +1736,11 @@ class Tensorizer:
             # on-chip memory; bare arrays fall back to the sequence
             # number the caller advances once per request.
             sources.append(request.input_name or f"op{self._op_seq + idx}")
-            row_params = (
+            all_row_params.append(
                 [p_glob] * n_rows
                 if glob
                 else [self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts]
             )
-            all_row_params.append(row_params)
-            base = idx * m
-            for c0, p_rows in zip(row_starts, row_params):
-                c1 = min(c0 + rows_per_chunk, m)
-                t = tmp_a[: c1 - c0]
-                np.multiply(a[c0:c1], p_rows.scale, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_a[base + c0 : base + c1])
         tracer.end(sp)
 
         if cache is not None and not glob and not reuse_model:
@@ -1678,62 +1768,80 @@ class Tensorizer:
         if bind_sp is not None:
             tracer.end(bind_sp)
 
+        # Stream the stacked members' row chunks (member by member, chunk
+        # by chunk) through blocks of at most block_rows rows: quantize
+        # the block's A rows with their own per-chunk scales, take ONE
+        # exact-f32 slab product for the block, then requantize it strip
+        # by strip.  Rows never interact in the product, so a block's
+        # rows are bit-for-bit those of the whole stack's product.
+        pieces = [
+            (idx, ci, c0, min(c0 + rows_per_chunk, m))
+            for idx in range(n_req)
+            for ci, c0 in enumerate(row_starts)
+        ]
+        blocks: List[list] = [[]]
+        filled = 0
+        for piece in pieces:
+            height = piece[3] - piece[2]
+            if blocks[-1] and filled + height > block_rows:
+                blocks.append([])
+                filled = 0
+            blocks[-1].append(piece)
+            filled += height
         sp = tracer.begin(
-            "slab_gemm", cat="lower.phase", track="tensorizer", m=n_req * m, n=n, k=k
+            "row_blocks", cat="lower.phase", track="tensorizer",
+            blocks=len(blocks), m=n_req * m, n=n, k=k, requests=n_req,
         )
-        partials = functional.f32_slab_products(q_a, q_b, out=sc["parts"])
-        tracer.end(sp)
-        self.stats.tiles_lowered += n_req * n_rows * n_cols
-        self.stats.batched_dispatches += 1
-
-        # Requantize member by member, chunk-strip by chunk-strip: the
-        # exact float64 accumulator strip is assembled from the slab
-        # partials, its per-(chunk, batch) bounds taken with two reduceat
-        # passes, and the rescale/rint/clip/dequantize sequence applied
-        # with the per-batch factors expanded to a column vector —
-        # elementwise the identical operations (and operand values) the
-        # scalar loop applies to each piece, ~10 NumPy dispatches per
-        # chunk instead of ~8 per (chunk, batch) block.
-        sp = tracer.begin(
-            "requantize", cat="lower.phase", track="tensorizer",
-            chunks=n_rows, requests=n_req,
-        )
+        q_a, tmp_a = sc["q_a"], sc["tmp_a"]
         strip = sc["strip"]
         col_idx = np.array(col_starts, dtype=np.intp)
-        batch_sizes = np.array(
-            [min(j0 + batch, k) - j0 for j0 in col_starts], dtype=np.intp
-        )
         out_scales_row = np.empty(n_cols)
         rescale_row = np.empty(n_cols)
-        lowered: List[LoweredOperation] = []
-        for idx, request in enumerate(requests):
-            base = idx * m
-            minmax = _LazyRange(known=ranges[idx])
-            result = np.empty((m, k), dtype=np.float64)
-            saturated = 0
-            integ = (
-                IntegrityPlan(mode=self.options.integrity)
-                if self.options.integrity != "off"
-                else None
+        results = [np.empty((m, k), dtype=np.float64) for _ in requests]
+        saturated = [0] * n_req
+        integs = [
+            IntegrityPlan(mode=self.options.integrity)
+            if self.options.integrity != "off"
+            else None
+            for _ in requests
+        ]
+        for pieces_in_block in blocks:
+            offset = 0
+            for idx, ci, c0, c1 in pieces_in_block:
+                t = tmp_a[: c1 - c0]
+                np.multiply(requests[idx].inputs[0][c0:c1], all_row_params[idx][ci].scale, out=t)
+                np.rint(t, out=t)
+                np.add(t, 0.0, out=q_a[offset : offset + c1 - c0])
+                offset += c1 - c0
+            partials = functional.f32_slab_products(
+                q_a[:offset], q_b, out=[part[:offset] for part in sc["parts"]]
             )
-            for ci, c0 in enumerate(row_starts):
-                c1 = min(c0 + rows_per_chunk, m)
+            self.stats.batched_dispatches += 1
+            # Requantize chunk-strip by chunk-strip: the exact float64
+            # accumulator strip is assembled from the slab partials, its
+            # per-(chunk, batch) bounds taken with two reduceat passes,
+            # and the rescale/rint/clip/dequantize sequence applied with
+            # the per-batch factors expanded to a column vector —
+            # elementwise the identical operations (and operand values)
+            # the scalar loop applies to each piece.
+            offset = 0
+            for idx, ci, c0, c1 in pieces_in_block:
                 p_rows = all_row_params[idx][ci]
+                minmax = _LazyRange(known=ranges[idx])
+                integ = integs[idx]
                 st = strip[: c1 - c0]
-                r0, r1 = base + c0, base + c1
+                r0, r1 = offset, offset + c1 - c0
+                offset = r1
                 if len(partials) == 1:
                     np.copyto(st, partials[0][r0:r1])
                 else:
                     np.add(partials[0][r0:r1], partials[1][r0:r1], out=st)
                     for part in partials[2:]:
                         st += part[r0:r1]
-                # Per-batch |acc| bounds: max|x| == max(max, -min), and a
-                # segmented max equals each block's max — no abs temporary.
-                bmax = np.maximum.reduceat(st, col_idx, axis=1).max(axis=0)
-                bmin = np.minimum.reduceat(st, col_idx, axis=1).min(axis=0)
+                acc_bounds = _band_max_abs(st, col_idx).tolist()  # per batch
                 may_saturate = False
                 for bi in range(n_cols):
-                    acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
+                    acc_bound = acc_bounds[bi]
                     scale_prod = p_rows.scale * col_scales[bi]
                     measured = acc_bound / scale_prod
                     out_params = self._output_params(Opcode.CONV2D.opname, measured, minmax, n=n)
@@ -1764,11 +1872,13 @@ class Tensorizer:
                     # Saturation counts are additive across blocks and clip
                     # is a no-op wherever nothing exceeds ±127, so one strip
                     # pass equals the scalar path's per-block pass.
-                    saturated += int(np.count_nonzero(st > 127)) + int(
+                    saturated[idx] += int(np.count_nonzero(st > 127)) + int(
                         np.count_nonzero(st < -127)
                     )
                     np.clip(st, -128, 127, out=st)
-                np.divide(st, np.repeat(out_scales_row, batch_sizes), out=result[c0:c1])
+                np.divide(
+                    st, np.repeat(out_scales_row, batch_sizes), out=results[idx][c0:c1]
+                )
                 if integ is not None:
                     for bi, j0 in enumerate(col_starts):
                         j1 = j0 + int(batch_sizes[bi])
@@ -1782,6 +1892,12 @@ class Tensorizer:
                             acc_col_sums=None if acc_col is None else acc_col[j0:j1],
                             rescale=float(rescale_row[bi]),
                         ))
+        tracer.end(sp)
+        self.stats.tiles_lowered += n_req * n_rows * n_cols
+
+        lowered: List[LoweredOperation] = []
+        for idx, request in enumerate(requests):
+            integ = integs[idx]
             if integ is not None:
                 self.stats.integrity_plans += 1
                 self.stats.integrity_tiles_planned += integ.tiles
@@ -1791,11 +1907,10 @@ class Tensorizer:
             # already holds them.
             elems = m * s * s + (k * s * s if idx == 0 and not reuse_model else 0)
             lowered.append(LoweredOperation(
-                request, all_instrs[idx], result,
+                request, all_instrs[idx], results[idx],
                 cpu_seconds=self.cpu.elementwise_seconds(elems, bytes_per_elem=2),
-                saturated=saturated, integrity=integ,
+                saturated=saturated[idx], integrity=integ,
             ))
-        tracer.end(sp)
         if replay:
             # Counted only once the whole group lowered: a request that
             # raises above was never bound.

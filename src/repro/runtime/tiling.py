@@ -3,14 +3,14 @@
 Tensorizer "dynamically partition[s] tasks into Edge TPU instructions
 working on their optimal data sizes/shapes (e.g., 128×128 matrices in
 most arithmetic instructions)".  These helpers enumerate tile views and
-reassemble results; they return *views* wherever possible (guide: use
-views, not copies).
+stack tiles; they return *views* wherever possible (guide: use views,
+not copies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -130,48 +130,6 @@ def stack_tiles(matrix: np.ndarray, tile: int) -> Tuple[np.ndarray, List[Tile]]:
             full_r * tile :, full_c * tile :
         ]
     return buf.reshape(n_r * n_c, tile, tile), tiles
-
-
-def scatter_tiles(
-    stacked: np.ndarray,
-    shape: Tuple[int, int],
-    tile: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Reassemble a :func:`stack_tiles` stack into a ``shape`` matrix.
-
-    The inverse of :func:`stack_tiles`: padding regions of ragged edge
-    tiles are discarded.  Uses the same ≤4 strided block copies.
-    """
-    rows, cols = shape
-    n_r, n_c = grid_shape(shape, tile)
-    if stacked.shape != (n_r * n_c, tile, tile):
-        raise ValueError(
-            f"stack shape {stacked.shape} does not tile {shape} at {tile}"
-        )
-    buf = stacked.reshape(n_r, n_c, tile, tile)
-    if out is None:
-        out = np.empty(shape, dtype=stacked.dtype)
-    full_r, full_c = rows // tile, cols // tile
-    if full_r and full_c:
-        out[: full_r * tile, : full_c * tile] = (
-            buf[:full_r, :full_c].swapaxes(1, 2).reshape(full_r * tile, full_c * tile)
-        )
-    if full_c < n_c and full_r:
-        w = cols - full_c * tile
-        out[: full_r * tile, full_c * tile :] = buf[:full_r, full_c, :, :w].reshape(
-            full_r * tile, w
-        )
-    if full_r < n_r and full_c:
-        h = rows - full_r * tile
-        out[full_r * tile :, : full_c * tile] = (
-            buf[full_r, :full_c, :h, :].swapaxes(0, 1).reshape(h, full_c * tile)
-        )
-    if full_r < n_r and full_c < n_c:
-        out[full_r * tile :, full_c * tile :] = buf[
-            full_r, full_c, : rows - full_r * tile, : cols - full_c * tile
-        ]
-    return out
 
 
 def fill_padding(

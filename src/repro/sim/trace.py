@@ -9,12 +9,14 @@ on one device).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+import bisect
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+
+_NO_META: Mapping[str, object] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One timed activity in the simulation."""
 
     #: Activity start, simulated seconds.
@@ -29,12 +31,17 @@ class TraceRecord:
     #: Free-form label (opcode, buffer name, ...).
     label: str = ""
     #: Extra key/values (bytes moved, tile shape, task id, ...).
-    meta: Mapping[str, object] = field(default_factory=dict)
+    meta: Mapping[str, object] = _NO_META
 
     @property
     def duration(self) -> float:
         """Length of the activity in simulated seconds."""
         return self.end - self.start
+
+
+#: Builds a record from its field tuple, skipping the generated
+#: ``__new__``'s argument handling (one record per modeled activity).
+_make_record = tuple.__new__
 
 
 class Tracer:
@@ -43,6 +50,9 @@ class Tracer:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._records: List[TraceRecord] = []
+        #: Running maximum of record starts, extended on demand: no
+        #: record before index i starts at or after ``_start_hwm[i]``.
+        self._start_hwm: List[float] = []
 
     def record(
         self,
@@ -58,7 +68,10 @@ class Tracer:
             return
         if end < start:
             raise ValueError(f"trace record ends before it starts ({start} > {end})")
-        self._records.append(TraceRecord(start, end, kind, unit, label, dict(meta)))
+        # ``meta`` is already a fresh dict, owned by this record.
+        self._records.append(
+            _make_record(TraceRecord, (start, end, kind, unit, label, meta))
+        )
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
@@ -86,7 +99,7 @@ class Tracer:
         simulated time — used to account one ``sync()`` window at a time.
         """
         by_unit: Dict[str, List[Tuple[float, float]]] = {}
-        for rec in self._records:
+        for rec in self._records[self._first_start_at(since) :]:
             if rec.start >= since:
                 by_unit.setdefault(rec.unit, []).append((rec.start, rec.end))
         out: Dict[str, float] = {}
@@ -104,6 +117,21 @@ class Tracer:
             out[unit] = total
         return out
 
+    def _first_start_at(self, since: float) -> int:
+        """Index of the first record starting at or after *since*.
+
+        Every earlier record starts before it, so a tally from *since*
+        scans one sync's records (plus any zero-length record an earlier
+        sync stamped exactly at *since*), not the whole history.
+        """
+        hwm = self._start_hwm
+        top = hwm[-1] if hwm else float("-inf")
+        for rec in self._records[len(hwm) :]:
+            if rec.start > top:
+                top = rec.start
+            hwm.append(top)
+        return bisect.bisect_left(hwm, since)
+
     def span(self) -> Optional[Tuple[float, float]]:
         """(earliest start, latest end) across all records, or None."""
         if not self._records:
@@ -116,6 +144,7 @@ class Tracer:
     def clear(self) -> None:
         """Drop all collected records."""
         self._records.clear()
+        self._start_hwm.clear()
 
     def to_chrome_trace(self) -> List[Dict[str, object]]:
         """Export records as Chrome trace-event objects.

@@ -178,3 +178,40 @@ class TestMpServer:
             MpTpuServer(_platform(tpus=2), ServeConfig(), workers=3)
         with pytest.raises(ValueError):
             MpTpuServer(_platform(), ServeConfig(), workers=0)
+
+    def test_worker_dying_before_ready_fails_start_fast_and_cleans_up(self, monkeypatch):
+        # Unlink worker 1's request ring right after creating it: the
+        # worker's attach raises FileNotFoundError and it exits before
+        # reporting ready.  start() must fail at once, typed, and leave
+        # no worker process or shared-memory segment behind.
+        import os
+
+        from repro.errors import WorkerStartError
+        from repro.mp import server as server_module
+
+        created = []
+        real_create = server_module.ShmRing.create
+
+        def create(capacity, name=None):
+            ring = real_create(capacity, name)
+            created.append(ring.shm.name.lstrip("/"))
+            if len(created) == 3:  # worker 1's request ring
+                ring.shm.unlink()
+            return ring
+
+        monkeypatch.setattr(server_module.ShmRing, "create", staticmethod(create))
+        server = MpTpuServer(_platform(), ServeConfig(time_scale=0.0), workers=2)
+
+        async def run():
+            t0 = time.monotonic()
+            with pytest.raises(WorkerStartError, match="worker 1 exited"):
+                await server.start()
+            return time.monotonic() - t0
+
+        elapsed = asyncio.run(run())
+        assert elapsed < 60.0  # the ready wait alone allows 120 s
+        assert len(created) == 4
+        assert not [n for n in created if os.path.exists(f"/dev/shm/{n}")]
+        for worker in server._workers:
+            assert not worker.process.is_alive()
+            assert worker.req_ring is None and worker.res_ring is None

@@ -7,9 +7,13 @@ aggregation seconds, and a byte-for-byte identical ``LoweredInstr``
 stream as the scalar reference oracle (``vectorized=False``).  These
 tests drive both paths over random shapes — including ragged edge tiles
 — and degenerate data (zeros, constants, all-negative matrices).
+
+``EQUIVALENCE_EXAMPLES`` overrides every property's example count (CI
+runs ~500 with a fixed ``--hypothesis-seed``).
 """
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.edgetpu import functional
 from repro.edgetpu.isa import Opcode
 from repro.edgetpu.quantize import params_for_data, quantize
 from repro.edgetpu.quantize import (
@@ -30,7 +35,7 @@ from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime import tensorizer as tensorizer_module
 from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
-from repro.runtime.tiling import fill_padding, iter_tiles, scatter_tiles, stack_tiles
+from repro.runtime.tiling import fill_padding, iter_tiles, stack_tiles
 
 quant_modes = st.sampled_from([QuantMode.SCALE, QuantMode.GLOBAL])
 # Cross the 128 (arithmetic) and 64 (reduction) tile edges so ragged
@@ -43,6 +48,13 @@ dims = st.one_of(
     st.sampled_from([63, 65, 127, 129, 255]),
 )
 seeds = st.integers(0, 2**32 - 1)
+
+_EXAMPLES = os.environ.get("EQUIVALENCE_EXAMPLES")
+
+
+def examples(default: int) -> settings:
+    """Hypothesis settings: *default* examples unless the env overrides."""
+    return settings(max_examples=int(_EXAMPLES or default), deadline=None)
 
 
 def make_request(op, *inputs, quant=QuantMode.SCALE, **attrs):
@@ -73,10 +85,47 @@ def data(rng, shape, style):
 styles = st.sampled_from(["normal", "zeros", "negative", "constant", "sparse"])
 
 
+def laid_out(matrix, layout, rng):
+    """A non-contiguous view: *matrix* transposed back or strided, or
+    its first row broadcast down (``"broadcast"``)."""
+    rows, cols = matrix.shape
+    if layout == "transposed":
+        return np.ascontiguousarray(matrix.T).T
+    if layout == "strided":
+        parent = rng.normal(size=(2 * rows, 3 * cols))
+        parent[::2, ::3] = matrix
+        return parent[::2, ::3]
+    return np.broadcast_to(matrix[:1], (rows, cols))  # one row, repeated
+
+
+def assert_same_as_contiguous(op, operands, **kwargs):
+    """Lowering views equals lowering their C-contiguous copies."""
+    copies = [np.ascontiguousarray(x) for x in operands]
+    views = Tensorizer().lower(make_request(op, *operands, **kwargs))
+    dense = Tensorizer().lower(make_request(op, *copies, **kwargs))
+    assert np.asarray(views.result).tobytes() == np.asarray(dense.result).tobytes()
+    assert views.instrs == dense.instrs
+    assert views.saturated == dense.saturated
+
+
 def assert_equivalent(build_request, **options):
-    """Lower one request through both paths and demand exact equality."""
+    """Lower one request through both paths and demand exact equality.
+
+    The vectorized path also lowers it with ``integrity="abft"``: the
+    same result and stream, plus one check per instruction whose label,
+    out scale and expected int8 tile are the scalar oracle's.
+    """
     vec = Tensorizer(options=TensorizerOptions(vectorized=True, **options))
     ref = Tensorizer(options=TensorizerOptions(vectorized=False, **options))
+    ref_out_scales = []
+    output_params = ref._output_params
+
+    def recorded_output_params(*args, **kwargs):
+        params = output_params(*args, **kwargs)
+        ref_out_scales.append(params.scale)
+        return params
+
+    ref._output_params = recorded_output_params
     lv = vec.lower(build_request())
     ls = ref.lower(build_request())
     rv, rs = np.asarray(lv.result), np.asarray(ls.result)
@@ -88,13 +137,32 @@ def assert_equivalent(build_request, **options):
     assert lv.instruction_count == ls.instruction_count
     assert vec.stats.instructions_emitted == ref.stats.instructions_emitted
 
+    checked = Tensorizer(options=TensorizerOptions(**{**options, "integrity": "abft"}))
+    la = checked.lower(build_request())
+    assert np.asarray(la.result).tobytes() == rs.tobytes()
+    assert la.instrs == ls.instrs
+    if la.integrity is None:
+        return
+    checks = list(la.integrity.checks.values())
+    assert [c.label for c in checks] == [i.label for i in ls.instrs]
+    assert [c.out_scale for c in checks] == ref_out_scales
+    rebuilt = np.full_like(rs, np.nan)
+    for c in checks:
+        (r0, r1), (c0, c1) = c.rows, c.cols
+        # result = q / out_scale, so rint recovers the int8 q exactly.
+        want = np.rint(rs[r0:r1, c0:c1] * c.out_scale).astype(np.int8)
+        assert c.expected.dtype == np.int8
+        assert c.expected.tobytes() == want.tobytes()
+        c.write_back(rebuilt, c.expected)
+    assert rebuilt.tobytes() == rs.tobytes()
+
 
 class TestElementwiseEquivalence:
     @given(
         st.sampled_from([Opcode.ADD, Opcode.SUB, Opcode.MUL]),
         dims, dims, quant_modes, styles, seeds,
     )
-    @settings(max_examples=60, deadline=None)
+    @examples(60)
     def test_pairwise(self, op, rows, cols, quant, style, seed):
         rng = np.random.default_rng(seed)
         a = data(rng, (rows, cols), style)
@@ -105,7 +173,7 @@ class TestElementwiseEquivalence:
         st.sampled_from([Opcode.RELU, Opcode.TANH]),
         dims, dims, quant_modes, styles, seeds,
     )
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_unary(self, op, rows, cols, quant, style, seed):
         rng = np.random.default_rng(seed)
         a = data(rng, (rows, cols), style)
@@ -115,11 +183,27 @@ class TestElementwiseEquivalence:
         st.sampled_from([Opcode.MEAN, Opcode.MAX]),
         dims, dims, quant_modes, styles, seeds,
     )
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_reductions(self, op, rows, cols, quant, style, seed):
         rng = np.random.default_rng(seed)
         a = data(rng, (rows, cols), style)
         assert_equivalent(lambda: make_request(op, a, quant=quant))
+
+    @given(
+        st.sampled_from([Opcode.ADD, Opcode.MUL, Opcode.TANH, Opcode.RELU]),
+        dims, dims, quant_modes, styles, seeds,
+        st.sampled_from(["transposed", "strided", "broadcast"]),
+    )
+    @examples(30)
+    def test_elementwise_any_layout(self, op, rows, cols, quant, style, seed, layout):
+        # Banded lowering reads operands in their own layout: a view
+        # lowers exactly like its contiguous copy, on both paths.
+        rng = np.random.default_rng(seed)
+        a = laid_out(data(rng, (rows, cols), style), layout, rng)
+        b = laid_out(data(rng, (rows, cols), "normal"), layout, rng)
+        operands = (a, b) if op.is_pairwise else (a,)
+        assert_equivalent(lambda: make_request(op, *operands, quant=quant))
+        assert_same_as_contiguous(op, operands, quant=quant)
 
     def test_max_on_all_negative_ragged_matrix(self):
         # Zero padding of ragged tiles must not leak into the maximum.
@@ -129,7 +213,7 @@ class TestElementwiseEquivalence:
 
 class TestMatrixEquivalence:
     @given(dims, dims, quant_modes, styles, seeds)
-    @settings(max_examples=30, deadline=None)
+    @examples(30)
     def test_matvec(self, m, n, quant, style, seed):
         rng = np.random.default_rng(seed)
         mat = data(rng, (m, n), style)
@@ -140,11 +224,21 @@ class TestMatrixEquivalence:
             )
         )
 
+    @pytest.mark.parametrize("quant", [QuantMode.SCALE, QuantMode.GLOBAL])
+    def test_matvec_spanning_several_tile_batches(self, quant):
+        # 5 x 6 = 30 weight tiles: more than one batched matmul's worth.
+        rng = np.random.default_rng(12)
+        mat, vec = rng.normal(size=(600, 700)), rng.normal(size=600)
+        assert 30 > functional._FC_TILES_PER_MATMUL
+        assert_equivalent(
+            lambda: make_request(Opcode.FULLY_CONNECTED, vec, mat, quant=quant, model_name="w")
+        )
+
     @given(
         st.integers(1, 96), st.integers(1, 96), st.integers(1, 96),
         quant_modes, styles, seeds,
     )
-    @settings(max_examples=25, deadline=None)
+    @examples(25)
     def test_gemm_fc(self, m, n, k, quant, style, seed):
         rng = np.random.default_rng(seed)
         a = data(rng, (m, n), style)
@@ -157,7 +251,7 @@ class TestMatrixEquivalence:
         st.integers(1, 96), st.integers(1, 96), st.integers(1, 96),
         quant_modes, styles, seeds,
     )
-    @settings(max_examples=25, deadline=None)
+    @examples(25)
     def test_gemm_conv2d(self, m, n, k, quant, style, seed):
         rng = np.random.default_rng(seed)
         a = data(rng, (m, n), style)
@@ -165,6 +259,54 @@ class TestMatrixEquivalence:
         assert_equivalent(
             lambda: make_request(Opcode.CONV2D, a, b, quant=quant, gemm=True)
         )
+
+    @given(
+        st.integers(1, 96), st.integers(1, 96), st.integers(1, 96),
+        quant_modes, styles, seeds, st.sampled_from(["transposed", "strided"]),
+    )
+    @examples(25)
+    def test_gemm_conv2d_any_layout(self, m, n, k, quant, style, seed, layout):
+        # conv2D-GEMM reads both operands in place (x.T, strided views).
+        rng = np.random.default_rng(seed)
+        a = laid_out(data(rng, (m, n), style), layout, rng)
+        b = laid_out(data(rng, (n, k), "normal"), layout, rng)
+        assert_equivalent(
+            lambda: make_request(Opcode.CONV2D, a, b, quant=quant, gemm=True)
+        )
+        assert_same_as_contiguous(Opcode.CONV2D, (a, b), quant=quant, gemm=True)
+
+    def test_gemm_conv2d_spanning_several_row_blocks(self):
+        # Tall enough to stream in >= 3 row blocks, wide enough for two
+        # f32 slabs; each block's rows must equal the whole product's.
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(1100, 2800)).T  # x.T, as backprop's dW1
+        b = rng.normal(size=(1100, 300))
+        tz = Tensorizer()
+        _, rows_per_chunk, _ = tz._gemm_conv2d_geometry(make_request(Opcode.CONV2D, a, b), *a.shape)
+        block_rows = tensorizer_module._gemm_block_rows(1100, 300, rows_per_chunk, 2800)
+        assert -(-2800 // block_rows) >= 3
+        assert_equivalent(lambda: make_request(Opcode.CONV2D, a, b, gemm=True))
+
+    def test_gemm_coalesced_blocks_crossing_members(self, monkeypatch):
+        # A small block budget makes row blocks straddle member
+        # boundaries; every member must still lower as it does alone.
+        rng = np.random.default_rng(9)
+        b = rng.normal(size=(129, 65))
+        requests = [
+            make_request(Opcode.CONV2D, rng.normal(size=(64, 129)), b, gemm=True)
+            for _ in range(3)
+        ]
+        solo = [Tensorizer(options=TensorizerOptions(integrity="abft")).lower(r) for r in requests]
+        monkeypatch.setattr(tensorizer_module, "_GEMM_BLOCK_BYTES", 64 * 1024)
+        assert tensorizer_module._gemm_block_rows(129, 65, 2, 192) % 64 != 0
+        group = Tensorizer(options=TensorizerOptions(integrity="abft")).lower_gemm_coalesced(requests)
+        for alone, member in zip(solo, group):
+            assert member.result.tobytes() == alone.result.tobytes()
+            assert member.saturated == alone.saturated
+            assert [i.label for i in member.instrs] == [i.label for i in alone.instrs]
+            for want, got in zip(alone.integrity.checks.values(), member.integrity.checks.values()):
+                assert (got.label, got.out_scale) == (want.label, want.out_scale)
+                assert got.expected.tobytes() == want.expected.tobytes()
 
     def test_gemm_conv2d_signed_zero_rows(self):
         # A zero row of A against an all-negative column of B drives the
@@ -183,7 +325,7 @@ class TestMatrixEquivalence:
         st.sampled_from(["none", "cold", "warm"]),
         st.sampled_from(["off", "abft"]),
     )
-    @settings(max_examples=30, deadline=None)
+    @examples(30)
     def test_gemm_coalesced_matches_solo_lowering(
         self, n, k, clients, style, seed, cache, integrity
     ):
@@ -312,8 +454,8 @@ class TestLazyRange:
 
 class TestBatchedKernelEquivalence:
     @given(dims, dims, st.sampled_from([64, 128]), seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_stack_scatter_roundtrip(self, rows, cols, tile, seed):
+    @examples(40)
+    def test_stack_tiles_layout(self, rows, cols, tile, seed):
         a = np.random.default_rng(seed).normal(size=(rows, cols))
         stacked, tiles = stack_tiles(a, tile)
         assert len(tiles) == stacked.shape[0]
@@ -321,10 +463,9 @@ class TestBatchedKernelEquivalence:
             h, w = t.shape()
             assert stacked[i, :h, :w].tobytes() == a[t.rows, t.cols].tobytes()
             assert not stacked[i, h:, :].any() and not stacked[i, :, w:].any()
-        assert scatter_tiles(stacked, a.shape, tile).tobytes() == a.tobytes()
 
     @given(dims, dims, seeds)
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_quantize_batched_matches_per_tile(self, rows, cols, seed):
         a = np.random.default_rng(seed).normal(size=(rows, cols)) * 9
         stacked, tiles = stack_tiles(a, 64)
@@ -336,7 +477,7 @@ class TestBatchedKernelEquivalence:
             assert q[i, :h, :w].tobytes() == expect.tobytes()
 
     @given(dims, dims, st.sampled_from([64, 128]), st.booleans(), seeds)
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_quantize_tiles_matches_stack_then_quantize(self, rows, cols, tile, glob, seed):
         a = np.random.default_rng(seed).normal(size=(rows, cols)) * 9
         a[: rows // 2, : cols // 3] = 0.0  # all-zero tiles take scale 1
@@ -364,8 +505,9 @@ class TestBatchedKernelEquivalence:
 
     def test_fill_padding_overwrites_only_padding(self):
         a = np.ones((70, 70))
-        stacked, _ = stack_tiles(a, 64)
+        stacked, tiles = stack_tiles(a, 64)
         fill_padding(stacked, a.shape, 64, -128)
-        back = scatter_tiles(stacked, a.shape, 64)
-        assert (back == 1.0).all()
+        for i, t in enumerate(tiles):
+            h, w = t.shape()
+            assert (stacked[i, :h, :w] == 1.0).all()
         assert (stacked[-1, 6:, :] == -128).all()

@@ -154,6 +154,37 @@ class TestTracerEdgeCases:
         tracer.record(1.0, 2.0, "b", "u")
         assert tracer.busy_seconds(since=1.0)["u"] == pytest.approx(1.0)
 
+    def test_busy_seconds_since_keeps_zero_length_records_at_since(self):
+        # An earlier window may stamp a zero-length record exactly at the
+        # next window's start; the tally from there must still see it.
+        tracer = Tracer()
+        tracer.record(0.0, 1.0, "a", "u")
+        tracer.record(1.0, 1.0, "host", "cpu")
+        tracer.record(0.5, 1.0, "b", "u")
+        assert tracer.busy_seconds(since=1.0) == {"cpu": 0.0}
+        tracer.record(1.0, 2.0, "c", "u")
+        assert tracer.busy_seconds(since=1.0) == {"cpu": 0.0, "u": 1.0}
+
+    def test_busy_seconds_since_matches_full_scan(self):
+        import random
+
+        rng = random.Random(5)
+        tracer, records = Tracer(), []
+        for window in range(6):
+            t0 = float(window)
+            for _ in range(rng.randint(0, 12)):
+                start = t0 + rng.choice([0.0, 0.25, 0.5, 1.0])
+                end = min(start + rng.choice([0.0, 0.25, 0.5]), t0 + 1.0)
+                unit = rng.choice(["u", "v", "cpu"])
+                tracer.record(start, end, "x", unit)
+                records.append((start, end, unit))
+            for since in (0.0, t0, t0 + 0.25, t0 + 1.0):
+                expect = Tracer()
+                for start, end, unit in records:
+                    if start >= since:
+                        expect.record(start, end, "x", unit)
+                assert tracer.busy_seconds(since=since) == expect.busy_seconds()
+
     def test_span_and_len(self):
         tracer = Tracer()
         assert tracer.span() is None
