@@ -44,7 +44,7 @@ from repro.nn.models import MODELS, sample_input
 from repro.plan.cache import PlanCache
 from repro.runtime.api import OpenCtpu
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
+from repro.runtime.tensorizer import Tensorizer
 from repro.telemetry.tracer import SpanTracer
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_nn.json"
@@ -79,7 +79,7 @@ def time_layer(name: str, x_shape, w_shape, padding) -> Dict:
     x = rng.normal(size=x_shape)
     w = rng.normal(size=w_shape)
 
-    fresh_tz = Tensorizer(options=TensorizerOptions(vectorized=True))
+    fresh_tz = Tensorizer()
     fresh = float("inf")
     for _ in range(FRESH_REPS):
         start = time.perf_counter()
@@ -89,7 +89,6 @@ def time_layer(name: str, x_shape, w_shape, padding) -> Dict:
     tracer = SpanTracer()
     cache = PlanCache()
     tz = Tensorizer(
-        options=TensorizerOptions(vectorized=True),
         tracer=tracer,
         plan_cache=cache,
     )

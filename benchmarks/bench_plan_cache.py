@@ -42,7 +42,7 @@ import pytest
 from repro.edgetpu.isa import Opcode
 from repro.plan.cache import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
+from repro.runtime.tensorizer import Tensorizer
 from repro.telemetry.tracer import SpanTracer
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_plan_cache.json"
@@ -70,7 +70,7 @@ def time_plan_paths(n: int) -> Dict:
     b = rng.normal(size=(n, n))
 
     # Fresh baseline: no plan cache, every request lowers from scratch.
-    fresh_tz = Tensorizer(options=TensorizerOptions(vectorized=True))
+    fresh_tz = Tensorizer()
     fresh = float("inf")
     for _ in range(3):
         request = _gemm_request(a.copy(), b)
@@ -85,7 +85,6 @@ def time_plan_paths(n: int) -> Dict:
     tracer = SpanTracer()
     cache = PlanCache()
     tz = Tensorizer(
-        options=TensorizerOptions(vectorized=True),
         tracer=tracer,
         plan_cache=cache,
     )

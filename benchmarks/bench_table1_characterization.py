@@ -2,13 +2,20 @@
 
 Runs the paper's two-phase measurement loop (Eqs. 1–3) against the
 simulated device and compares every row with the published Table 1.
-Also reproduces the §3.2 data-exchange measurements (1 MB ≈ 6 ms,
-8 MB ≈ 48 ms).
+The NN extension's pool and softmax instructions are not in the paper;
+they get their own table against their calibrated rates.  Also
+reproduces the §3.2 data-exchange measurements (1 MB ≈ 6 ms, 8 MB ≈
+48 ms).
 """
 
 import pytest
 
-from repro.bench import characterize_all, format_table, measure_data_exchange
+from repro.bench import (
+    characterize_all,
+    characterize_extensions,
+    format_table,
+    measure_data_exchange,
+)
 
 
 def test_table1_ops_and_rps(benchmark, report):
@@ -45,6 +52,31 @@ def test_table1_ops_and_rps(benchmark, report):
     # (2) OPS and RPS are not strongly correlated (sub vs FullyConnected).
     assert by_name["sub"].ops < by_name["FullyConnected"].ops
     assert by_name["sub"].rps > by_name["FullyConnected"].rps
+
+
+def test_extension_ops_and_rps(benchmark, report):
+    rows = benchmark.pedantic(characterize_extensions, rounds=1, iterations=1)
+    report(
+        format_table(
+            ["operator", "OPS (meas)", "OPS (calib)", "RPS (meas)", "RPS (calib)", "description"],
+            [
+                (
+                    r.opname,
+                    f"{r.ops:.2f}",
+                    f"{r.paper_ops:.2f}",
+                    f"{r.rps:.2f}",
+                    f"{r.paper_rps:.2f}",
+                    r.description,
+                )
+                for r in rows
+            ],
+            title="NN extension instructions (not in the paper's Table 1; calibrated rates)",
+        )
+    )
+    assert [r.opname for r in rows] == ["pool", "softmax"]
+    for row in rows:
+        assert row.ops_error_percent < 1.0, row.opname
+        assert row.rps_error_percent < 1.0, row.opname
 
 
 def test_data_exchange_rate(benchmark, report):

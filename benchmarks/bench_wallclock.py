@@ -4,9 +4,10 @@ Unlike the Fig. 6–9 benchmarks, which report *simulated* Edge TPU time,
 this file measures how long the simulator takes on the host: the real
 seconds ``Tensorizer.lower`` (functional execution included) spends on
 GEMMs of 512/1024/2048 and on one iteration of each §7.2 application,
-for both the vectorized (default) and scalar (`vectorized=False`)
-paths.  Results land in ``BENCH_wallclock.json`` at the repo root so
-future changes have a perf trajectory to regress against; see
+for both the production Tensorizer and the per-tile conformance
+reference (``repro.conformance.reference.ReferenceTensorizer``).
+Results land in ``BENCH_wallclock.json`` at the repo root so future
+changes have a perf trajectory to regress against; see
 ``docs/performance.md`` for how to read it.
 
 Run with::
@@ -14,7 +15,7 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_wallclock.py
     PYTHONPATH=src python -m pytest benchmarks/bench_wallclock.py -m slow
 
-The pytest entry is marked ``slow`` (several minutes of scalar-path
+The pytest entry is marked ``slow`` (several minutes of reference
 lowering) and is excluded from the tier-1 run.
 """
 
@@ -29,11 +30,12 @@ import numpy as np
 import pytest
 
 from repro.apps import all_applications
+from repro.conformance.reference import ReferenceTensorizer, reference_runtime
 from repro.edgetpu.isa import Opcode
 from repro.host.platform import Platform
 from repro.runtime.api import OpenCtpu
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
+from repro.runtime.tensorizer import Tensorizer
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_wallclock.json"
 
@@ -57,7 +59,7 @@ def time_gemm_lowering(n: int, vectorized: bool, reps: int = 3) -> float:
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n))
     b = rng.normal(size=(n, n))
-    tz = Tensorizer(options=TensorizerOptions(vectorized=vectorized))
+    tz = Tensorizer() if vectorized else ReferenceTensorizer()
     best = float("inf")
     for _ in range(reps):
         request = _gemm_request(a.copy(), b.copy())
@@ -74,10 +76,8 @@ def time_app_iteration(name: str, vectorized: bool) -> float:
     if "iterations" in params:
         params["iterations"] = 1
     inputs = app.generate(seed=5, **params)
-    ctx = OpenCtpu(
-        Platform.with_tpus(1),
-        options=TensorizerOptions(vectorized=vectorized),
-    )
+    platform = Platform.with_tpus(1)
+    ctx = OpenCtpu(platform) if vectorized else reference_runtime(platform)
     start = time.perf_counter()
     app.run_gptpu(inputs, ctx)
     return time.perf_counter() - start
@@ -120,8 +120,8 @@ def test_wallclock_bench(report):
     results = run_benchmark()
     write_results(results)
     report(json.dumps(results, indent=2))
-    # Acceptance floor: the vectorized path must beat the scalar oracle
-    # by >= 5x on the flagship 2048 GEMM lowering.
+    # Acceptance floor: the production path must beat the per-tile
+    # reference by >= 5x on the flagship 2048 GEMM lowering.
     assert results["criterion_speedup_2048_gemm_lowering"] >= 5.0
 
 

@@ -7,6 +7,7 @@ benchmark file per paper table/figure (see DESIGN.md §3).
 from repro.bench.characterize import (
     CharacterizationRow,
     characterize_all,
+    characterize_extensions,
     characterize_op,
     measure_data_exchange,
 )
@@ -17,6 +18,7 @@ __all__ = [
     "AppRunRecord",
     "CharacterizationRow",
     "characterize_all",
+    "characterize_extensions",
     "characterize_op",
     "comparison_table",
     "format_table",

@@ -149,14 +149,28 @@ def characterize_op(
     )
 
 
-def characterize_all(config: Optional[EdgeTPUConfig] = None) -> List[CharacterizationRow]:
-    """Measure every device instruction — the full Table 1.
+#: Device instructions of the NN-inference extension (docs/nn.md).  They
+#: are not in the paper's Table 1; :func:`characterize_extensions`
+#: measures them against their calibrated rates.  Macro opcodes
+#: (``conv2D_nn``) lower onto other instructions on the host and never
+#: execute on a device, so neither table has them.
+EXTENSION_OPCODES = (Opcode.POOL, Opcode.SOFTMAX)
 
-    Macro opcodes (``conv2D_nn``) are skipped: they lower onto other
-    instructions on the host and never execute on a device.
-    """
+
+def characterize_all(config: Optional[EdgeTPUConfig] = None) -> List[CharacterizationRow]:
+    """Measure the paper's eleven instructions — the full Table 1."""
     device = EdgeTPUDevice("characterize", config)
-    return [characterize_op(op, device) for op in Opcode if not op.is_macro]
+    return [
+        characterize_op(op, device)
+        for op in Opcode
+        if not op.is_macro and op not in EXTENSION_OPCODES
+    ]
+
+
+def characterize_extensions(config: Optional[EdgeTPUConfig] = None) -> List[CharacterizationRow]:
+    """Measure the NN extension's instructions (pool, softmax) the same way."""
+    device = EdgeTPUDevice("characterize", config)
+    return [characterize_op(op, device) for op in EXTENSION_OPCODES]
 
 
 def measure_data_exchange(config: Optional[EdgeTPUConfig] = None) -> List[Tuple[int, float]]:

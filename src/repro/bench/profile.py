@@ -106,23 +106,18 @@ def format_profile(report: ProfileReport) -> str:
 def format_tensorizer_stats(stats) -> str:
     """Host-side lowering counters (``TensorizerStats``) as a table.
 
-    Makes the vectorized path's behaviour observable without a profiler:
-    how many tiles each run lowered, how many went through batched NumPy
-    kernels vs per-tile scalar dispatches, and how often the per-range
-    quant-param memo hit.
+    Makes lowering observable without a profiler: how many tiles each
+    run lowered, and how many went through batched NumPy kernels vs
+    per-tile scratch-device dispatches.
     """
     from repro.bench.reporting import format_table
 
-    cache_total = stats.quant_cache_hits + stats.quant_cache_misses
-    hit_rate = stats.quant_cache_hits / cache_total if cache_total else 0.0
     rows = [
         ("operations lowered", stats.operations_lowered),
         ("instructions emitted", stats.instructions_emitted),
         ("tiles lowered", stats.tiles_lowered),
         ("batched dispatches", stats.batched_dispatches),
         ("scalar dispatches", stats.scalar_dispatches),
-        ("quant-param cache hits", f"{stats.quant_cache_hits} ({hit_rate * 100:.1f}%)"),
-        ("quant-param cache misses", stats.quant_cache_misses),
         ("saturated values", stats.saturated_values),
     ]
     return format_table(["tensorizer counter", "value"], rows)

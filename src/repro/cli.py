@@ -32,7 +32,12 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps import APPLICATIONS
-from repro.bench import characterize_all, format_table, measure_data_exchange
+from repro.bench import (
+    characterize_all,
+    characterize_extensions,
+    format_table,
+    measure_data_exchange,
+)
 from repro.bench.datasets import TABLE3, scale_factor
 from repro.bench.harness import mean_speedup, run_app, run_suite
 
@@ -65,15 +70,18 @@ def _record_rows(record) -> List[tuple]:
 
 
 def cmd_characterize(_args: argparse.Namespace) -> int:
-    rows = characterize_all()
-    print(
-        format_table(
-            ["operator", "OPS", "RPS", "description"],
-            [(r.opname, f"{r.ops:.2f}", f"{r.rps:.2f}", r.description) for r in rows],
-            title="Table 1 (measured via the Eqs. 1-3 loop):",
+    for rows, title in (
+        (characterize_all(), "Table 1 (measured via the Eqs. 1-3 loop):"),
+        (characterize_extensions(), "NN extension instructions (not in the paper):"),
+    ):
+        print(
+            format_table(
+                ["operator", "OPS", "RPS", "description"],
+                [(r.opname, f"{r.ops:.2f}", f"{r.rps:.2f}", r.description) for r in rows],
+                title=title,
+            )
         )
-    )
-    print()
+        print()
     print(
         format_table(
             ["transfer size", "latency"],

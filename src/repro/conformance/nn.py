@@ -7,7 +7,7 @@ Three checks compose the suite:
   the NN metamorphic properties (im2col-vs-direct equivalence, pooling
   translation covariance);
 * **models** — LeNet and the attention block end-to-end on an 8-TPU
-  pool: the scalar-Tensorizer rendering and the full vectorized
+  pool: the per-tile reference rendering and the full production
   pipeline must agree bit-for-bit, classifier probabilities must be
   valid (non-negative rows summing to ~1), and outputs must be finite;
 * **replay** — a second inference through the same warm
@@ -28,12 +28,12 @@ from repro.config import SystemConfig
 from repro.conformance.cases import NN_OP_CASES
 from repro.conformance.metamorphic import NN_PROPERTIES
 from repro.conformance.oracles import derive_rng, run_oracles
+from repro.conformance.reference import reference_runtime
 from repro.host.platform import Platform
 from repro.metrics.errors import bound_for_op
 from repro.nn.models import MODELS, sample_input
 from repro.plan.cache import PlanCache
 from repro.runtime.api import OpenCtpu
-from repro.runtime.tensorizer import TensorizerOptions
 
 #: Pool size the model checks run on (the paper's prototype has 8).
 MODEL_TPUS = 8
@@ -72,10 +72,7 @@ def _check_model(name: str, seed: int, report: NNReport) -> None:
     model = MODELS[name](seed=model_seed)
     x = sample_input(model, batch=2, seed=model_seed)
 
-    scalar_ctx = OpenCtpu(
-        Platform(SystemConfig().with_tpus(MODEL_TPUS)),
-        options=TensorizerOptions(vectorized=False),
-    )
+    scalar_ctx = reference_runtime(Platform(SystemConfig().with_tpus(MODEL_TPUS)))
     out_scalar = model.forward(scalar_ctx, x)
     _drain(scalar_ctx)
 
@@ -98,7 +95,7 @@ def _check_model(name: str, seed: int, report: NNReport) -> None:
     }
     if out_scalar.shape != out_cold.shape or out_scalar.tobytes() != out_cold.tobytes():
         report.violations.append(
-            f"nn: {name} scalar and vectorized inferences are not bit-identical"
+            f"nn: {name} reference and pipeline inferences are not bit-identical"
         )
     if out_cold.tobytes() != out_warm.tobytes():
         report.violations.append(

@@ -6,22 +6,23 @@ independently implemented result paths:
 1. **float oracle** — exact float64 NumPy semantics of the requested
    math, no quantization anywhere.  This is the paper's "CPU exact"
    column that Tables 4/5 measure MAPE/RMSE against.
-2. **int8 reference** — the *scalar* Tensorizer
-   (``TensorizerOptions(vectorized=False)``), which lowers tile by tile
-   and executes each tile through the :mod:`repro.edgetpu.functional`
-   integer kernels.  This is the simplest trustworthy rendering of the
-   device's 8-bit arithmetic: one tile, one kernel call, no batching,
-   no scratch reuse, no coalescing.
-3. **pipeline** — the full production path: vectorized batched-tile
-   lowering, dispatch-group formation, and a discrete-event replay of
-   the instruction stream on the simulated platform
+2. **int8 reference** — the per-tile
+   :class:`~repro.conformance.reference.ReferenceTensorizer`, which
+   lowers tile by tile and executes each tile through the
+   :mod:`repro.edgetpu.functional` integer kernels.  This is the
+   simplest trustworthy rendering of the device's 8-bit arithmetic:
+   one tile, one kernel call, no batching, no scratch reuse, no
+   coalescing.
+3. **pipeline** — the full production path: batched-tile lowering,
+   dispatch-group formation, and a discrete-event replay of the
+   instruction stream on the simulated platform
    (:meth:`repro.runtime.api.OpenCtpu.sync`), exactly what applications
    and the serving layer run.
 
 The conformance contract between them:
 
 * paths 2 and 3 must agree **bit-for-bit** (``tobytes`` equality) —
-  the vectorized/batched machinery is a pure performance transform;
+  the batched machinery is a pure performance transform;
 * both must sit inside the codified Table 4/5 error envelopes
   (:mod:`repro.metrics.errors`) against path 1.
 """
@@ -34,26 +35,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.config import SystemConfig
+from repro.conformance.reference import reference_runtime
 from repro.host.platform import Platform
 from repro.metrics.errors import BoundCheck, ErrorBound
 from repro.runtime.api import OpenCtpu
-from repro.runtime.tensorizer import TensorizerOptions
 
 
 def scalar_context(tpus: int = 1) -> OpenCtpu:
-    """A fresh runtime whose Tensorizer uses the scalar (per-tile) path."""
-    return OpenCtpu(
-        Platform(SystemConfig().with_tpus(tpus)),
-        options=TensorizerOptions(vectorized=False),
-    )
+    """A fresh runtime whose Tensorizer is the per-tile reference."""
+    return reference_runtime(Platform(SystemConfig().with_tpus(tpus)))
 
 
 def pipeline_context(tpus: int = 1) -> OpenCtpu:
-    """A fresh runtime on the full vectorized production path."""
-    return OpenCtpu(
-        Platform(SystemConfig().with_tpus(tpus)),
-        options=TensorizerOptions(vectorized=True),
-    )
+    """A fresh runtime on the full production path."""
+    return OpenCtpu(Platform(SystemConfig().with_tpus(tpus)))
 
 
 def _as_array(value) -> np.ndarray:

@@ -40,7 +40,6 @@ from repro.plan.cache import PlanCache
 from repro.plan.compiled import CompiledPlan
 from repro.plan.serial import parse_plan, plan_digest, serialize_plan
 from repro.runtime.api import OpenCtpu
-from repro.runtime.tensorizer import TensorizerOptions
 from repro.serve.loadgen import LoadgenSpec, run_loadgen
 
 
@@ -77,11 +76,7 @@ class PlansReport:
 
 def _plan_context(cache: PlanCache) -> OpenCtpu:
     """A pipeline-path runtime sharing *cache* for capture/replay runs."""
-    return OpenCtpu(
-        Platform(SystemConfig().with_tpus(1)),
-        options=TensorizerOptions(vectorized=True),
-        plan_cache=cache,
-    )
+    return OpenCtpu(Platform(SystemConfig().with_tpus(1)), plan_cache=cache)
 
 
 def _settle(ctx: OpenCtpu) -> None:

@@ -14,6 +14,7 @@ implemented by :func:`operator_output_scale`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -40,7 +41,7 @@ class QuantParams:
     scale: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.scale) or self.scale <= 0:
+        if not 0.0 < self.scale < math.inf:
             raise QuantizationError(f"scale must be a finite positive number, got {self.scale}")
 
     @property
@@ -53,15 +54,19 @@ def params_for_range(max_abs: float) -> QuantParams:
     """Quantization parameters covering raw values in ``[-max_abs, max_abs]``.
 
     Uses the full positive int8 range: ``f = 127 / max_abs``.  A zero or
-    all-zero range quantizes with ``f = 1`` (any scale represents zeros
-    exactly).
+    all-zero range (``-0.0`` included) quantizes with ``f = 1`` (any
+    scale represents zeros exactly).  Scalar checks use :mod:`math`:
+    the lowering rules call this once per tile or chunk.
     """
-    if not np.isfinite(max_abs) or max_abs < 0:
+    max_abs = float(max_abs)
+    if not 0.0 <= max_abs < math.inf:
+        if math.isnan(max_abs):
+            raise QuantizationError("cannot derive quantization parameters from NaN range")
         raise QuantizationError(f"max_abs must be finite and >= 0, got {max_abs}")
     if max_abs == 0.0:
         return QuantParams(scale=1.0)
     scale = QMAX / max_abs
-    if not np.isfinite(scale):
+    if scale == math.inf:
         # Denormal-range data is indistinguishable from zero at 8 bits.
         return QuantParams(scale=1.0)
     return QuantParams(scale=scale)

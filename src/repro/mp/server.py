@@ -183,8 +183,9 @@ class MpTpuServer(FrontDoor):
         """Spawn the worker fleet and start the admission loop.
 
         Raises :class:`~repro.errors.WorkerStartError` as soon as a
-        worker exits before it reports ready (or the fleet is not ready
-        in time), after tearing down every worker and ring.
+        worker cannot be spawned or exits before it reports ready (or
+        the fleet is not ready in time), after tearing down every worker
+        and ring.
         """
         if self._loop_task is not None:
             return
@@ -206,12 +207,14 @@ class MpTpuServer(FrontDoor):
                 raise WorkerStartError(
                     f"worker fleet not ready within {_START_TIMEOUT:.0f} s"
                 )
-        except BaseException:
+        except BaseException as exc:
             ready.cancel()
             await asyncio.gather(ready, return_exceptions=True)
             self._stopping = True
             await self._reap_workers(graceful=False)
             self._loop = None
+            if isinstance(exc, Exception) and not isinstance(exc, WorkerStartError):
+                raise WorkerStartError(f"worker fleet failed to start: {exc!r}") from exc
             raise
         finally:
             self._start_failed = None
@@ -252,13 +255,17 @@ class MpTpuServer(FrontDoor):
                 daemon=True,
                 name=f"repro-mp-worker{worker.wid}",
             )
-            worker.process.start()
-            cmd_recv.close()
-            out_send.close()
-            snap_send.close()
+            # The parent's ends belong to the worker from here on, so a
+            # failed start tears them down with its rings.
             worker.inbox = cmd_send
             worker.outbox = out_recv
             worker.snapbox = snap_recv
+            try:
+                worker.process.start()
+            finally:
+                cmd_recv.close()
+                out_send.close()
+                snap_send.close()
             worker.alive = True
             self._loop.add_reader(
                 worker.outbox.fileno(), self._drain_outbox, worker
@@ -290,7 +297,8 @@ class MpTpuServer(FrontDoor):
                 worker.send(("stop",))
         deadline = time.monotonic() + (10.0 if graceful else 0.0)
         for worker in self._workers:
-            if worker.process is not None:
+            # A process whose start() failed (or never ran) has no pid.
+            if worker.process is not None and worker.process.pid is not None:
                 timeout = max(deadline - time.monotonic(), 0.1)
                 await self._loop.run_in_executor(None, worker.process.join, timeout)
                 if worker.process.exitcode is None:

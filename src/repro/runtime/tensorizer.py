@@ -26,18 +26,15 @@ semantics (including output requantization), so accuracy results are
 real; the timing metadata is replayed on the DES by the executor to
 obtain the parallel timeline.
 
-Two execution strategies produce that functional result:
-
-* the **scalar path** (``TensorizerOptions.vectorized=False``) dispatches
-  one Python/scratch-device call per tile — the reference oracle;
-* the **vectorized path** (the default) runs each lowering rule as a
-  handful of batched NumPy kernels: pairwise and unary ops one 128-row
-  band at a time on the operand's own layout, conv2D-GEMM over row
-  blocks of a fixed byte budget, the other rules over stacks of
-  same-shape tiles (see ``docs/performance.md``).  Host memory then
-  stays near the working set.  Both paths emit byte-for-byte identical
-  ``LoweredInstr`` streams and bit-identical results; the property tests
-  in ``tests/runtime/test_vectorized_equivalence.py`` enforce it.
+Each opcode has one lowering rule, run as a handful of batched NumPy
+kernels: pairwise and unary ops one 128-row band at a time on the
+operand's own layout, conv2D-GEMM over row blocks of a fixed byte
+budget, the other rules over stacks of same-shape tiles (see
+``docs/performance.md``).  Host memory then stays near the working set.
+The per-tile oracle these rules must match — byte-for-byte identical
+``LoweredInstr`` streams and bit-identical results — is
+:class:`repro.conformance.reference.ReferenceTensorizer`; the property
+tests in ``tests/runtime/test_vectorized_equivalence.py`` enforce it.
 """
 
 from __future__ import annotations
@@ -103,10 +100,6 @@ from repro.telemetry import SpanTracer, get_tracer
 
 #: Serialized-model overhead beyond the data section (§3.3 header + metadata).
 MODEL_OVERHEAD_BYTES = HEADER_SIZE + 12
-
-#: Quant-param memo bound; ranges seen per run are few (repeated chunks,
-#: iterative apps), but pathological streams must not grow without bound.
-_QUANT_CACHE_MAX = 65536
 
 #: Conv2D-GEMM scratch-buffer LRU bound.  A serving mix alternating
 #: between a few GEMM geometries keeps each one's buffers resident;
@@ -227,16 +220,11 @@ class TensorizerOptions:
     #: Minimum number of row chunks a GEMM is split into, so small
     #: problems still expose parallelism to multiple TPUs.
     min_gemm_chunks: int = 32
-    #: Lower tiles through the batched NumPy kernels (one dispatch per
-    #: operand stack) instead of one scratch-device call per tile.  Both
-    #: paths are bit-identical; False keeps the scalar reference oracle.
-    vectorized: bool = True
     #: Silent-data-corruption defense (:mod:`repro.integrity`): "off"
     #: builds nothing (bit-identical, allocation-free); "abft" records
     #: Huang–Abraham row/column checksums for GEMM pieces (plus exact
     #: output checksums for pairwise tiles); "vote" records the same
-    #: plans for dual-device cross-checking at dispatch.  Requires the
-    #: vectorized path.
+    #: plans for dual-device cross-checking at dispatch.
     integrity: str = "off"
 
 
@@ -251,13 +239,11 @@ class TensorizerStats:
     saturated_values: int = 0
     #: Tiles (or GEMM chunk×kernel-batch pieces) processed by lowering.
     tiles_lowered: int = 0
-    #: Batched NumPy kernel invocations on stacked tiles (vectorized path).
+    #: Batched NumPy kernel invocations on stacked tiles.
     batched_dispatches: int = 0
-    #: Per-tile scratch executions / per-piece loop bodies (scalar path).
+    #: Per-tile scratch-device executions (crop/ext, and every tile of
+    #: the conformance reference).
     scalar_dispatches: int = 0
-    #: Quant-param memo hits/misses (per-(range) QuantParams reuse).
-    quant_cache_hits: int = 0
-    quant_cache_misses: int = 0
     #: Operations lowered through :meth:`Tensorizer.lower_gemm_coalesced`
     #: (multi-client GEMMs that shared one batched dispatch).
     coalesced_operations: int = 0
@@ -298,27 +284,15 @@ class Tensorizer:
                 f"unknown integrity mode {self.options.integrity!r}; "
                 "choose 'off', 'abft' or 'vote'"
             )
-        if self.options.integrity != "off" and not self.options.vectorized:
-            raise TensorizerError(
-                "integrity checking requires the vectorized lowering path "
-                "(the scalar path is the bit-identity oracle and stays plan-free)"
-            )
         self._scratch = EdgeTPUDevice("tensorizer-scratch", self.tpu_config, self.timing)
         self.stats = TensorizerStats()
         self._tracer = tracer if tracer is not None else get_tracer()
         self._op_seq = 0
-        self._quant_cache: "OrderedDict[float, QuantParams]" = OrderedDict()
-        self._quant_cache_max = _QUANT_CACHE_MAX
         self._global_params: Optional[QuantParams] = None
         # AOT compiled-plan cache (opt-in).  None keeps the legacy
         # lower-every-time path — including its per-call model-build
         # accounting, which several tests and the ablation CLI pin.
         self.plan_cache = plan_cache
-        if plan_cache is not None and not self.options.vectorized:
-            raise TensorizerError(
-                "the plan cache requires the vectorized lowering path "
-                "(the scalar path is the bit-identity oracle and stays plan-free)"
-            )
         # True while re-running a lowering rule under a cached plan;
         # model builds then bind at zero cost without touching stats.
         self._replaying = False
@@ -353,12 +327,12 @@ class Tensorizer:
         self._global_params = None  # per-operation GLOBAL-params memo
         cache = self.plan_cache
         gemm = request.opcode is Opcode.CONV2D and request.attrs.get("gemm", False)
-        if cache is None or not self.options.vectorized or gemm or request.opcode.is_macro:
+        if cache is None or gemm or request.opcode.is_macro:
             # conv2D-GEMM consults the cache inside its own rule (it has
             # a dedicated fast-replay path reusing the quantized model);
             # macro ops (conv2D_nn) delegate to that same self-planning
-            # GEMM path after im2col; every other vectorized rule
-            # replays generically below.
+            # GEMM path after im2col; every other rule replays
+            # generically below.
             lowered = self._dispatch_rule(request)
         else:
             lowered = self._lower_generic_planned(request, cache)
@@ -458,74 +432,34 @@ class Tensorizer:
         )
 
     def _dispatch_rule(self, request: OperationRequest) -> LoweredOperation:
+        """One lowering rule per opcode (the conformance reference
+        overrides the same rule names with its per-tile versions)."""
         op = request.opcode
-        vec = self.options.vectorized
         if op.is_pairwise:
-            lowered = (
-                self._lower_pairwise_batched(request)
-                if vec
-                else self._lower_pairwise_scalar(request)
-            )
-        elif op.is_elementwise_unary:
-            lowered = (
-                self._lower_unary_batched(request)
-                if vec
-                else self._lower_unary_scalar(request)
-            )
-        elif op.is_reduction:
-            lowered = (
-                self._lower_reduction_batched(request)
-                if vec
-                else self._lower_reduction_scalar(request)
-            )
-        elif op is Opcode.FULLY_CONNECTED:
-            data = request.inputs[0]
-            if data.ndim == 1:
-                lowered = (
-                    self._lower_matvec_batched(request)
-                    if vec
-                    else self._lower_matvec_scalar(request)
-                )
-            else:
-                lowered = (
-                    self._lower_gemm_fc_batched(request)
-                    if vec
-                    else self._lower_gemm_fc_scalar(request)
-                )
-        elif op is Opcode.CONV2D:
+            return self._lower_pairwise(request)
+        if op.is_elementwise_unary:
+            return self._lower_unary(request)
+        if op.is_reduction:
+            return self._lower_reduction(request)
+        if op is Opcode.FULLY_CONNECTED:
+            if request.inputs[0].ndim == 1:
+                return self._lower_matvec(request)
+            return self._lower_gemm_fc(request)
+        if op is Opcode.CONV2D:
             if request.attrs.get("gemm", False):
-                lowered = (
-                    self._lower_gemm_conv2d_batched(request)
-                    if vec
-                    else self._lower_gemm_conv2d_scalar(request)
-                )
-            else:
-                lowered = (
-                    self._lower_conv2d_stencil_batched(request)
-                    if vec
-                    else self._lower_conv2d_stencil_scalar(request)
-                )
-        elif op is Opcode.CROP:
-            lowered = self._lower_crop(request)
-        elif op is Opcode.EXT:
-            lowered = self._lower_ext(request)
-        elif op is Opcode.CONV2D_NN:
-            lowered = self._lower_conv2d_nn(request)
-        elif op is Opcode.POOL:
-            lowered = (
-                self._lower_pool_batched(request)
-                if vec
-                else self._lower_pool_scalar(request)
-            )
-        elif op is Opcode.SOFTMAX:
-            lowered = (
-                self._lower_softmax_batched(request)
-                if vec
-                else self._lower_softmax_scalar(request)
-            )
-        else:  # pragma: no cover - all opcodes handled above
-            raise TensorizerError(f"no lowering rule for {op!r}")
-        return lowered
+                return self._lower_gemm_conv2d(request)
+            return self._lower_conv2d_stencil(request)
+        if op is Opcode.CROP:
+            return self._lower_crop(request)
+        if op is Opcode.EXT:
+            return self._lower_ext(request)
+        if op is Opcode.CONV2D_NN:
+            return self._lower_conv2d_nn(request)
+        if op is Opcode.POOL:
+            return self._lower_pool(request)
+        if op is Opcode.SOFTMAX:
+            return self._lower_softmax(request)
+        raise TensorizerError(f"no lowering rule for {op!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -568,42 +502,14 @@ class Tensorizer:
         """Serialized size of a model with *elems* int8 weights."""
         return elems + MODEL_OVERHEAD_BYTES
 
-    def _params_for_range(self, max_abs: float) -> QuantParams:
-        """Memoized :func:`params_for_range` (per-range QuantParams).
-
-        Iterative apps (PageRank power iterations, backprop epochs)
-        re-lower chunks with recurring value ranges; the memo returns
-        the previously built params instead of recomputing them.
-
-        The memo is a true LRU: at capacity it evicts the single
-        least-recently-used entry rather than dropping the whole table
-        (which caused a full miss storm exactly when the cache was
-        hottest).  Keys are canonicalized floats: ``-0.0`` folds into
-        ``0.0`` and NaN is rejected up front — a NaN key can never hit
-        (NaN != NaN), so admitting them grew the table without bound.
-        """
-        key = float(max_abs) + 0.0  # -0.0 + 0.0 == +0.0
-        if math.isnan(key):
-            raise QuantizationError("cannot derive quantization parameters from NaN range")
-        hit = self._quant_cache.get(key)
-        if hit is not None:
-            self.stats.quant_cache_hits += 1
-            self._quant_cache.move_to_end(key)
-            return hit
-        self.stats.quant_cache_misses += 1
-        params = params_for_range(key)
-        if len(self._quant_cache) >= self._quant_cache_max:
-            self._quant_cache.popitem(last=False)
-        self._quant_cache[key] = params
-        return params
-
-    def _params_for_data(self, data: np.ndarray) -> QuantParams:
-        """:func:`params_for_data` routed through the per-range memo."""
+    @staticmethod
+    def _params_for_data(data: np.ndarray) -> QuantParams:
+        """:func:`params_for_data` of an operand already in float64."""
         if data.size == 0:
             raise QuantizationError("cannot derive quantization parameters from empty data")
         if not np.all(np.isfinite(data)):
             raise QuantizationError("data contains non-finite values")
-        return self._params_for_range(float(np.max(np.abs(data))))
+        return params_for_range(float(np.max(np.abs(data))))
 
     def _chunk_params(self, chunk: np.ndarray) -> QuantParams:
         """Replay-path :meth:`_params_for_data`: bit-identical params from
@@ -614,7 +520,7 @@ class Tensorizer:
         mx = max(float(chunk.max()), -float(chunk.min()))
         if not math.isfinite(mx):
             raise QuantizationError("data contains non-finite values")
-        return self._params_for_range(mx)
+        return params_for_range(mx)
 
     def _input_params(self, request: OperationRequest, *tiles: np.ndarray) -> QuantParams:
         """Input quantization: per-tile (SCALE) or whole-dataset (GLOBAL)."""
@@ -624,16 +530,17 @@ class Tensorizer:
             return self._global_params
         return self._range_params(*tiles)
 
-    def _range_params(self, *arrays: np.ndarray) -> QuantParams:
-        """Memoized params covering every value of *arrays*."""
+    @staticmethod
+    def _range_params(*arrays: np.ndarray) -> QuantParams:
+        """Params covering every value of *arrays*."""
         lo, hi = data_range(*arrays)
-        return self._params_for_range(max(abs(lo), abs(hi)))
+        return params_for_range(max(abs(lo), abs(hi)))
 
     def _input_scales(self, request: OperationRequest, stacked: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_input_params`: one scale per stacked tile.
 
         Zero padding in the stack cannot change a tile's ``max |x|``, so
-        scales match the scalar per-tile (unpadded) computation exactly.
+        scales match the reference's per-tile (unpadded) computation exactly.
         """
         if request.quant is QuantMode.GLOBAL:
             return np.full(stacked.shape[0], self._input_params(request).scale)
@@ -647,7 +554,7 @@ class Tensorizer:
         *minmax* yields the operands' (min, max), the Eqs. 5-8 input.
         """
         if self.options.scaling_rule == "measured" and measured_bound > 0:
-            return self._params_for_range(measured_bound * 1.05)
+            return params_for_range(measured_bound * 1.05)
         return output_quant_params(opname, *minmax(), n)
 
     def _output_scales(
@@ -690,63 +597,6 @@ class Tensorizer:
     # ------------------------------------------------------------------
     # pair-wise operators: add / sub / mul (§6.2.1 rule 1)
     # ------------------------------------------------------------------
-
-    def _lower_pairwise_scalar(self, request: OperationRequest) -> LoweredOperation:
-        a, b = self._require_2d_pair(request)
-        if a.shape != b.shape:
-            raise TensorizerError(f"pairwise shapes differ: {a.shape} vs {b.shape}")
-        op = request.opcode
-        tile = self.options.arithmetic_tile
-        minmax = _LazyRange(a, b)
-        # Optional on-chip residency for the first operand when the
-        # caller marks it stable across calls (e.g. Black-Scholes keeps
-        # the option grid resident through the Horner recurrence).
-        data_name = str(request.attrs.get("data_name", ""))
-        result = np.empty_like(a)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        float_op = {Opcode.ADD: np.add, Opcode.SUB: np.subtract, Opcode.MUL: np.multiply}[op]
-        for t in iter_tiles(a.shape, tile):
-            ta = a[t.rows, t.cols]
-            tb = b[t.rows, t.cols]
-            if op is Opcode.MUL:
-                pa = self._input_params(request, ta)
-                pb = self._input_params(request, tb)
-            else:
-                # add/sub share one scale so integer addition is aligned.
-                pa = pb = self._input_params(request, ta, tb)
-            measured = float(np.abs(float_op(ta, tb)).max())
-            out_params = self._output_params(op.opname, measured, minmax)
-            instr = Instruction(
-                op,
-                quantize(ta, pa),
-                pa,
-                model=quantize(tb, pb),
-                model_params=pb,
-                out_params=out_params,
-                task_id=request.task_id,
-            )
-            execd = self._scratch.execute(instr)
-            self.stats.tiles_lowered += 1
-            self.stats.scalar_dispatches += 1
-            saturated += execd.saturated
-            result[t.rows, t.cols] = execd.dequantized()
-            elems = ta.size
-            instrs.append(
-                LoweredInstr(
-                    opcode=op,
-                    task_id=request.task_id,
-                    group_key="",
-                    cache_key=f"{data_name}:t{t.index}" if data_name else "",
-                    data_bytes=elems,
-                    model_bytes=self._model_bytes(elems),
-                    model_build_seconds=self._model_build_seconds(elems),
-                    exec_seconds=execd.seconds,
-                    out_bytes=elems,
-                    label=f"{op.opname}@{t.index}",
-                )
-            )
-        return LoweredOperation(request, instrs, result, saturated=saturated)
 
     def _band_input_scales(
         self, request: OperationRequest, col_starts: np.ndarray, *bands: np.ndarray
@@ -793,7 +643,7 @@ class Tensorizer:
             label=f"{op.opname}@{index}",
         )
 
-    def _lower_pairwise_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_pairwise(self, request: OperationRequest) -> LoweredOperation:
         a, b = self._require_2d_pair(request)
         if a.shape != b.shape:
             raise TensorizerError(f"pairwise shapes differ: {a.shape} vs {b.shape}")
@@ -819,7 +669,7 @@ class Tensorizer:
         instrs: List[LoweredInstr] = []
         # One 128-row band at a time, on the operands' own layout: every
         # temporary is band-sized, and each tile's arithmetic is the
-        # scalar oracle's, applied with per-column expanded scales.
+        # reference's, applied with per-column expanded scales.
         for r, r0 in enumerate(range(0, rows, tile)):
             r1 = min(r0 + tile, rows)
             a_band, b_band = a[r0:r1], b[r0:r1]
@@ -874,43 +724,7 @@ class Tensorizer:
     # element-wise unary operators: tanh / ReLu (§6.2.1 rule 1)
     # ------------------------------------------------------------------
 
-    def _lower_unary_scalar(self, request: OperationRequest) -> LoweredOperation:
-        if len(request.inputs) != 1:
-            raise TensorizerError(f"{request.opcode.opname} takes one input")
-        a = request.inputs[0]
-        if a.ndim != 2:
-            raise TensorizerError(f"{request.opcode.opname} operates on a 2-D matrix")
-        op = request.opcode
-        tile = self.options.arithmetic_tile
-        result = np.empty_like(a)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        for t in iter_tiles(a.shape, tile):
-            ta = a[t.rows, t.cols]
-            pa = self._input_params(request, ta)
-            instr = Instruction(op, quantize(ta, pa), pa, task_id=request.task_id)
-            execd = self._scratch.execute(instr)
-            self.stats.tiles_lowered += 1
-            self.stats.scalar_dispatches += 1
-            saturated += execd.saturated
-            result[t.rows, t.cols] = execd.dequantized()
-            instrs.append(
-                LoweredInstr(
-                    opcode=op,
-                    task_id=request.task_id,
-                    group_key="",
-                    cache_key="",
-                    data_bytes=ta.size,
-                    model_bytes=0,
-                    model_build_seconds=0.0,
-                    exec_seconds=execd.seconds,
-                    out_bytes=ta.size,
-                    label=f"{op.opname}@{t.index}",
-                )
-            )
-        return LoweredOperation(request, instrs, result, saturated=saturated)
-
-    def _lower_unary_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_unary(self, request: OperationRequest) -> LoweredOperation:
         if len(request.inputs) != 1:
             raise TensorizerError(f"{request.opcode.opname} takes one input")
         a = request.inputs[0]
@@ -960,53 +774,7 @@ class Tensorizer:
     # matrix-wise reductions: mean / max (§6.2.1 rule 2)
     # ------------------------------------------------------------------
 
-    def _lower_reduction_scalar(self, request: OperationRequest) -> LoweredOperation:
-        if len(request.inputs) != 1:
-            raise TensorizerError(f"{request.opcode.opname} takes one input")
-        a = request.inputs[0]
-        if a.ndim != 2:
-            raise TensorizerError(f"{request.opcode.opname} operates on a 2-D matrix")
-        op = request.opcode
-        tile = self.options.reduction_tile
-        instrs: List[LoweredInstr] = []
-        partials: List[float] = []
-        weights: List[int] = []
-        for t in iter_tiles(a.shape, tile):
-            ta = a[t.rows, t.cols]
-            pa = self._input_params(request, ta)
-            instr = Instruction(op, quantize(ta, pa), pa, task_id=request.task_id)
-            execd = self._scratch.execute(instr)
-            self.stats.tiles_lowered += 1
-            self.stats.scalar_dispatches += 1
-            partials.append(float(execd.dequantized()[0, 0]))
-            weights.append(ta.size)
-            instrs.append(
-                LoweredInstr(
-                    opcode=op,
-                    task_id=request.task_id,
-                    group_key="",
-                    cache_key="",
-                    data_bytes=ta.size,
-                    model_bytes=0,
-                    model_build_seconds=0.0,
-                    exec_seconds=execd.seconds,
-                    out_bytes=1,
-                    label=f"{op.opname}@{t.index}",
-                )
-            )
-        # §6.2.1: "Tensorizer will additionally generate CPU code to
-        # aggregate the received values" — the TPU round already shrank
-        # the data by 4096x, so CPU aggregation is the cheap choice.
-        if op is Opcode.MEAN:
-            value = float(np.average(partials, weights=weights))
-        else:
-            value = float(np.max(partials))
-        cpu_seconds = self.cpu.aggregate_seconds(len(partials))
-        return LoweredOperation(
-            request, instrs, np.array(value), cpu_seconds=cpu_seconds
-        )
-
-    def _lower_reduction_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_reduction(self, request: OperationRequest) -> LoweredOperation:
         if len(request.inputs) != 1:
             raise TensorizerError(f"{request.opcode.opname} takes one input")
         a = request.inputs[0]
@@ -1105,52 +873,7 @@ class Tensorizer:
             ),
         )
 
-    def _lower_matvec_scalar(self, request: OperationRequest) -> LoweredOperation:
-        vec, mat = self._check_matvec(request)
-        tile = self.options.arithmetic_tile
-        minmax = _LazyRange(vec, mat)
-        instrs: List[LoweredInstr] = []
-        result = np.zeros(mat.shape[1], dtype=np.float64)
-        saturated = 0
-        n_ktiles = -(-vec.shape[0] // tile)
-        for t in iter_tiles(mat.shape, tile):
-            seg = vec[t.rows]
-            wt = mat[t.rows, t.cols]
-            p_seg = self._input_params(request, seg)
-            p_wt = self._input_params(request, wt)
-            # Eq. 4 with a measured bound: the closed-form Eq. 5 worst case
-            # (span²·n) is hopelessly loose for e.g. stochastic matrices
-            # (PageRank), collapsing every partial to zero.  Tensorizer
-            # "dynamically evaluates input data" (§6.2), so it estimates
-            # the true per-instruction output extreme and adds headroom.
-            measured = float(np.abs(seg @ wt).max())
-            out_params = self._output_params(
-                Opcode.FULLY_CONNECTED.opname, measured, minmax, n=seg.size
-            )
-            instr = Instruction(
-                Opcode.FULLY_CONNECTED,
-                quantize(seg, p_seg),
-                p_seg,
-                model=quantize(wt, p_wt),
-                model_params=p_wt,
-                out_params=out_params,
-                task_id=request.task_id,
-            )
-            execd = self._scratch.execute(instr)
-            self.stats.tiles_lowered += 1
-            self.stats.scalar_dispatches += 1
-            saturated += execd.saturated
-            result[t.cols] += execd.dequantized()
-            instrs.append(
-                self._matvec_instr(
-                    request, t, seg.size, execd.out_elems, wt.size, execd.seconds
-                )
-            )
-        # CPU sums the k-partials in wide registers (§6.2.1).
-        cpu_seconds = self.cpu.aggregate_seconds(mat.shape[1] * n_ktiles)
-        return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
-
-    def _lower_matvec_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_matvec(self, request: OperationRequest) -> LoweredOperation:
         vec, mat = self._check_matvec(request)
         tile = self.options.arithmetic_tile
         n_ktiles = -(-vec.shape[0] // tile)
@@ -1196,7 +919,7 @@ class Tensorizer:
         result = np.zeros(mat.shape[1], dtype=np.float64)
         instrs: List[LoweredInstr] = []
         for i, t in enumerate(tiles):
-            # Row-major accumulation order matches the scalar loop
+            # Row-major accumulation order matches the reference loop
             # (float += is order-sensitive).
             result[t.cols] += deq[i, : int(out_sizes[i])]
             instrs.append(
@@ -1271,54 +994,7 @@ class Tensorizer:
             count=m,
         )
 
-    def _lower_gemm_fc_scalar(self, request: OperationRequest) -> LoweredOperation:
-        a, b = self._require_2d_pair(request)
-        if a.shape[1] != b.shape[0]:
-            raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
-        m, n = a.shape
-        k = b.shape[1]
-        tile = self.options.arithmetic_tile
-        minmax = _LazyRange(a, b)
-        result = np.zeros((m, k), dtype=np.float64)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        # One FullyConnected per (row of A, 128x128 tile of B): M·⌈N/128⌉·
-        # ⌈K/128⌉ instructions.  Functionally we evaluate whole row-blocks
-        # with one exact integer matmul; for the IQ each (k-tile, n-tile)
-        # pair becomes an M-instruction burst.
-        for t in iter_tiles(b.shape, tile):
-            a_block = a[:, t.rows]
-            w = b[t.rows, t.cols]
-            p_a = self._input_params(request, a_block)
-            p_w = self._input_params(request, w)
-            q_a = quantize(a_block, p_a).astype(np.float64)
-            q_w = quantize(w, p_w).astype(np.float64)
-            acc = q_a @ q_w  # exact: |values| << 2^53
-            self.stats.tiles_lowered += 1
-            self.stats.scalar_dispatches += 1
-            measured = float(np.abs(acc).max()) / (p_a.scale * p_w.scale)
-            out_params = self._output_params(
-                Opcode.FULLY_CONNECTED.opname, measured, minmax, n=a_block.shape[1]
-            )
-            rescale = out_params.scale / (p_a.scale * p_w.scale)
-            q_out = np.rint(acc * rescale)
-            saturated += int(np.count_nonzero(np.abs(q_out) > 127))
-            q_out = np.clip(q_out, -128, 127)
-            result[:, t.cols] += q_out / out_params.scale
-            per_instr = self.timing.instruction_seconds(
-                Opcode.FULLY_CONNECTED,
-                out_elems=w.shape[1],
-                macs=a_block.shape[1] * w.shape[1],
-            )
-            instrs.append(
-                self._gemm_fc_instr(
-                    request, t, m, a_block.size, w.size, per_instr, w.shape[1]
-                )
-            )
-        cpu_seconds = self.cpu.aggregate_seconds(m * k * (-(-n // tile)))
-        return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
-
-    def _lower_gemm_fc_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_gemm_fc(self, request: OperationRequest) -> LoweredOperation:
         a, b = self._require_2d_pair(request)
         if a.shape[1] != b.shape[0]:
             raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
@@ -1336,7 +1012,7 @@ class Tensorizer:
         wt_scales_2d = wt_scales.reshape(n_kt, n_ct)
 
         # One batched matmul per k-block row: the A column block is
-        # quantized once (the scalar loop re-quantizes it per B tile) and
+        # quantized once (the reference re-quantizes it per B tile) and
         # swept across all n_ct B tiles in a single dispatch.
         for r in range(n_kt):
             r0 = r * tile
@@ -1398,38 +1074,6 @@ class Tensorizer:
         optimal_out = self.timing.optimal_out_elems(Opcode.CONV2D)
         batch = max(1, optimal_out // rows_per_chunk) if opts.kernel_batching else 1
         return s, rows_per_chunk, batch
-
-    def _gemm_conv2d_instr(
-        self,
-        request: OperationRequest,
-        source: str,
-        c0: int,
-        j0: int,
-        chunk_bytes: int,
-        model_elems: int,
-        exec_seconds: float,
-        out_elems: int,
-    ) -> LoweredInstr:
-        """One conv2D-GEMM piece, emitted directly (the scalar oracle)."""
-        cache_key = f"{source}:rows{c0}"
-        return LoweredInstr(
-            opcode=Opcode.CONV2D,
-            task_id=request.task_id,
-            group_key=f"task{request.task_id}:{cache_key}",
-            cache_key=cache_key,
-            # The executor transfers the chunk only on a residency miss
-            # (cache_key), so every burst can carry the full chunk size.
-            data_bytes=chunk_bytes,
-            model_bytes=self._model_bytes(model_elems),
-            model_build_seconds=self._model_build_seconds(model_elems),
-            exec_seconds=exec_seconds,
-            out_bytes=out_elems,
-            label=f"convGEMM:r{c0}:k{j0}",
-            # Kernel batches are identical across row chunks: they stay
-            # resident per device instead of being re-streamed for every
-            # chunk.
-            model_cache_key=f"{source}:kernels{j0}",
-        )
 
     def _gemm_scratch_for(
         self, m: int, n: int, k: int, rows_per_chunk: int, batch: int
@@ -1516,72 +1160,9 @@ class Tensorizer:
             geometry=geometry,
         )
 
-    def _lower_gemm_conv2d_scalar(self, request: OperationRequest) -> LoweredOperation:
-        a, b = self._require_2d_pair(request)
-        if a.shape[1] != b.shape[0]:
-            raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
-        m, n = a.shape
-        k = b.shape[1]
-        s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
-        minmax = _LazyRange(a, b)
-
-        result = np.zeros((m, k), dtype=np.float64)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        p_a_global = None
-        if request.quant is QuantMode.GLOBAL:
-            p_a_global = self._input_params(request, a)
-        # Unique per distinct input so unrelated GEMMs never alias in
-        # on-chip memory (buffer names are unique; bare arrays fall
-        # back to the operation sequence number).
-        source = request.input_name or f"op{self._op_seq}"
-
-        for c0 in range(0, m, rows_per_chunk):
-            c1 = min(c0 + rows_per_chunk, m)
-            rows = a[c0:c1]
-            p_rows = p_a_global or self._params_for_data(rows)
-            q_rows = quantize(rows, p_rows).astype(np.float64)
-            chunk_bytes = (c1 - c0) * s * s  # reshaped, zero-padded form
-            for j0 in range(0, k, batch):
-                j1 = min(j0 + batch, k)
-                cols = b[:, j0:j1]
-                p_cols = p_a_global or self._params_for_data(cols)
-                q_cols = quantize(cols, p_cols).astype(np.float64)
-                # Strided conv2D over the reshaped rows with the padded
-                # column-kernels is exactly this integer matmul (verified
-                # against repro.edgetpu.functional.conv2d in the tests).
-                acc = q_rows @ q_cols
-                self.stats.tiles_lowered += 1
-                self.stats.scalar_dispatches += 1
-                measured = float(np.abs(acc).max()) / (p_rows.scale * p_cols.scale)
-                out_params = self._output_params(Opcode.CONV2D.opname, measured, minmax, n=n)
-                rescale = out_params.scale / (p_rows.scale * p_cols.scale)
-                # ``+ 0.0``: the device returns int8, which has no signed
-                # zero, so the host's requantized grid must not either —
-                # the integrity write-back reconstructs these exact values
-                # from the wire bytes.
-                q_out = np.rint(acc * rescale) + 0.0
-                saturated += int(np.count_nonzero(np.abs(q_out) > 127))
-                q_out = np.clip(q_out, -128, 127)
-                result[c0:c1, j0:j1] = q_out / out_params.scale
-                nk = j1 - j0
-                out_elems = (c1 - c0) * nk
-                exec_seconds = self.timing.instruction_seconds(
-                    Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                )
-                instrs.append(
-                    self._gemm_conv2d_instr(
-                        request, source, c0, j0, chunk_bytes, nk * s * s,
-                        exec_seconds, out_elems,
-                    )
-                )
-        # Host-side data transformation: reshaping A's rows into s×s
-        # sub-matrices and B's columns into kernels (§7.1.3's
-        # "additional data-transformation overhead").
-        cpu_seconds = self.cpu.elementwise_seconds(m * s * s + k * s * s, bytes_per_elem=2)
-        return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
-
-    def _lower_gemm_conv2d_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_gemm_conv2d(self, request: OperationRequest) -> LoweredOperation:
+        """A solo conv2D-GEMM: the engine on a group of one.  conv2D_nn
+        lowers its im2col GEMM through this rule too."""
         return self._lower_gemm_group([request])[0]
 
     def _lower_gemm_group(
@@ -1608,7 +1189,7 @@ class Tensorizer:
         BLAS summation order yields the same value — see
         :func:`repro.edgetpu.functional.f32_slab_products`), each member
         occupies its own rows of the stack, and (re)quantization uses
-        exactly the values the scalar oracle computes per piece.  A
+        exactly the values the reference computes per piece.  A
         member's result is therefore bit-for-bit that of lowering it
         alone, cold or warm.
         """
@@ -1699,7 +1280,7 @@ class Tensorizer:
             col_scales, q_b = block.col_scales, block.q_b
             b_lo, b_hi = block.b_lo, block.b_hi
         else:
-            # One pass per kernel batch: the scalar loop recomputes these
+            # One pass per kernel batch: the reference recomputes these
             # for every row chunk, but they do not depend on the chunk.
             col_scales = np.array([
                 p_glob.scale if glob else self._chunk_params(b[:, j0 : j0 + batch]).scale
@@ -1708,10 +1289,10 @@ class Tensorizer:
             # Quantize strip by strip into a float32 buffer, each column
             # at its batch's scale.  The scaling and rint arithmetic stay
             # float64, so the stored integers are bit-identical to the
-            # scalar path's; the clip is provably dead because every
+            # reference's; the clip is provably dead because every
             # scale is 127/max_abs of the very data it multiplies.
             # ``+ 0.0`` normalizes rint's ``-0.0`` to the ``+0.0`` the
-            # scalar path's int8 round-trip produces, keeping signed
+            # reference's int8 round-trip produces, keeping signed
             # zeros bit-identical.
             q_b, tmp = sc["q_b"], sc["strip"]
             b_col_scales = np.repeat(col_scales, batch_sizes)
@@ -1823,7 +1404,7 @@ class Tensorizer:
             # and the rescale/rint/clip/dequantize sequence applied with
             # the per-batch factors expanded to a column vector —
             # elementwise the identical operations (and operand values)
-            # the scalar loop applies to each piece.
+            # the reference applies to each piece.
             offset = 0
             for idx, ci, c0, c1 in pieces_in_block:
                 p_rows = all_row_params[idx][ci]
@@ -1871,7 +1452,7 @@ class Tensorizer:
                 if may_saturate:
                     # Saturation counts are additive across blocks and clip
                     # is a no-op wherever nothing exceeds ±127, so one strip
-                    # pass equals the scalar path's per-block pass.
+                    # pass equals the reference's per-block pass.
                     saturated[idx] += int(np.count_nonzero(st > 127)) + int(
                         np.count_nonzero(st < -127)
                     )
@@ -2042,43 +1623,7 @@ class Tensorizer:
             model_cache_key=str(request.attrs.get("model_name", "")),
         )
 
-    def _lower_conv2d_stencil_scalar(self, request: OperationRequest) -> LoweredOperation:
-        a, kern, out_params, p_kern, step = self._stencil_setup(request)
-        kh, kw = kern.shape
-        q_kern = quantize(kern, p_kern)
-        oh, ow = a.shape[0] - kh + 1, a.shape[1] - kw + 1
-        result = np.empty((oh, ow), dtype=np.float64)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        for r0 in range(0, oh, step):
-            r1 = min(r0 + step, oh)
-            for c0 in range(0, ow, step):
-                c1 = min(c0 + step, ow)
-                # Halo: input region needed for this output tile.
-                patch = a[r0 : r1 + kh - 1, c0 : c1 + kw - 1]
-                p_patch = self._input_params(request, patch)
-                instr = Instruction(
-                    Opcode.CONV2D,
-                    quantize(patch, p_patch),
-                    p_patch,
-                    model=q_kern,
-                    model_params=p_kern,
-                    out_params=out_params,
-                    task_id=request.task_id,
-                )
-                execd = self._scratch.execute(instr)
-                self.stats.tiles_lowered += 1
-                self.stats.scalar_dispatches += 1
-                saturated += execd.saturated
-                result[r0:r1, c0:c1] = execd.dequantized()
-                instrs.append(
-                    self._stencil_instr(
-                        request, r0, c0, (r1 - r0, c1 - c0), (kh, kw), execd.seconds
-                    )
-                )
-        return LoweredOperation(request, instrs, result, saturated=saturated)
-
-    def _lower_conv2d_stencil_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_conv2d_stencil(self, request: OperationRequest) -> LoweredOperation:
         a, kern, out_params, p_kern, step = self._stencil_setup(request)
         kh, kw = kern.shape
         q_kern = quantize(kern, p_kern)
@@ -2100,8 +1645,8 @@ class Tensorizer:
             bad = ~np.isfinite(max_abs)
             if bad.any():
                 # NaN data (inf already failed the output bound): raise
-                # the scalar rule's error for the first such patch.
-                self._params_for_range(float(max_abs[bad][0]))
+                # the reference's error for the first such patch.
+                params_for_range(float(max_abs[bad][0]))
             scales = scales_for_ranges(max_abs)
         q32 = quantize_batched(stacked, scales, assume_finite=True).astype(np.float32)
 
@@ -2267,7 +1812,7 @@ class Tensorizer:
         """Stack ragged full-width row bands, zero-padding short ones.
 
         Zero rows cannot change a band's ``max |x|`` (so per-band scales
-        match the scalar path exactly) and every *valid* output row reads
+        match the reference exactly) and every *valid* output row reads
         only real input rows — callers slice padded garbage away.
         """
         hmax = max(b.shape[0] for b in bands)
@@ -2276,49 +1821,7 @@ class Tensorizer:
             stacked[i, : b.shape[0]] = b
         return stacked
 
-    def _lower_pool_scalar(self, request: OperationRequest) -> LoweredOperation:
-        planes, window, stride, kind = self._pool_operand(request)
-        wh, ww = window
-        sy, sx = stride
-        oh = (planes.shape[1] - wh) // sy + 1
-        ow = (planes.shape[2] - ww) // sx + 1
-        attrs = {"window": window, "stride": stride, "kind": kind}
-        glob = request.quant is QuantMode.GLOBAL
-        result = np.empty((len(planes), oh, ow), dtype=np.float64)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        for p, plane in enumerate(planes):
-            # Under GLOBAL each plane is its own scale domain.
-            p_plane = self._range_params(plane) if glob else None
-            for bi, (b0, b1) in enumerate(self._row_bands(oh, ow)):
-                band = plane[b0 * sy : (b1 - 1) * sy + wh]
-                pa = p_plane if glob else self._range_params(band)
-                instr = Instruction(
-                    Opcode.POOL, quantize(band, pa), pa, attrs=attrs, task_id=request.task_id
-                )
-                execd = self._scratch.execute(instr)
-                self.stats.tiles_lowered += 1
-                self.stats.scalar_dispatches += 1
-                saturated += execd.saturated
-                result[p, b0:b1] = execd.dequantized()
-                instrs.append(
-                    LoweredInstr(
-                        opcode=Opcode.POOL,
-                        task_id=request.task_id,
-                        group_key="",
-                        cache_key="",
-                        data_bytes=band.size,
-                        model_bytes=0,
-                        model_build_seconds=0.0,
-                        exec_seconds=execd.seconds,
-                        out_bytes=(b1 - b0) * ow,
-                        label=f"pool@{bi}",
-                    )
-                )
-        result = result.reshape(request.inputs[0].shape[:-2] + (oh, ow))
-        return LoweredOperation(request, instrs, result, saturated=saturated)
-
-    def _lower_pool_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_pool(self, request: OperationRequest) -> LoweredOperation:
         planes, window, stride, kind = self._pool_operand(request)
         wh, ww = window
         sy, sx = stride
@@ -2386,40 +1889,7 @@ class Tensorizer:
             raise TensorizerError(f"softmax operates on a 2-D matrix, got {a.shape}")
         return a
 
-    def _lower_softmax_scalar(self, request: OperationRequest) -> LoweredOperation:
-        a = self._softmax_operand(request)
-        tile = self.options.arithmetic_tile
-        result = np.empty_like(a)
-        instrs: List[LoweredInstr] = []
-        saturated = 0
-        for bi, b0 in enumerate(range(0, a.shape[0], tile)):
-            band = a[b0 : b0 + tile]
-            pa = self._input_params(request, band)
-            instr = Instruction(
-                Opcode.SOFTMAX, quantize(band, pa), pa, task_id=request.task_id
-            )
-            execd = self._scratch.execute(instr)
-            self.stats.tiles_lowered += 1
-            self.stats.scalar_dispatches += 1
-            saturated += execd.saturated
-            result[b0 : b0 + band.shape[0]] = execd.dequantized()
-            instrs.append(
-                LoweredInstr(
-                    opcode=Opcode.SOFTMAX,
-                    task_id=request.task_id,
-                    group_key="",
-                    cache_key="",
-                    data_bytes=band.size,
-                    model_bytes=0,
-                    model_build_seconds=0.0,
-                    exec_seconds=execd.seconds,
-                    out_bytes=band.size,
-                    label=f"softmax@{bi}",
-                )
-            )
-        return LoweredOperation(request, instrs, result, saturated=saturated)
-
-    def _lower_softmax_batched(self, request: OperationRequest) -> LoweredOperation:
+    def _lower_softmax(self, request: OperationRequest) -> LoweredOperation:
         a = self._softmax_operand(request)
         tile = self.options.arithmetic_tile
         starts = list(range(0, a.shape[0], tile))
@@ -2485,7 +1955,7 @@ class Tensorizer:
         The data-parallel heart — an ``(N·OH·OW, C·kh·kw) × (C·kh·kw, F)``
         matrix product — runs through the §7.1.2 conv2D-GEMM rule and so
         inherits its whole stack: plan capture/replay, ABFT integrity
-        checksums, model-block reuse, and scalar/vectorized bit-identity.
+        checksums, model-block reuse, and bit-identity to the reference.
         The host contributes the im2col transform and an NN-style
         epilogue: bias fold, optional fused ReLU, and per-output-channel
         int8 requantization (the "per-channel quant params" real NN
@@ -2549,14 +2019,10 @@ class Tensorizer:
             input_name=request.input_name,
             output_name=request.output_name,
         )
-        inner = (
-            self._lower_gemm_conv2d_batched(sub)
-            if self.options.vectorized
-            else self._lower_gemm_conv2d_scalar(sub)
-        )
+        inner = self._lower_gemm_conv2d(sub)
 
         # NN epilogue (host float64, deterministic → bit-identical across
-        # the scalar and vectorized inner paths): bias, fused ReLU, then
+        # production and the reference inner paths): bias, fused ReLU, then
         # per-output-channel int8 requantization.
         out2d = inner.result
         if bias is not None:
@@ -2573,7 +2039,7 @@ class Tensorizer:
         else:
             cmax = np.abs(out2d).max(axis=0)
             ch_scales = np.array(
-                [self._params_for_range(float(m) * 1.05).scale for m in cmax]
+                [params_for_range(float(m) * 1.05).scale for m in cmax]
             )
         q = np.rint(out2d * ch_scales[None, :])
         saturated = int(np.count_nonzero((q < QMIN) | (q > QMAX)))

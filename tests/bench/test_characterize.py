@@ -2,21 +2,34 @@
 
 import pytest
 
-from repro.bench import characterize_all, characterize_op, measure_data_exchange
+from repro.bench import (
+    characterize_all,
+    characterize_extensions,
+    characterize_op,
+    measure_data_exchange,
+)
 from repro.edgetpu.isa import Opcode
 
 
 class TestCharacterizeOp:
     def test_every_opcode_measurable(self):
-        rows = characterize_all()
+        # Table 1 and the extension table together cover every device
+        # instruction, each exactly once.
+        rows = characterize_all() + characterize_extensions()
         expected = [op.opname for op in Opcode if not op.is_macro]
         assert [r.opname for r in rows] == expected
 
+    def test_table1_is_the_papers_eleven_instructions(self):
+        names = [r.opname for r in characterize_all()]
+        assert len(names) == 11
+        assert "pool" not in names and "softmax" not in names
+
     def test_pool_and_softmax_recover_extension_rates(self):
-        for op in (Opcode.POOL, Opcode.SOFTMAX):
-            row = characterize_op(op)
-            assert row.ops_error_percent < 1.0, op
-            assert row.rps_error_percent < 1.0, op
+        rows = characterize_extensions()
+        assert [r.opname for r in rows] == ["pool", "softmax"]
+        for row in rows:
+            assert row.ops_error_percent < 1.0, row.opname
+            assert row.rps_error_percent < 1.0, row.opname
 
     def test_measurement_recovers_table1(self):
         for row in characterize_all():

@@ -33,6 +33,32 @@ class TestQuantParams:
             QuantParams(scale=bad)
 
 
+class TestRangeParams:
+    """``params_for_range`` edge cases the lowering rules rely on."""
+
+    def test_negative_zero_folds_into_positive_zero(self):
+        assert params_for_range(-0.0) == params_for_range(0.0) == QuantParams(scale=1.0)
+
+    def test_nan_range_rejected(self):
+        with pytest.raises(
+            QuantizationError, match="^cannot derive quantization parameters from NaN range$"
+        ):
+            params_for_range(float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), -1.0, np.float64(-2.0)])
+    def test_infinite_or_negative_range_rejected(self, bad):
+        with pytest.raises(QuantizationError, match="finite and >= 0"):
+            params_for_range(bad)
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+    def test_denormal_range_quantizes_with_unit_scale(self, tiny):
+        assert params_for_range(tiny).scale == 1.0
+
+    def test_numpy_ranges_yield_float_scales(self):
+        params = params_for_range(np.float64(3.5))
+        assert type(params.scale) is float and params == params_for_range(3.5)
+
+
 class TestRoundTrip:
     def test_integers_within_range_are_exact(self):
         data = np.arange(-127, 128, dtype=np.float64).reshape(5, 51)

@@ -6,6 +6,7 @@ import pytest
 import repro.runtime.tensorizer as tensorizer_mod
 from repro.edgetpu.device import EdgeTPUDevice
 from repro.edgetpu.isa import Opcode
+from repro.conformance.reference import ReferenceTensorizer
 from repro.errors import TensorizerError
 from repro.integrity.plan import IntegrityPlan, make_exact_check, make_gemm_check
 from repro.integrity.verifier import IntegrityVerifier
@@ -30,10 +31,9 @@ class TestOptions:
             Tensorizer(options=TensorizerOptions(integrity="checksum"))
 
     def test_integrity_requires_vectorized_path(self):
+        # Only the batched production rules build integrity plans.
         with pytest.raises(TensorizerError):
-            Tensorizer(
-                options=TensorizerOptions(integrity="abft", vectorized=False)
-            )
+            ReferenceTensorizer(options=TensorizerOptions(integrity="abft"))
 
 
 class TestPlanConstruction:

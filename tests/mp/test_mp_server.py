@@ -215,3 +215,44 @@ class TestMpServer:
         for worker in server._workers:
             assert not worker.process.is_alive()
             assert worker.req_ring is None and worker.res_ring is None
+
+    def test_spawn_failure_fails_start_typed_and_unlinks_every_ring(self, monkeypatch):
+        # Worker 1's process cannot be spawned (say, out of pids) after
+        # worker 0's has started.  start() must raise WorkerStartError
+        # chained to the cause, reap worker 0, skip the join of the
+        # process that never started, and unlink all four rings.
+        import multiprocessing.process
+        import os
+
+        from repro.errors import WorkerStartError
+        from repro.mp import server as server_module
+
+        created = []
+        real_create = server_module.ShmRing.create
+
+        def create(capacity, name=None):
+            ring = real_create(capacity, name)
+            created.append(ring.shm.name.lstrip("/"))
+            return ring
+
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(process):
+            if process.name.endswith("worker1"):
+                raise OSError("cannot spawn")
+            real_start(process)
+
+        monkeypatch.setattr(server_module.ShmRing, "create", staticmethod(create))
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        server = MpTpuServer(_platform(), ServeConfig(time_scale=0.0), workers=2)
+        with pytest.raises(WorkerStartError, match="cannot spawn") as info:
+            asyncio.run(server.start())
+        assert isinstance(info.value.__cause__, OSError)
+        assert len(created) == 4
+        assert not [n for n in created if os.path.exists(f"/dev/shm/{n}")]
+        first, second = server._workers
+        assert first.process.exitcode is not None
+        assert second.process.pid is None
+        for worker in server._workers:
+            assert worker.req_ring is None and worker.res_ring is None
+            assert worker.inbox is None and worker.outbox is None

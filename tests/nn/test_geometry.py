@@ -1,14 +1,15 @@
-"""Ragged im2col geometry sweep: scalar oracle vs vectorized path.
+"""Ragged im2col geometry sweep: per-tile reference vs production path.
 
 The conv2D_nn lowering turns NCHW geometry (stride, asymmetric padding,
 multi-channel patches) into one im2col GEMM; a single off-by-one in the
 patch extraction shows up as silently wrong activations.  This suite
 drives prime spatial dims, kernels wider than one arithmetic tile edge
-(C·kh·kw > 128), and stride > 1 with asymmetric padding through both
-Tensorizer paths and demands **bit-identity** — the direct scalar
-lowering is the conv oracle, the vectorized im2col path must reproduce
-it byte for byte — plus agreement with an explicit-loop float oracle
-within the calibrated family envelope.
+(C·kh·kw > 128), and stride > 1 with asymmetric padding through the
+production Tensorizer and the conformance reference and demands
+**bit-identity** — the reference's per-tile GEMM under the same im2col
+is the conv oracle, the batched path must reproduce it byte for byte —
+plus agreement with an explicit-loop float oracle within the calibrated
+family envelope.
 """
 
 import numpy as np
@@ -17,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.cases import _conv2d_nn_direct
+from repro.conformance.reference import ReferenceTensorizer
 from repro.edgetpu.isa import Opcode
 from repro.metrics.errors import rmse_percent
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
+from repro.runtime.tensorizer import Tensorizer
 
 PRIMES = st.sampled_from([5, 7, 11, 13, 17, 19, 23])
 KERNELS = st.sampled_from([(1, 1), (2, 2), (3, 3), (5, 5), (3, 5), (5, 3)])
@@ -42,13 +44,11 @@ def _request(opcode, inputs, **attrs):
 
 
 def _both_paths(build_request):
-    vec = Tensorizer(options=TensorizerOptions(vectorized=True))
-    ref = Tensorizer(options=TensorizerOptions(vectorized=False))
-    lv = vec.lower(build_request())
-    ls = ref.lower(build_request())
+    lv = Tensorizer().lower(build_request())
+    ls = ReferenceTensorizer().lower(build_request())
     rv, rs = np.asarray(lv.result), np.asarray(ls.result)
     assert rv.shape == rs.shape
-    assert rv.tobytes() == rs.tobytes(), "im2col path diverged from scalar oracle"
+    assert rv.tobytes() == rs.tobytes(), "im2col path diverged from the reference"
     assert lv.saturated == ls.saturated
     return rv
 
@@ -161,7 +161,7 @@ class TestPoolSoftmaxGeometry:
 
 class TestConvValidation:
     def test_bad_shapes_rejected(self):
-        tz = Tensorizer(options=TensorizerOptions(vectorized=True))
+        tz = Tensorizer()
         rng = np.random.default_rng(0)
         with pytest.raises(Exception, match="conv2D_nn|NCHW|expects"):
             tz.lower(_request(Opcode.CONV2D_NN,
@@ -169,7 +169,7 @@ class TestConvValidation:
                                rng.normal(size=(1, 1, 3, 3)))))
 
     def test_kernel_exceeding_padded_input_rejected(self):
-        tz = Tensorizer(options=TensorizerOptions(vectorized=True))
+        tz = Tensorizer()
         rng = np.random.default_rng(0)
         with pytest.raises(Exception):
             tz.lower(_request(Opcode.CONV2D_NN,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
+from repro.conformance.reference import reference_runtime
 from repro.errors import RuntimeAPIError
 from repro.host.platform import Platform
 from repro.nn import (
@@ -20,7 +21,6 @@ from repro.nn import (
 from repro.ops import tpu_gemm
 from repro.plan.cache import PlanCache
 from repro.runtime.api import OpenCtpu
-from repro.runtime.tensorizer import TensorizerOptions
 
 
 def _ctx(tpus: int = 2, **kw) -> OpenCtpu:
@@ -141,5 +141,5 @@ class TestModels:
         m = attention(seed=6)
         x = sample_input(m, seed=6)
         vec = m.forward(_ctx(), x)
-        ref = m.forward(_ctx(options=TensorizerOptions(vectorized=False)), x)
+        ref = m.forward(reference_runtime(Platform(SystemConfig().with_tpus(2))), x)
         assert vec.tobytes() == ref.tobytes()

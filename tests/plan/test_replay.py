@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.edgetpu.isa import Opcode
+from repro.conformance.reference import ReferenceTensorizer
 from repro.errors import QuantizationError, TensorizerError
 from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
@@ -42,7 +43,7 @@ def _elementwise(opcode, a, b=None, task_id=0):
 def _planned_tz(integrity="off"):
     cache = PlanCache()
     tz = Tensorizer(
-        options=TensorizerOptions(vectorized=True, integrity=integrity),
+        options=TensorizerOptions(integrity=integrity),
         plan_cache=cache,
     )
     return tz, cache
@@ -50,7 +51,7 @@ def _planned_tz(integrity="off"):
 
 def _fresh_tz(integrity="off"):
     return Tensorizer(
-        options=TensorizerOptions(vectorized=True, integrity=integrity)
+        options=TensorizerOptions(integrity=integrity)
     )
 
 
@@ -240,12 +241,11 @@ class TestCoalescedReplay:
 
 
 class TestInterleaving:
-    """Satellite 2: `_global_params` and `_quant_cache` across replays.
+    """`_global_params` across replays.
 
     `_global_params` is a per-operation memo reset at the top of every
-    lowering and `_quant_cache` is keyed by value range only, so
-    interleaving captures, replays, and plan-free fresh lowerings in one
-    Tensorizer must never leak state between them.
+    lowering, so interleaving captures, replays, and plan-free fresh
+    lowerings in one Tensorizer must never leak state between them.
     """
 
     def test_interleaved_capture_replay_fresh_stay_exact(self):
@@ -266,7 +266,6 @@ class TestInterleaving:
             _gemm(rng.normal(size=(32, 24)) * 7.0, b),  # SCALE replay
         ]
         tz, cache = _planned_tz()
-        tz._quant_cache_max = 4  # force quant-memo churn mid-sequence
         reference = _fresh_tz()
         for request in sequence:
             mine = tz.lower(request)
@@ -326,8 +325,7 @@ class TestScratchLru:
 
 class TestGuards:
     def test_plan_cache_requires_vectorized_lowering(self):
+        # Only the batched production rules plan; the reference stays
+        # plan-free.
         with pytest.raises(TensorizerError):
-            Tensorizer(
-                options=TensorizerOptions(vectorized=False),
-                plan_cache=PlanCache(),
-            )
+            ReferenceTensorizer(plan_cache=PlanCache())

@@ -58,7 +58,7 @@ def _captured_gemm_plan(integrity: str = "off") -> CompiledPlan:
     rng = np.random.default_rng(11)
     cache = PlanCache()
     tz = Tensorizer(
-        options=TensorizerOptions(vectorized=True, integrity=integrity),
+        options=TensorizerOptions(integrity=integrity),
         plan_cache=cache,
     )
     request = OperationRequest(

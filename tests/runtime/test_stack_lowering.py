@@ -1,23 +1,31 @@
 """Whole-stack lowerings: the batched stencil and POOL on a plane stack.
 
 The batched stencil quantizes every halo patch of a conv2D stencil at
-once; its per-tile body survives as the scalar twin
-(``vectorized=False``), and the two must agree bit for bit — results,
-instruction streams and saturation counts.  A ``(P, H, W)`` POOL must
-equal P one-plane POOLs: the same results, and an instruction stream
-that is the per-plane streams concatenated in plane order.
+once; its per-tile body survives in the conformance reference
+(:class:`repro.conformance.reference.ReferenceTensorizer`), and the two
+must agree bit for bit — results, instruction streams and saturation
+counts.  A ``(P, H, W)`` POOL must equal P one-plane POOLs: the same
+results, and an instruction stream that is the per-plane streams
+concatenated in plane order.
 """
 
 import numpy as np
 import pytest
 
+from repro.conformance.reference import ReferenceTensorizer
 from repro.edgetpu.isa import Opcode
 from repro.errors import QuantizationError, TensorizerError
+from repro.runtime import tensorizer as tensorizer_module
 from repro.runtime.opqueue import QuantMode
-from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
+from repro.runtime.tensorizer import Tensorizer
 from tests.runtime.test_vectorized_equivalence import assert_equivalent, make_request
 
 QUANTS = [QuantMode.SCALE, QuantMode.GLOBAL]
+
+
+def tensorizer(vectorized: bool) -> Tensorizer:
+    """The production Tensorizer, or the per-tile reference."""
+    return Tensorizer() if vectorized else ReferenceTensorizer()
 
 
 class TestStencilTwins:
@@ -63,25 +71,29 @@ class TestStencilTwins:
         a, kern = rng.normal(size=(200, 300)), rng.normal(size=(3, 3))
         assert_equivalent(lambda: make_request(Opcode.CONV2D, a, kern), scaling_rule="formula")
 
-    def test_batched_rule_counts_one_dispatch_and_no_memo_traffic(self):
+    def test_batched_rule_counts_one_dispatch_and_no_memo_traffic(self, monkeypatch):
         rng = np.random.default_rng(4)
         a, kern = rng.normal(size=(300, 211)), rng.normal(size=(3, 3))
         tz = Tensorizer()
-        hits, misses = tz.stats.quant_cache_hits, tz.stats.quant_cache_misses
+        calls = []
+        real = tensorizer_module.params_for_range
+        monkeypatch.setattr(
+            tensorizer_module, "params_for_range", lambda m: calls.append(m) or real(m)
+        )
         tz.lower(make_request(Opcode.CONV2D, a, kern))
         assert tz.stats.batched_dispatches == 1
         assert tz.stats.scalar_dispatches == 0
         assert tz.stats.tiles_lowered == 6
-        # Only the operation-wide output and kernel params go through
-        # the memo; the six patch scales do not.
-        assert tz.stats.quant_cache_hits + tz.stats.quant_cache_misses - hits - misses == 2
+        # Only the operation-wide output and kernel params are derived
+        # one range at a time; the six patch scales come in one batch.
+        assert len(calls) == 2
 
     def test_nan_input_fails_alike(self):
         a = np.random.default_rng(5).normal(size=(300, 300))
         a[200, 250] = np.nan
         kern = np.full((3, 3), 1 / 9)
         for vectorized in (True, False):
-            tz = Tensorizer(options=TensorizerOptions(vectorized=vectorized))
+            tz = tensorizer(vectorized)
             with pytest.raises(
                 QuantizationError, match="^cannot derive quantization parameters from NaN range$"
             ):
@@ -100,7 +112,7 @@ class TestStencilTwins:
     )
     def test_oversized_kernel_fails_alike(self, shape, kshape, message):
         for vectorized in (True, False):
-            tz = Tensorizer(options=TensorizerOptions(vectorized=vectorized))
+            tz = tensorizer(vectorized)
             with pytest.raises(TensorizerError, match=message):
                 tz.lower(make_request(Opcode.CONV2D, np.ones(shape), np.ones(kshape)))
 
@@ -125,10 +137,9 @@ class TestPoolStack:
         x = rng.normal(size=shape) * 4.0
         x[1] *= 0.01  # a plane with its own, much smaller range
         attrs = dict(window=window, stride=stride, kind=kind)
-        opts = TensorizerOptions(vectorized=vectorized)
-        stack = Tensorizer(options=opts).lower(make_request(Opcode.POOL, x, quant=quant, **attrs))
+        stack = tensorizer(vectorized).lower(make_request(Opcode.POOL, x, quant=quant, **attrs))
         planes = [
-            Tensorizer(options=opts).lower(make_request(Opcode.POOL, p, quant=quant, **attrs))
+            tensorizer(vectorized).lower(make_request(Opcode.POOL, p, quant=quant, **attrs))
             for p in x
         ]
         expect = np.stack([p.result for p in planes])
@@ -159,7 +170,7 @@ class TestPoolStack:
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_empty_stack_rejected(self, vectorized):
-        tz = Tensorizer(options=TensorizerOptions(vectorized=vectorized))
+        tz = tensorizer(vectorized)
         with pytest.raises(TensorizerError, match="at least one plane"):
             tz.lower(make_request(Opcode.POOL, np.zeros((0, 8, 8)), window=(2, 2)))
 

@@ -1,12 +1,13 @@
-"""Batched-vs-scalar lowering equivalence (hypothesis property tests).
+"""Batched-vs-reference lowering equivalence (hypothesis property tests).
 
-The vectorized Tensorizer path must be a pure performance transform: for
-every operation it has to produce bit-identical results (``tobytes``
+The batched Tensorizer rules must be a pure performance transform: for
+every operation they have to produce bit-identical results (``tobytes``
 equality, not mere closeness), the same saturation counts, the same CPU
 aggregation seconds, and a byte-for-byte identical ``LoweredInstr``
-stream as the scalar reference oracle (``vectorized=False``).  These
-tests drive both paths over random shapes — including ragged edge tiles
-— and degenerate data (zeros, constants, all-negative matrices).
+stream as the per-tile oracle
+(:class:`repro.conformance.reference.ReferenceTensorizer`).  These
+tests drive both over random shapes — including ragged edge tiles — and
+degenerate data (zeros, constants, all-negative matrices).
 
 ``EQUIVALENCE_EXAMPLES`` overrides every property's example count (CI
 runs ~500 with a fixed ``--hypothesis-seed``).
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conformance.reference import ReferenceTensorizer
 from repro.edgetpu import functional
 from repro.edgetpu.isa import Opcode
 from repro.edgetpu.quantize import params_for_data, quantize
@@ -111,12 +113,12 @@ def assert_same_as_contiguous(op, operands, **kwargs):
 def assert_equivalent(build_request, **options):
     """Lower one request through both paths and demand exact equality.
 
-    The vectorized path also lowers it with ``integrity="abft"``: the
+    The production path also lowers it with ``integrity="abft"``: the
     same result and stream, plus one check per instruction whose label,
-    out scale and expected int8 tile are the scalar oracle's.
+    out scale and expected int8 tile are the reference's.
     """
-    vec = Tensorizer(options=TensorizerOptions(vectorized=True, **options))
-    ref = Tensorizer(options=TensorizerOptions(vectorized=False, **options))
+    vec = Tensorizer(options=TensorizerOptions(**options))
+    ref = ReferenceTensorizer(options=TensorizerOptions(**options))
     ref_out_scales = []
     output_params = ref._output_params
 
@@ -363,7 +365,7 @@ class TestMatrixEquivalence:
         assert len(coalesced) == clients
         # Without a cache the plan is used once: never stored or counted.
         assert tz.stats.plan_captures == (0 if cache == "none" else 1)
-        oracle = Tensorizer(options=TensorizerOptions(vectorized=False))
+        oracle = ReferenceTensorizer()
         s = math.isqrt(n - 1) + 1
         rows_only = oracle.cpu.elementwise_seconds(64 * s * s, bytes_per_elem=2)
         refs = [oracle.lower(request) for request in requests]

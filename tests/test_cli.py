@@ -11,8 +11,9 @@ def test_characterize_prints_table1(capsys):
     assert main(["characterize"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
-    for opname in ("conv2D", "FullyConnected", "ReLu"):
+    for opname in ("conv2D", "FullyConnected", "ReLu", "pool", "softmax"):
         assert opname in out
+    assert "NN extension" in out
     assert "Data exchange" in out
 
 
