@@ -96,8 +96,12 @@ class PageRankApp(Application):
 
     def generate(self, seed: int = 0, **params: int) -> Dict[str, np.ndarray]:
         n = params.get("n", 2048)
+        link = make_link_matrix(n, seed)
+        # Read-only: the graph is fixed input, and a read-only model
+        # operand stays resident in the Tensorizer's memo by identity.
+        link.flags.writeable = False
         return {
-            "link": make_link_matrix(n, seed),
+            "link": link,
             "iterations": np.array(params.get("iterations", 15)),
         }
 
@@ -122,7 +126,11 @@ class PageRankApp(Application):
         n = link.shape[0]
         rank = np.full(n, 1.0 / n)
         reports = []
-        link_t = link.T  # tpu_matvec computes vec @ mat = (mat.T @ vec).T
+        # tpu_matvec computes vec @ mat = (mat.T @ vec).T.  The link
+        # matrix is column-major, so link.T is a row-major view; over a
+        # read-only link, every iteration hands the Tensorizer the same
+        # read-only operand, which it neither copies nor compares.
+        link_t = link.T
         for _ in range(iterations):
             scale = float(rank.max())
             product = tpu_matvec(ctx, rank / scale, link_t, model_name="pagerank-link")

@@ -232,7 +232,7 @@ class ReferenceTensorizer(Tensorizer):
             result[t.cols] += execd.dequantized()
             instrs.append(
                 self._matvec_instr(
-                    request, t, seg.size, execd.out_elems, wt.size, execd.seconds
+                    request, t.index, seg.size, execd.out_elems, wt.size, execd.seconds
                 )
             )
         # CPU sums the k-partials in wide registers (§6.2.1).

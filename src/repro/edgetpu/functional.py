@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import parallel
 from repro.errors import UnsupportedInstructionError
 from repro.edgetpu.isa import Instruction, Opcode
 from repro.edgetpu.quantize import QMAX, QuantParams
@@ -119,13 +120,19 @@ def pairwise(op: Opcode, a: np.ndarray, b: np.ndarray, a_scale: float, b_scale: 
     return OpResult(acc=acc, acc_scale=a_scale, macs=0)
 
 
-def crop(data: np.ndarray, box: Tuple[int, int, int, int], scale: float) -> OpResult:
-    """Extract a sub-matrix (Table 1: crop).  box = (row0, col0, h, w)."""
+def crop_window(data: np.ndarray, box: Tuple[int, int, int, int]) -> np.ndarray:
+    """The view of *data* a crop with ``box = (row0, col0, h, w)`` keeps;
+    raises for a box that does not fit."""
     data = _require_2d(data, "crop data")
     r0, c0, h, w = box
     if r0 < 0 or c0 < 0 or h < 1 or w < 1 or r0 + h > data.shape[0] or c0 + w > data.shape[1]:
         raise UnsupportedInstructionError(f"crop box {box} outside data shape {data.shape}")
-    return OpResult(acc=data[r0 : r0 + h, c0 : c0 + w].astype(np.int64), acc_scale=scale, macs=0)
+    return data[r0 : r0 + h, c0 : c0 + w]
+
+
+def crop(data: np.ndarray, box: Tuple[int, int, int, int], scale: float) -> OpResult:
+    """Extract a sub-matrix (Table 1: crop).  box = (row0, col0, h, w)."""
+    return OpResult(acc=crop_window(data, box).astype(np.int64), acc_scale=scale, macs=0)
 
 
 def ext(
@@ -450,16 +457,22 @@ def fully_connected_batched(
             f"batch mismatch: vecs {vecs.shape} vs weights {weights.shape}"
         )
     acc = np.zeros((weights.shape[0], weights.shape[2]), dtype=np.int64)
-    # A few tiles per matmul: the float32 widening of the weights stays
-    # that small instead of four times the int8 stack.
-    for i0 in range(0, weights.shape[0], _FC_TILES_PER_MATMUL):
-        i1 = i0 + _FC_TILES_PER_MATMUL
-        for k0 in f32_slab_starts(vecs.shape[1]):
-            k1 = k0 + _F32_EXACT_SLAB
-            acc[i0:i1] += np.matmul(
-                vecs[i0:i1, None, k0:k1].astype(np.float32),
-                weights[i0:i1, k0:k1].astype(np.float32),
-            )[:, 0, :].astype(np.int64)
+
+    def tile_groups(g0: int, g1: int) -> None:
+        # A few tiles per matmul: the float32 widening of the weights
+        # stays that small instead of four times the int8 stack.
+        for g in range(g0, g1):
+            i0, i1 = g * _FC_TILES_PER_MATMUL, (g + 1) * _FC_TILES_PER_MATMUL
+            for k0 in f32_slab_starts(vecs.shape[1]):
+                k1 = k0 + _F32_EXACT_SLAB
+                acc[i0:i1] += np.matmul(
+                    vecs[i0:i1, None, k0:k1].astype(np.float32),
+                    weights[i0:i1, k0:k1].astype(np.float32),
+                )[:, 0, :].astype(np.int64)
+
+    # Large stacks split their tile groups over the host threads.
+    groups = -(-weights.shape[0] // _FC_TILES_PER_MATMUL)
+    parallel.split_rows(tile_groups, parallel.row_ranges(groups, weights.size))
     return BatchedOpResult(
         acc=acc,
         acc_scales=np.asarray(vec_scales, dtype=np.float64) * weight_scales,

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import parallel
 from repro.errors import QuantizationError
 
 #: Representable int8 range.
@@ -184,8 +185,9 @@ def quantize_tiles(
     :func:`batch_max_abs`, :func:`scales_for_ranges` and
     :func:`quantize_batched`, but it works one row of tiles at a time:
     the float64 matrix is read once and every temporary stays the size
-    of one tile row.  GLOBAL callers have already validated the data
-    (deriving *scale* rejects a non-finite range).
+    of one tile row per host thread (large matrices split their tile
+    rows over :mod:`repro.parallel`).  GLOBAL callers have already
+    validated the data (deriving *scale* rejects a non-finite range).
     """
     rows, cols = matrix.shape
     if matrix.size == 0:
@@ -193,28 +195,33 @@ def quantize_tiles(
     n_r, n_c = -(-rows // tile), -(-cols // tile)
     q = np.empty((n_r, n_c, tile, tile), dtype=np.int8)
     scales = np.empty((n_r, n_c), dtype=np.float64)
-    band = np.zeros((tile, n_c, tile), dtype=np.float64)
-    flat = band.reshape(tile, n_c * tile)
-    for r in range(n_r):
-        h = min(tile, rows - r * tile)
-        if h < tile:
-            band.fill(0.0)
-        flat[:h, :cols] = matrix[r * tile : r * tile + h]
-        if scale is None:
-            # max|x| == max(max, -min); NaN survives both reductions.
-            max_abs = np.maximum(band.max(axis=0).max(axis=1), -band.min(axis=0).min(axis=1))
-            if not np.all(np.isfinite(max_abs)):
-                raise QuantizationError("data contains non-finite values")
-            scales[r] = scales_for_ranges(max_abs)
-            np.multiply(band, scales[r][None, :, None], out=band)
-            # |x| * 127 / max|x| rounds to at most 127: the clip is dead.
-            np.rint(band, out=band)
-        else:
-            scales[r] = scale
-            np.multiply(band, scale, out=band)
-            np.rint(band, out=band)
-            np.clip(band, QMIN, QMAX, out=band)
-        q[r] = band.astype(np.int8).swapaxes(0, 1)
+
+    def tile_rows(r0: int, r1: int) -> None:
+        band = np.zeros((tile, n_c, tile), dtype=np.float64)
+        flat = band.reshape(tile, n_c * tile)
+        for r in range(r0, r1):
+            h = min(tile, rows - r * tile)
+            if h < tile:
+                band.fill(0.0)
+            flat[:h, :cols] = matrix[r * tile : r * tile + h]
+            if scale is None:
+                # max|x| == max(max, -min); NaN survives both reductions.
+                max_abs = np.maximum(band.max(axis=0).max(axis=1), -band.min(axis=0).min(axis=1))
+                if not np.all(np.isfinite(max_abs)):
+                    raise QuantizationError("data contains non-finite values")
+                scales[r] = scales_for_ranges(max_abs)
+                np.multiply(band, scales[r][None, :, None], out=band)
+                # |x| * 127 / max|x| rounds to at most 127: the clip is dead.
+                np.rint(band, out=band)
+            else:
+                scales[r] = scale
+                np.multiply(band, scale, out=band)
+                np.rint(band, out=band)
+                np.clip(band, QMIN, QMAX, out=band)
+            q[r] = band.astype(np.int8).swapaxes(0, 1)
+
+    # Large matrices split their tile rows over the host threads.
+    parallel.split_rows(tile_rows, parallel.row_ranges(n_r, rows * cols))
     return q.reshape(n_r * n_c, tile, tile), scales.reshape(-1)
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config import EdgeTPUConfig
 from repro.edgetpu.isa import Instruction, Opcode
 
@@ -57,6 +59,20 @@ class TimingModel:
             self.issue_floor_seconds(opcode),
             self.result_seconds(opcode, out_elems),
             self.mac_seconds(macs),
+        )
+
+    def instruction_seconds_array(
+        self, opcode: Opcode, out_elems: np.ndarray, macs: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`instruction_seconds` of many instructions at once: the
+        same IEEE divisions and maximum, elementwise."""
+        out_elems, macs = np.asarray(out_elems), np.asarray(macs)
+        if (out_elems < 0).any() or (macs < 0).any():
+            raise ValueError("negative work in an instruction batch")
+        result = out_elems / self.config.rps(opcode.opname)
+        return np.maximum(
+            np.maximum(self.issue_floor_seconds(opcode), result),
+            macs / self.config.sustained_macs_per_sec,
         )
 
     def optimal_out_elems(self, opcode: Opcode) -> int:

@@ -31,6 +31,10 @@ kernels: pairwise and unary ops one 128-row band at a time on the
 operand's own layout, conv2D-GEMM over row blocks of a fixed byte
 budget, the other rules over stacks of same-shape tiles (see
 ``docs/performance.md``).  Host memory then stays near the working set.
+Large kernels split their rows over the host threads
+(:mod:`repro.parallel`); everything stateful — statistics, model-build
+accounting, integrity plans — stays on the calling thread, merged in
+row order, so a split lowering is bit-identical to a whole one.
 The per-tile oracle these rules must match — byte-for-byte identical
 ``LoweredInstr`` streams and bit-identical results — is
 :class:`repro.conformance.reference.ReferenceTensorizer`; the property
@@ -40,6 +44,7 @@ tests in ``tests/runtime/test_vectorized_equivalence.py`` enforce it.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import parallel
 from repro.config import EdgeTPUConfig
 from repro.errors import QuantizationError, TensorizerError
 from repro.edgetpu import functional
@@ -122,23 +128,79 @@ def _gemm_block_rows(n: int, k: int, rows_per_chunk: int, total_rows: int) -> in
 
 
 def _gemm_scratch(block_rows: int, n: int, k: int, rows_per_chunk: int) -> dict:
-    """Conv2D-GEMM buffers: one row block, one strip, the quantized B.
+    """Conv2D-GEMM buffers: one row block, the quantized B, and one
+    float64 workspace pair per host thread.
 
-    The float64 strip holds one row chunk's accumulator at requantize,
-    and B's rows at quantize — as many as fit an eighth of the budget.
+    A workspace holds one row chunk of A while it is quantized and one
+    chunk's accumulator strip at requantize.  The first pair's strip
+    also quantizes B's rows, as many as fit an eighth of the budget;
+    the pairs of further threads are added on their first split (see
+    :func:`_split_with_workspaces`).
     """
     chunk_h = min(rows_per_chunk, block_rows)
     strip_h = max(chunk_h, min(n, _GEMM_BLOCK_BYTES // (64 * k)))
     return {
         "q_a": np.empty((block_rows, n), dtype=np.float32),
         "q_b": np.empty((n, k), dtype=np.float32),
-        "tmp_a": np.empty((chunk_h, n), dtype=np.float64),
-        "strip": np.empty((strip_h, k), dtype=np.float64),
+        "workspaces": [(
+            np.empty((chunk_h, n), dtype=np.float64),
+            np.empty((strip_h, k), dtype=np.float64),
+        )],
         "parts": [
             np.empty((block_rows, k), dtype=np.float32)
             for _ in functional.f32_slab_starts(n)
         ],
     }
+
+
+def _split_with_workspaces(sc: dict, rows: int, work: int, kernel) -> list:
+    """:func:`repro.parallel.split_rows` over *rows*, each range handed
+    its own workspace pair of the conv2D-GEMM scratch *sc* as
+    ``kernel(r0, r1, (tmp_a, strip))``.  A thread beyond the first adds
+    one chunk-sized pair to the scratch, once."""
+    ranges = parallel.row_ranges(rows, work)
+    spaces = sc["workspaces"]
+    while len(spaces) < len(ranges):
+        tmp_a, strip = spaces[0]
+        spaces.append((np.empty_like(tmp_a), np.empty((len(tmp_a), strip.shape[1]))))
+    slot = {r0: spaces[i] for i, (r0, _) in enumerate(ranges)}
+    return parallel.split_rows(lambda r0, r1: kernel(r0, r1, slot[r0]), ranges)
+
+
+def _laid_out_like(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A view of the float64 buffer *buf* with *like*'s shape, column-major
+    when *like* is (backprop's ``x.T``), so an elementwise pass from
+    *like* reads and writes both in memory order.  A 64-row chunk of a
+    2048² ``x.T`` quantized through a row-major buffer took 60 ms per
+    operand, against 18 ms through a column-major one."""
+    h, w = like.shape
+    flat = buf.reshape(-1)[: h * w]
+    if like.strides[0] < like.strides[1]:
+        return flat.reshape(w, h).T
+    return flat.reshape(h, w)
+
+
+def _extremes(views: Sequence[np.ndarray], work: int) -> List[Tuple[float, float]]:
+    """``(max, min)`` of each view: one pass per reduction, the views
+    split over the host threads."""
+
+    def scan(v0: int, v1: int) -> List[Tuple[float, float]]:
+        return [(float(v.max()), float(v.min())) for v in views[v0:v1]]
+
+    ranges = parallel.row_ranges(len(views), work)
+    return [pair for part in parallel.split_rows(scan, ranges) for pair in part]
+
+
+def _extreme_params(hi: float, lo: float) -> QuantParams:
+    """Params covering a view whose (max, min) is (*hi*, *lo*):
+    bit-identical to :func:`params_for_data` (``max|x| == max(max,
+    -min)``, exact in IEEE) without an ``|x|`` temporary.  NaN anywhere
+    makes both reductions NaN and inf survives the fold, so the same
+    inputs are rejected with the same error."""
+    mx = max(hi, -lo)
+    if not math.isfinite(mx):
+        raise QuantizationError("data contains non-finite values")
+    return params_for_range(mx)
 
 
 def _tile_columns(cols: int, tile: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -160,6 +222,17 @@ def _band_max_abs(band: np.ndarray, col_starts: np.ndarray) -> np.ndarray:
     return np.maximum(hi, -lo)
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Can nothing write *array*?  True when it and every array under it
+    (its ``.base`` chain) are read-only; a base that is not an array
+    (a buffer, a memory map) is not trusted."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
 def _quantize_band(band: np.ndarray, col_scales: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``rint(x * f)`` with per-column scales, into the float64 *out*.
 
@@ -176,19 +249,23 @@ class _LazyRange:
 
     The Eqs. 5-8 output scale needs the operands' (min, max) only when a
     tile's measured Eq. 4 bound is zero or the scaling rule is
-    "formula"; the common case never scans the operands for it.
+    "formula"; the common case never scans the operands for it.  The
+    row ranges of a split rule share one instance, so the scan is
+    locked: it runs once, whichever thread asks first.
     """
 
-    __slots__ = ("_arrays", "_range")
+    __slots__ = ("_arrays", "_range", "_lock")
 
     def __init__(self, *arrays: np.ndarray, known: Optional[Tuple[float, float]] = None) -> None:
         self._arrays = arrays
         self._range = known
+        self._lock = threading.Lock()
 
     def __call__(self) -> Tuple[float, float]:
-        if self._range is None:
-            self._range = data_range(*self._arrays)
-            self._arrays = ()
+        with self._lock:
+            if self._range is None:
+                self._range = data_range(*self._arrays)
+                self._arrays = ()
         return self._range
 
 
@@ -298,8 +375,8 @@ class Tensorizer:
         self._replaying = False
         # Keyed LRU of conv2D-GEMM scratch buffers: geometry key -> dict.
         self._gemm_scratch: "OrderedDict[tuple, dict]" = OrderedDict()
-        # The last named FullyConnected model operand, quantized
-        # (see _model_tiles): (key, operand copy, int8 tiles, scales).
+        # The last named FullyConnected model operand, quantized (see
+        # _model_tiles): (key, operand or its copy, int8 tiles, scales).
         self._model_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -511,17 +588,6 @@ class Tensorizer:
             raise QuantizationError("data contains non-finite values")
         return params_for_range(float(np.max(np.abs(data))))
 
-    def _chunk_params(self, chunk: np.ndarray) -> QuantParams:
-        """Replay-path :meth:`_params_for_data`: bit-identical params from
-        one max and one min pass (``max|x| == max(max, -min)``, exact in
-        IEEE), without materializing an ``|x|`` temporary.  NaN anywhere
-        makes both reductions NaN and inf survives the fold, so the same
-        inputs are rejected with the same error."""
-        mx = max(float(chunk.max()), -float(chunk.min()))
-        if not math.isfinite(mx):
-            raise QuantizationError("data contains non-finite values")
-        return params_for_range(mx)
-
     def _input_params(self, request: OperationRequest, *tiles: np.ndarray) -> QuantParams:
         """Input quantization: per-tile (SCALE) or whole-dataset (GLOBAL)."""
         if request.quant is QuantMode.GLOBAL:
@@ -655,64 +721,78 @@ class Tensorizer:
         col_starts, widths = _tile_columns(cols, tile)
         one = np.int64(1)
         result = np.empty((rows, cols))
-        qa_buf = np.empty((min(tile, rows), cols))
-        qb_buf = np.empty_like(qa_buf)
-        saturated = 0
+        if request.quant is QuantMode.GLOBAL:
+            self._input_params(request)  # the shared scale, before any split
         # Pairwise ops have no linear accumulator structure for ABFT, so
         # their plan carries exact post-requantization checksums (and,
         # under "vote", the payload for dual-device byte comparison).
-        plan = (
-            IntegrityPlan(mode=self.options.integrity)
-            if self.options.integrity != "off"
-            else None
-        )
-        instrs: List[LoweredInstr] = []
+        integrity_on = self.options.integrity != "off"
+
+        def bands(b0: int, b1: int) -> List[Tuple[int, list]]:
+            """Bands b0..b1: result rows, plus (saturated, checks) each."""
+            qa_buf = np.empty((min(tile, rows - b0 * tile), cols))
+            qb_buf = np.empty_like(qa_buf)
+            outcomes = []
+            for r0 in range(b0 * tile, min(b1 * tile, rows), tile):
+                r1 = min(r0 + tile, rows)
+                a_band, b_band = a[r0:r1], b[r0:r1]
+                if op is Opcode.MUL:
+                    a_scales = self._band_input_scales(request, col_starts, a_band)
+                    b_scales = self._band_input_scales(request, col_starts, b_band)
+                    acc_scales = a_scales * b_scales
+                else:
+                    # add/sub share one scale so integer addition is aligned.
+                    a_scales = b_scales = acc_scales = self._band_input_scales(
+                        request, col_starts, a_band, b_band
+                    )
+                qa, qb = qa_buf[: r1 - r0], qb_buf[: r1 - r0]
+                # Measured Eq. 4 bound on the raw (pre-quantization) outputs.
+                measured = _band_max_abs(float_op(a_band, b_band, out=qa), col_starts)
+                out_scales = self._output_scales(op.opname, measured, minmax, one)
+                _quantize_band(a_band, np.repeat(a_scales, widths), qa)
+                _quantize_band(b_band, np.repeat(b_scales, widths), qb)
+                # The int8 products / sums are exact in float64.
+                float_op(qa, qb, out=qa)
+                # EdgeTPUDevice._requantize: rescale = out/acc, rint, clip.
+                # ``+ 0.0``: int8 has no signed zero, nor may the result.
+                np.multiply(qa, np.repeat(out_scales / acc_scales, widths), out=qa)
+                np.rint(qa, out=qa)
+                np.add(qa, 0.0, out=qa)
+                band_saturated = int(np.count_nonzero(qa > QMAX)) + int(
+                    np.count_nonzero(qa < QMIN)
+                )
+                if band_saturated:
+                    np.clip(qa, QMIN, QMAX, out=qa)
+                np.divide(qa, np.repeat(out_scales, widths), out=result[r0:r1])
+                checks = [
+                    make_exact_check(
+                        label=f"{op.opname}@{(r0 // tile, c)}",
+                        rows=(r0, r1),
+                        cols=(c0, c0 + w),
+                        q=qa[:, c0 : c0 + w],
+                        out_scale=float(out_scales[c]),
+                    )
+                    for c, (c0, w) in enumerate(zip(col_starts.tolist(), widths.tolist()))
+                ] if integrity_on else []
+                outcomes.append((band_saturated, checks))
+            return outcomes
+
         # One 128-row band at a time, on the operands' own layout: every
         # temporary is band-sized, and each tile's arithmetic is the
-        # reference's, applied with per-column expanded scales.
-        for r, r0 in enumerate(range(0, rows, tile)):
-            r1 = min(r0 + tile, rows)
-            a_band, b_band = a[r0:r1], b[r0:r1]
-            if op is Opcode.MUL:
-                a_scales = self._band_input_scales(request, col_starts, a_band)
-                b_scales = self._band_input_scales(request, col_starts, b_band)
-                acc_scales = a_scales * b_scales
-            else:
-                # add/sub share one scale so integer addition is aligned.
-                a_scales = b_scales = acc_scales = self._band_input_scales(
-                    request, col_starts, a_band, b_band
-                )
-            qa, qb = qa_buf[: r1 - r0], qb_buf[: r1 - r0]
-            # Measured Eq. 4 bound on the raw (pre-quantization) outputs.
-            measured = _band_max_abs(float_op(a_band, b_band, out=qa), col_starts)
-            out_scales = self._output_scales(op.opname, measured, minmax, one)
-            _quantize_band(a_band, np.repeat(a_scales, widths), qa)
-            _quantize_band(b_band, np.repeat(b_scales, widths), qb)
-            # The int8 products / sums are exact in float64.
-            float_op(qa, qb, out=qa)
-            # EdgeTPUDevice._requantize: rescale = out/acc, rint, clip.
-            # ``+ 0.0``: int8 has no signed zero, nor may the result.
-            np.multiply(qa, np.repeat(out_scales / acc_scales, widths), out=qa)
-            np.rint(qa, out=qa)
-            np.add(qa, 0.0, out=qa)
-            band_saturated = int(np.count_nonzero(qa > QMAX)) + int(
-                np.count_nonzero(qa < QMIN)
-            )
-            if band_saturated:
-                saturated += band_saturated
-                np.clip(qa, QMIN, QMAX, out=qa)
-            np.divide(qa, np.repeat(out_scales, widths), out=result[r0:r1])
-            for c, c0 in enumerate(col_starts.tolist()):
-                c1 = c0 + int(widths[c])
-                instrs.append(self._elementwise_instr(request, (r, c), r1 - r0, c1 - c0))
-                if plan is not None:
-                    plan.add(make_exact_check(
-                        label=instrs[-1].label,
-                        rows=(r0, r1),
-                        cols=(c0, c1),
-                        q=qa[:, c0:c1],
-                        out_scale=float(out_scales[c]),
-                    ))
+        # reference's, applied with per-column expanded scales.  Large
+        # operands split their bands over the host threads.
+        n_bands = -(-rows // tile)
+        done = parallel.split_rows(bands, parallel.row_ranges(n_bands, rows * cols))
+        plan = IntegrityPlan(mode=self.options.integrity) if integrity_on else None
+        instrs: List[LoweredInstr] = []
+        saturated = 0
+        for r, (band_saturated, checks) in enumerate(o for part in done for o in part):
+            saturated += band_saturated
+            r0 = r * tile
+            for c, w in enumerate(widths.tolist()):
+                instrs.append(self._elementwise_instr(request, (r, c), min(tile, rows - r0), w))
+            for check in checks:
+                plan.add(check)
         self.stats.tiles_lowered += len(instrs)
         self.stats.batched_dispatches += 1
         if plan is not None:
@@ -735,37 +815,45 @@ class Tensorizer:
         rows, cols = a.shape
         col_starts, widths = _tile_columns(cols, tile)
         result = np.empty((rows, cols))
-        q_buf = np.empty((min(tile, rows), cols))
+        if request.quant is QuantMode.GLOBAL:
+            self._input_params(request)  # the shared scale, before any split
         if op is Opcode.TANH:
             levels = np.arange(-128, 128, dtype=np.int64)
             # Column c of a band reads its tile's 256-entry table.
             lut_offsets = np.repeat(np.arange(len(col_starts)) * 256 + 128, widths)
-            lut_idx = np.empty(q_buf.shape, dtype=np.intp)
-        instrs: List[LoweredInstr] = []
-        for r, r0 in enumerate(range(0, rows, tile)):
-            r1 = min(r0 + tile, rows)
-            band = a[r0:r1]
-            scales = self._band_input_scales(request, col_starts, band)
-            q = _quantize_band(band, np.repeat(scales, widths), q_buf[: r1 - r0])
-            # The device requantizes these ops losslessly at the
-            # accumulator scale (out/acc == 1.0 exactly): the accumulator
-            # is the int8 output, and nothing saturates.
+
+        def bands(b0: int, b1: int) -> None:
+            q_buf = np.empty((min(tile, rows - b0 * tile), cols))
             if op is Opcode.TANH:
-                # The same rint(tanh(level / scale) * 127) entries
-                # functional.tanh computes per tile, one table per tile.
-                luts = np.rint(np.tanh(levels[None, :] / scales[:, None]) * QMAX) + 0.0
-                idx = lut_idx[: r1 - r0]
-                np.add(q, lut_offsets, out=idx, casting="unsafe")
-                np.take(luts, idx, out=q)
-                np.divide(q, float(QMAX), out=result[r0:r1])
-            else:
-                np.maximum(q, 0.0, out=q)
-                np.add(q, 0.0, out=q)
-                np.divide(q, np.repeat(scales, widths), out=result[r0:r1])
-            instrs.extend(
-                self._elementwise_instr(request, (r, c), r1 - r0, int(w))
-                for c, w in enumerate(widths)
-            )
+                lut_idx = np.empty(q_buf.shape, dtype=np.intp)
+            for r0 in range(b0 * tile, min(b1 * tile, rows), tile):
+                r1 = min(r0 + tile, rows)
+                band = a[r0:r1]
+                scales = self._band_input_scales(request, col_starts, band)
+                q = _quantize_band(band, np.repeat(scales, widths), q_buf[: r1 - r0])
+                # The device requantizes these ops losslessly at the
+                # accumulator scale (out/acc == 1.0 exactly): the
+                # accumulator is the int8 output, and nothing saturates.
+                if op is Opcode.TANH:
+                    # The same rint(tanh(level / scale) * 127) entries
+                    # functional.tanh computes per tile, one table per tile.
+                    luts = np.rint(np.tanh(levels[None, :] / scales[:, None]) * QMAX) + 0.0
+                    idx = lut_idx[: r1 - r0]
+                    np.add(q, lut_offsets, out=idx, casting="unsafe")
+                    np.take(luts, idx, out=q)
+                    np.divide(q, float(QMAX), out=result[r0:r1])
+                else:
+                    np.maximum(q, 0.0, out=q)
+                    np.add(q, 0.0, out=q)
+                    np.divide(q, np.repeat(scales, widths), out=result[r0:r1])
+
+        n_bands = -(-rows // tile)
+        parallel.split_rows(bands, parallel.row_ranges(n_bands, rows * cols))
+        instrs = [
+            self._elementwise_instr(request, (r, c), min(tile, rows - r * tile), w)
+            for r in range(n_bands)
+            for c, w in enumerate(widths.tolist())
+        ]
         self.stats.tiles_lowered += len(instrs)
         self.stats.batched_dispatches += 1
         return LoweredOperation(request, instrs, result)
@@ -848,26 +936,27 @@ class Tensorizer:
     def _matvec_instr(
         self,
         request: OperationRequest,
-        t,
+        index: Tuple[int, int],
         seg_size: int,
         out_size: int,
         model_elems: int,
         exec_seconds: float,
     ) -> LoweredInstr:
-        """One matvec IQ entry; shared by both paths so fields agree."""
+        """One matvec IQ entry for tile *index*; shared by both paths so
+        fields agree."""
         return LoweredInstr(
             opcode=Opcode.FULLY_CONNECTED,
             task_id=request.task_id,
-            group_key=f"task{request.task_id}:{request.input_name}:col{t.col}",
+            group_key=f"task{request.task_id}:{request.input_name}:col{index[1]}",
             cache_key="",
             data_bytes=seg_size,
             model_bytes=self._model_bytes(model_elems),
             model_build_seconds=self._model_build_seconds(model_elems),
             exec_seconds=exec_seconds,
             out_bytes=out_size,
-            label=f"FC@{t.index}",
+            label=f"FC@{index}",
             model_cache_key=(
-                f"{request.attrs['model_name']}:{t.index}"
+                f"{request.attrs['model_name']}:{index}"
                 if "model_name" in request.attrs
                 else ""
             ),
@@ -876,9 +965,10 @@ class Tensorizer:
     def _lower_matvec(self, request: OperationRequest) -> LoweredOperation:
         vec, mat = self._check_matvec(request)
         tile = self.options.arithmetic_tile
+        rows, cols = mat.shape
         n_ktiles = -(-vec.shape[0] // tile)
 
-        n_r = grid_shape(mat.shape, tile)[0]
+        n_r, n_c = grid_shape(mat.shape, tile)
         # Vector segments, zero-padded to the tile length per k-tile row.
         vpad = np.zeros(n_r * tile, dtype=np.float64)
         vpad[: vec.shape[0]] = vec
@@ -888,18 +978,40 @@ class Tensorizer:
             seg_scales = np.full(n_r, self._input_params(request).scale)
         else:
             seg_scales = scales_for_ranges(batch_max_abs(vseg))
-        q_mat, wt_scales, tiles = self._model_tiles(request, mat, tile)
+        q_mat, wt_scales = self._model_tiles(request, mat, tile)
         q_vseg = quantize_batched(vseg, seg_scales, assume_finite=True)
 
-        rows_idx = np.array([t.row for t in tiles], dtype=np.intp)
-        seg_sizes = np.array([t.shape()[0] for t in tiles], dtype=np.int64)
-        out_sizes = np.array([t.shape()[1] for t in tiles], dtype=np.int64)
-        # Measured Eq. 4 bounds stay per-tile on the *raw* views: a true
-        # float64 GEMV is BLAS-order-sensitive, so batching it would not
-        # be bit-identical (the integer accumulations below are).
-        measured = np.array(
-            [float(np.abs(vec[t.rows] @ mat[t.rows, t.cols]).max()) for t in tiles]
-        )
+        # Tiles in row-major order: row r, column c is tile r·n_c + c.
+        col_starts, widths = _tile_columns(cols, tile)
+        band_starts = np.arange(0, rows, tile)
+        seg_sizes = np.repeat(np.minimum(band_starts + tile, rows) - band_starts, n_c)
+        out_sizes = np.tile(widths, n_r)
+        rows_idx = np.repeat(np.arange(n_r), n_c)
+
+        def band_bounds(b0: int, b1: int) -> np.ndarray:
+            """Measured Eq. 4 bounds of tile rows b0..b1, from one GEMV
+            per tile row on the *raw* views, maximized per tile column.
+
+            Each output of a GEMV is its own dot product, and BLAS
+            computes a column block of a wide GEMV bit for bit as it
+            computes that block alone (the equivalence suite checks it
+            against the per-tile reference), except a one-column block,
+            which NumPy routes to another kernel: such a tile keeps its
+            own GEMV.  A float64 GEMV is order-sensitive along the rows,
+            so tile rows are never merged.
+            """
+            out = np.empty((b1 - b0, n_c))
+            for r in range(b0, b1):
+                band = slice(r * tile, (r + 1) * tile)
+                out[r - b0] = np.maximum.reduceat(np.abs(vec[band] @ mat[band]), col_starts)
+                for c in np.flatnonzero(widths == 1).tolist():
+                    c0 = int(col_starts[c])
+                    out[r - b0, c] = np.abs(vec[band] @ mat[band, c0 : c0 + 1]).max()
+            return out
+
+        measured = np.concatenate(
+            parallel.split_rows(band_bounds, parallel.row_ranges(n_r, rows * cols))
+        ).reshape(-1)
         out_scales = self._output_scales(
             Opcode.FULLY_CONNECTED.opname, measured, _LazyRange(vec, mat), seg_sizes
         )
@@ -916,55 +1028,58 @@ class Tensorizer:
         deq = dequantize_batched(q_out, out_scales)
         self.stats.batched_dispatches += 1
 
-        result = np.zeros(mat.shape[1], dtype=np.float64)
-        instrs: List[LoweredInstr] = []
-        for i, t in enumerate(tiles):
-            # Row-major accumulation order matches the reference loop
-            # (float += is order-sensitive).
-            result[t.cols] += deq[i, : int(out_sizes[i])]
-            instrs.append(
-                self._matvec_instr(
-                    request,
-                    t,
-                    int(seg_sizes[i]),
-                    int(out_sizes[i]),
-                    int(seg_sizes[i] * out_sizes[i]),
-                    self.timing.instruction_seconds(
-                        Opcode.FULLY_CONNECTED, int(out_sizes[i]), int(batched.macs[i])
-                    ),
-                )
+        # Tile row by tile row, in the reference's row order (float +=
+        # is order-sensitive): a row's tiles, side by side, are one
+        # full-width band whose ragged last tile ends at ``cols``.
+        result = np.zeros(cols, dtype=np.float64)
+        for band in deq.reshape(n_r, -1):
+            result += band[:cols]
+        exec_seconds = self.timing.instruction_seconds_array(
+            Opcode.FULLY_CONNECTED, out_sizes, batched.macs
+        ).tolist()
+        instrs = [
+            self._matvec_instr(request, (i // n_c, i % n_c), seg, out, seg * out, seconds)
+            for i, (seg, out, seconds) in enumerate(
+                zip(seg_sizes.tolist(), out_sizes.tolist(), exec_seconds)
             )
+        ]
         cpu_seconds = self.cpu.aggregate_seconds(mat.shape[1] * n_ktiles)
         return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
 
-    def _model_tiles(self, request: OperationRequest, matrix: np.ndarray, tile: int):
-        """A model operand's int8 tile stack, per-tile scales and tiles.
+    def _model_tiles(
+        self, request: OperationRequest, matrix: np.ndarray, tile: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A model operand's int8 tile stack and per-tile scales.
 
         A request naming its model (``model_name``) reuses the last
         quantization of that name while the operand is unchanged — the
         resident adjacency tiles an iterative app re-sends every call.
-        A hit compares a private copy of the operand element for element,
-        so an edited or different operand re-quantizes.  Modeled costs
-        (model builds, ``tiles_lowered``, residency keys) are charged by
-        the callers either way.
+        A read-only operand whose every base is read-only too cannot be
+        edited in place, so the memo holds that very array and a hit is
+        an identity check.  Any other operand is copied, and a hit
+        compares the copy element for element, so an edited or different
+        operand re-quantizes.  Modeled costs (model builds,
+        ``tiles_lowered``, residency keys) are charged by the callers
+        either way.
         """
-        tiles = list(iter_tiles(matrix.shape, tile))
-        self.stats.tiles_lowered += len(tiles)
+        n_r, n_c = grid_shape(matrix.shape, tile)
+        self.stats.tiles_lowered += n_r * n_c
         glob = request.quant is QuantMode.GLOBAL
         scale = self._input_params(request).scale if glob else None
         name = request.attrs.get("model_name")
         if name is None:
-            q, scales = quantize_tiles(matrix, tile, scale)
-            return q, scales, tiles
+            return quantize_tiles(matrix, tile, scale)
         key = (name, tile, scale, matrix.shape)
         memo = self._model_memo
-        if memo is not None and memo[0] == key and np.array_equal(memo[1], matrix):
-            return memo[2], memo[3], tiles
+        if memo is not None and memo[0] == key:
+            held = memo[1]
+            if (_frozen(matrix) if held is matrix else np.array_equal(held, matrix)):
+                return memo[2], memo[3]
         q, scales = quantize_tiles(matrix, tile, scale)
         q.flags.writeable = False
         scales.flags.writeable = False
-        self._model_memo = (key, matrix.copy(), q, scales)
-        return q, scales, tiles
+        self._model_memo = (key, matrix if _frozen(matrix) else matrix.copy(), q, scales)
+        return q, scales
 
     # ------------------------------------------------------------------
     # GEMM via FullyConnected (§7.1.1) — the slow path of Fig. 6
@@ -1006,7 +1121,8 @@ class Tensorizer:
         instrs: List[LoweredInstr] = []
         saturated = 0
 
-        q_b, wt_scales, tiles = self._model_tiles(request, b, tile)
+        q_b, wt_scales = self._model_tiles(request, b, tile)
+        tiles = list(iter_tiles(b.shape, tile))
         n_kt, n_ct = grid_shape(b.shape, tile)
         q_b = q_b.reshape(n_kt, n_ct, tile, tile)
         wt_scales_2d = wt_scales.reshape(n_kt, n_ct)
@@ -1280,12 +1396,14 @@ class Tensorizer:
             col_scales, q_b = block.col_scales, block.q_b
             b_lo, b_hi = block.b_lo, block.b_hi
         else:
-            # One pass per kernel batch: the reference recomputes these
+            # One (max, min) pass per kernel batch gives both its scale
+            # and B's value range.  The reference recomputes the scales
             # for every row chunk, but they do not depend on the chunk.
+            b_ext = _extremes([b[:, j0 : j0 + batch] for j0 in col_starts], n * k)
             col_scales = np.array([
-                p_glob.scale if glob else self._chunk_params(b[:, j0 : j0 + batch]).scale
-                for j0 in col_starts
+                p_glob.scale if glob else _extreme_params(hi, lo).scale for hi, lo in b_ext
             ])
+            b_lo, b_hi = min(lo for _, lo in b_ext), max(hi for hi, _ in b_ext)
             # Quantize strip by strip into a float32 buffer, each column
             # at its batch's scale.  The scaling and rint arithmetic stay
             # float64, so the stored integers are bit-identical to the
@@ -1294,34 +1412,56 @@ class Tensorizer:
             # ``+ 0.0`` normalizes rint's ``-0.0`` to the ``+0.0`` the
             # reference's int8 round-trip produces, keeping signed
             # zeros bit-identical.
-            q_b, tmp = sc["q_b"], sc["strip"]
+            q_b = sc["q_b"]
             b_col_scales = np.repeat(col_scales, batch_sizes)
-            for r0 in range(0, n, len(tmp)):
-                t = tmp[: min(len(tmp), n - r0)]
-                np.multiply(b[r0 : r0 + len(t)], b_col_scales, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_b[r0 : r0 + len(t)])
-            b_lo, b_hi = data_range(b)
+
+            strip_h = len(sc["workspaces"][0][1])
+
+            def quantize_b(s0: int, s1: int, tmp: np.ndarray) -> None:
+                """B's rows of strips s0..s1, through the strip buffer *tmp*."""
+                end = min(s1 * strip_h, n)
+                for r0 in range(s0 * strip_h, end, len(tmp)):
+                    rows_in = b[r0 : min(r0 + len(tmp), end)]
+                    t = _laid_out_like(tmp, rows_in)
+                    np.multiply(rows_in, b_col_scales, out=t)
+                    np.rint(t, out=t)
+                    np.add(t, 0.0, out=q_b[r0 : r0 + len(t)])
+
+            _split_with_workspaces(
+                sc, -(-n // strip_h), n * k, lambda s0, s1, ws: quantize_b(s0, s1, ws[1])
+            )
 
         # Each member's per-chunk scales, taken up front so a bad operand
-        # raises before anything is bound.  Folding A's range with B's
-        # equals data_range(a, b) (the Eqs. 5-8 fallback input).
-        sources: List[str] = []
+        # raises before anything is bound.  The same (max, min) pass per
+        # chunk gives A's range; folded with B's it equals
+        # data_range(a, b) (the Eqs. 5-8 fallback input).
+        pieces = [
+            (idx, ci, c0, min(c0 + rows_per_chunk, m))
+            for idx in range(n_req)
+            for ci, c0 in enumerate(row_starts)
+        ]
         ranges: List[Tuple[float, float]] = []
         all_row_params: List[List[QuantParams]] = []
-        for idx, request in enumerate(requests):
-            a = request.inputs[0]
-            a_lo, a_hi = data_range(a)
+        if glob:
+            a_lo, a_hi = data_range(a0)
             ranges.append((min(a_lo, b_lo), max(a_hi, b_hi)))
-            # Unique per distinct input so unrelated GEMMs never alias in
-            # on-chip memory; bare arrays fall back to the sequence
-            # number the caller advances once per request.
-            sources.append(request.input_name or f"op{self._op_seq + idx}")
-            all_row_params.append(
-                [p_glob] * n_rows
-                if glob
-                else [self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts]
+            all_row_params.append([p_glob] * n_rows)
+        else:
+            a_ext = _extremes(
+                [requests[idx].inputs[0][c0:c1] for idx, _, c0, c1 in pieces], n_req * m * n
             )
+            for idx in range(n_req):
+                member = a_ext[idx * n_rows : (idx + 1) * n_rows]
+                all_row_params.append([_extreme_params(hi, lo) for hi, lo in member])
+                a_lo, a_hi = min(lo for _, lo in member), max(hi for hi, _ in member)
+                ranges.append((min(a_lo, b_lo), max(a_hi, b_hi)))
+        # Unique per distinct input so unrelated GEMMs never alias in
+        # on-chip memory; bare arrays fall back to the sequence number
+        # the caller advances once per request.
+        sources = [
+            request.input_name or f"op{self._op_seq + idx}"
+            for idx, request in enumerate(requests)
+        ]
         tracer.end(sp)
 
         if cache is not None and not glob and not reuse_model:
@@ -1354,12 +1494,10 @@ class Tensorizer:
         # the block's A rows with their own per-chunk scales, take ONE
         # exact-f32 slab product for the block, then requantize it strip
         # by strip.  Rows never interact in the product, so a block's
-        # rows are bit-for-bit those of the whole stack's product.
-        pieces = [
-            (idx, ci, c0, min(c0 + rows_per_chunk, m))
-            for idx in range(n_req)
-            for ci, c0 in enumerate(row_starts)
-        ]
+        # rows are bit-for-bit those of the whole stack's product.  A
+        # large block's chunks split over the host threads: each thread
+        # takes its rows of the block through all three steps, with one
+        # slab product of its own.
         blocks: List[list] = [[]]
         filled = 0
         for piece in pieces:
@@ -1373,31 +1511,29 @@ class Tensorizer:
             "row_blocks", cat="lower.phase", track="tensorizer",
             blocks=len(blocks), m=n_req * m, n=n, k=k, requests=n_req,
         )
-        q_a, tmp_a = sc["q_a"], sc["tmp_a"]
-        strip = sc["strip"]
+        q_a = sc["q_a"]
         col_idx = np.array(col_starts, dtype=np.intp)
-        out_scales_row = np.empty(n_cols)
-        rescale_row = np.empty(n_cols)
         results = [np.empty((m, k), dtype=np.float64) for _ in requests]
-        saturated = [0] * n_req
-        integs = [
-            IntegrityPlan(mode=self.options.integrity)
-            if self.options.integrity != "off"
-            else None
-            for _ in requests
-        ]
-        for pieces_in_block in blocks:
-            offset = 0
-            for idx, ci, c0, c1 in pieces_in_block:
-                t = tmp_a[: c1 - c0]
-                np.multiply(requests[idx].inputs[0][c0:c1], all_row_params[idx][ci].scale, out=t)
+        integrity_on = self.options.integrity != "off"
+
+        def stream(pieces_in_block, tops, p0, p1, tmp_a, strip):
+            """Quantize, multiply and requantize pieces p0..p1 of a block,
+            in rows tops[p0]..tops[p1] of its scratch; returns
+            ``(member, saturated, checks)`` per piece."""
+            own = pieces_in_block[p0:p1]
+            lo, hi = tops[p0], tops[p1]
+            for (idx, ci, c0, c1), top in zip(own, tops[p0:p1]):
+                rows_in = requests[idx].inputs[0][c0:c1]
+                t = _laid_out_like(tmp_a, rows_in)
+                np.multiply(rows_in, all_row_params[idx][ci].scale, out=t)
                 np.rint(t, out=t)
-                np.add(t, 0.0, out=q_a[offset : offset + c1 - c0])
-                offset += c1 - c0
+                np.add(t, 0.0, out=q_a[top : top + c1 - c0])
             partials = functional.f32_slab_products(
-                q_a[:offset], q_b, out=[part[:offset] for part in sc["parts"]]
+                q_a[lo:hi], q_b, out=[part[lo:hi] for part in sc["parts"]]
             )
-            self.stats.batched_dispatches += 1
+            out_scales_row = np.empty(n_cols)
+            rescale_row = np.empty(n_cols)
+            outcomes = []
             # Requantize chunk-strip by chunk-strip: the exact float64
             # accumulator strip is assembled from the slab partials, its
             # per-(chunk, batch) bounds taken with two reduceat passes,
@@ -1405,14 +1541,11 @@ class Tensorizer:
             # the per-batch factors expanded to a column vector —
             # elementwise the identical operations (and operand values)
             # the reference applies to each piece.
-            offset = 0
-            for idx, ci, c0, c1 in pieces_in_block:
+            for (idx, ci, c0, c1), top in zip(own, tops[p0:p1]):
                 p_rows = all_row_params[idx][ci]
                 minmax = _LazyRange(known=ranges[idx])
-                integ = integs[idx]
                 st = strip[: c1 - c0]
-                r0, r1 = offset, offset + c1 - c0
-                offset = r1
+                r0, r1 = top - lo, top - lo + (c1 - c0)
                 if len(partials) == 1:
                     np.copyto(st, partials[0][r0:r1])
                 else:
@@ -1437,7 +1570,7 @@ class Tensorizer:
                 # they must be captured before the in-place requantize below
                 # destroys it.  A saturating strip breaks the linear relation
                 # (clipping); it falls back to exact post-clip sums instead.
-                if integ is not None and not may_saturate:
+                if integrity_on and not may_saturate:
                     acc_row_seg = np.add.reduceat(st, col_idx, axis=1)
                     acc_col = st.sum(axis=0)
                 else:
@@ -1449,21 +1582,23 @@ class Tensorizer:
                 # the device-returned ``0`` by the same out_scale — normalize
                 # so verified and unverified deliveries stay bit-identical.
                 np.add(st, 0.0, out=st)
+                saturated_here = 0
                 if may_saturate:
                     # Saturation counts are additive across blocks and clip
                     # is a no-op wherever nothing exceeds ±127, so one strip
                     # pass equals the reference's per-block pass.
-                    saturated[idx] += int(np.count_nonzero(st > 127)) + int(
+                    saturated_here = int(np.count_nonzero(st > 127)) + int(
                         np.count_nonzero(st < -127)
                     )
                     np.clip(st, -128, 127, out=st)
                 np.divide(
                     st, np.repeat(out_scales_row, batch_sizes), out=results[idx][c0:c1]
                 )
-                if integ is not None:
+                checks = []
+                if integrity_on:
                     for bi, j0 in enumerate(col_starts):
                         j1 = j0 + int(batch_sizes[bi])
-                        integ.add(make_gemm_check(
+                        checks.append(make_gemm_check(
                             label=f"convGEMM:r{c0}:k{j0}",
                             rows=(c0, c1),
                             cols=(j0, j1),
@@ -1473,6 +1608,29 @@ class Tensorizer:
                             acc_col_sums=None if acc_col is None else acc_col[j0:j1],
                             rescale=float(rescale_row[bi]),
                         ))
+                outcomes.append((idx, saturated_here, checks))
+            return outcomes
+
+        saturated = [0] * n_req
+        integs = [
+            IntegrityPlan(mode=self.options.integrity) if integrity_on else None
+            for _ in requests
+        ]
+        for pieces_in_block in blocks:
+            tops = [0]
+            for _, _, c0, c1 in pieces_in_block:
+                tops.append(tops[-1] + c1 - c0)
+            done = _split_with_workspaces(
+                sc, len(pieces_in_block), tops[-1] * (n + k),
+                lambda p0, p1, ws: stream(pieces_in_block, tops, p0, p1, *ws),  # noqa: B023
+            )
+            self.stats.batched_dispatches += 1
+            # Merged here, in piece order: the serial path's order.
+            for outcomes in done:
+                for idx, saturated_here, checks in outcomes:
+                    saturated[idx] += saturated_here
+                    for check in checks:
+                        integs[idx].add(check)
         tracer.end(sp)
         self.stats.tiles_lowered += n_req * n_rows * n_cols
 
@@ -1635,53 +1793,77 @@ class Tensorizer:
         # patch shape: zeros cannot change a patch's max |x|.
         padded = np.zeros(((n_r - 1) * step + ph, (n_c - 1) * step + pw))
         padded[: a.shape[0], : a.shape[1]] = a
-        stacked = sliding_window_view(padded, (ph, pw))[::step, ::step].reshape(
-            n_r * n_c, ph, pw
+        patches = sliding_window_view(padded, (ph, pw))[::step, ::step]
+        glob_scale = (
+            self._input_params(request).scale if request.quant is QuantMode.GLOBAL else None
         )
-        if request.quant is QuantMode.GLOBAL:
-            scales = np.full(len(stacked), self._input_params(request).scale)
-        else:
-            max_abs = np.maximum(stacked.max(axis=(1, 2)), -stacked.min(axis=(1, 2)))
-            bad = ~np.isfinite(max_abs)
-            if bad.any():
-                # NaN data (inf already failed the output bound): raise
-                # the reference's error for the first such patch.
-                params_for_range(float(max_abs[bad][0]))
-            scales = scales_for_ranges(max_abs)
-        q32 = quantize_batched(stacked, scales, assume_finite=True).astype(np.float32)
-
-        # The kh·kw shifted products accumulate in place in float32: each
-        # product is at most 128² and a slab of <= 1024 taps keeps every
-        # partial sum within 2²⁴, where float32 is exact.  Several slabs
-        # fold in float64, so the sum equals the device's int64
-        # accumulator.
         taps = [(dy, dx) for dy in range(kh) for dx in range(kw)]
         bounds = list(functional.f32_slab_starts(len(taps))) + [len(taps)]
-        prod = np.empty((len(stacked), sh, sw), dtype=np.float32)
-        parts = []
-        for t0, t1 in zip(bounds, bounds[1:]):
-            (dy, dx), *rest = taps[t0:t1]
-            part = q32[:, dy : dy + sh, dx : dx + sw] * q_kern[dy, dx]
-            for dy, dx in rest:
-                part += np.multiply(q32[:, dy : dy + sh, dx : dx + sw], q_kern[dy, dx], out=prod)
-            parts.append(part)
-        acc = parts[0] if len(parts) == 1 else np.sum(parts, axis=0, dtype=np.float64)
-        self.stats.tiles_lowered += len(stacked)
-        self.stats.batched_dispatches += 1
+        result = np.empty((oh, ow))
 
-        # EdgeTPUDevice._requantize per patch, with the same IEEE
-        # operations, written straight into the output plane's layout;
-        # the padded tails are cropped before counting saturation.
-        rescale = out_params.scale / (scales * p_kern.scale)
-        plane = np.empty((n_r, sh, n_c, sw))
-        np.multiply(
-            acc.reshape(n_r, n_c, sh, sw).transpose(0, 2, 1, 3),
-            rescale.reshape(n_r, 1, n_c, 1),
-            out=plane,
-        )
-        q = np.rint(plane.reshape(n_r * sh, n_c * sw)[:oh, :ow])
-        saturated = int(np.count_nonzero((q < QMIN) | (q > QMAX)))
-        result = np.clip(q, QMIN, QMAX).astype(np.int8) / out_params.scale
+        def patch_rows(p0: int, p1: int) -> int:
+            """Patch rows p0..p1 into their output rows; returns saturated."""
+            stacked = patches[p0:p1].reshape((p1 - p0) * n_c, ph, pw)
+            if glob_scale is not None:
+                scales = np.full(len(stacked), glob_scale)
+            else:
+                max_abs = np.maximum(stacked.max(axis=(1, 2)), -stacked.min(axis=(1, 2)))
+                bad = ~np.isfinite(max_abs)
+                if bad.any():
+                    # NaN data (inf already failed the output bound): raise
+                    # the reference's error for the first such patch.
+                    params_for_range(float(max_abs[bad][0]))
+                scales = scales_for_ranges(max_abs)
+            # quantize_batched without its clip and int8 round trip:
+            # every scale covers its patch (or the whole operand), so
+            # |rint(x·f)| <= 127 already, and the int8 codes are exact in
+            # float32.  A ``-0.0`` code can only sign an all-zero sum,
+            # which the final int8 cast below turns back into ``+0``.
+            q = stacked * scales[:, None, None]
+            q32 = np.rint(q, out=q).astype(np.float32)
+            # The kh·kw shifted products accumulate in place in float32:
+            # each product is at most 128² and a slab of <= 1024 taps
+            # keeps every partial sum within 2²⁴, where float32 is exact.
+            # Several slabs fold in float64, so the sum equals the
+            # device's int64 accumulator.
+            prod = np.empty((len(stacked), sh, sw), dtype=np.float32)
+            parts = []
+            for t0, t1 in zip(bounds, bounds[1:]):
+                (dy, dx), *rest = taps[t0:t1]
+                part = q32[:, dy : dy + sh, dx : dx + sw] * q_kern[dy, dx]
+                for dy, dx in rest:
+                    tap = q32[:, dy : dy + sh, dx : dx + sw]
+                    part += np.multiply(tap, q_kern[dy, dx], out=prod)
+                parts.append(part)
+            acc = parts[0] if len(parts) == 1 else np.sum(parts, axis=0, dtype=np.float64)
+            # EdgeTPUDevice._requantize per patch, with the same IEEE
+            # operations, written straight into the output plane's
+            # layout; the padded tails are cropped before counting
+            # saturation.
+            rescale = out_params.scale / (scales * p_kern.scale)
+            plane = np.empty((p1 - p0, sh, n_c, sw))
+            np.multiply(
+                acc.reshape(p1 - p0, n_c, sh, sw).transpose(0, 2, 1, 3),
+                rescale.reshape(p1 - p0, 1, n_c, 1),
+                out=plane,
+            )
+            y0, y1 = p0 * sh, min(p1 * sh, oh)
+            q = np.rint(plane.reshape((p1 - p0) * sh, n_c * sw)[: y1 - y0, :ow])
+            saturated = 0
+            if q.min() < QMIN or q.max() > QMAX:
+                saturated = int(np.count_nonzero((q < QMIN) | (q > QMAX)))
+                np.clip(q, QMIN, QMAX, out=q)
+            # The device's int8 cast and dequantize: ``+ 0.0`` is the
+            # one step of that cast left for codes already in range.
+            np.add(q, 0.0, out=q)
+            np.divide(q, out_params.scale, out=result[y0:y1])
+            return saturated
+
+        # Large planes split their patch rows over the host threads.
+        ranges = parallel.row_ranges(n_r, n_r * n_c * ph * pw)
+        saturated = sum(parallel.split_rows(patch_rows, ranges))
+        self.stats.tiles_lowered += n_r * n_c
+        self.stats.batched_dispatches += 1
 
         instrs: List[LoweredInstr] = []
         for r0 in range(0, oh, step):
@@ -1702,8 +1884,16 @@ class Tensorizer:
         if box is None:
             raise TensorizerError("crop requires a 'crop_box' attribute")
         p_a = self._input_params(request, a)
+        # The whole operand sets the scale; only the box is quantized and
+        # shipped to the scratch device, which crops all of it.  The
+        # modeled bytes below still count the whole operand.
+        window = functional.crop_window(a, box)
         instr = Instruction(
-            Opcode.CROP, quantize(a, p_a), p_a, attrs={"crop_box": box}, task_id=request.task_id
+            Opcode.CROP,
+            quantize(window, p_a),
+            p_a,
+            attrs={"crop_box": (0, 0) + window.shape},
+            task_id=request.task_id,
         )
         execd = self._scratch.execute(instr)
         self.stats.tiles_lowered += 1

@@ -124,6 +124,58 @@ class TestModelMemo:
         rng = np.random.default_rng(6)
         tz = Tensorizer()
         tz.lower(_matvec(rng.normal(size=130), rng.normal(size=(130, 130))))
-        q, scales, _ = stacks[0]
+        q, scales = stacks[0]
         assert not q.flags.writeable
         assert not scales.flags.writeable
+
+
+@pytest.fixture
+def comparisons(monkeypatch):
+    """Count the memo's element-for-element operand comparisons."""
+    calls = []
+    real = np.array_equal
+
+    def counting(a1, a2, *args, **kwargs):
+        calls.append((a1.shape, a2.shape))
+        return real(a1, a2, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    return calls
+
+
+class TestReadOnlyOperand:
+    def test_identity_hit_makes_no_comparison_and_no_copy(self, quantizations, comparisons):
+        rng = np.random.default_rng(7)
+        mat, vec = rng.normal(size=(300, 257)), rng.normal(size=300)
+        mat.flags.writeable = False
+        tz = Tensorizer()
+        for _ in range(3):
+            _same(tz.lower(_matvec(vec, mat)), _fresh(_matvec(vec, mat)))
+        assert comparisons == []
+        assert tz._model_memo[1] is mat  # held, not copied
+        assert len(quantizations) == 1 + 3  # owner once, fresh three times
+
+    def test_read_only_view_over_a_writable_base_still_compares(self, quantizations, comparisons):
+        rng = np.random.default_rng(8)
+        base, vec = rng.normal(size=(200, 150)), rng.normal(size=200)
+        view = base[:]
+        view.flags.writeable = False
+        tz = Tensorizer()
+        tz.lower(_matvec(vec, view))
+        assert tz._model_memo[1] is not view
+        base[17, 33] += 1.0  # edits the view's data through its base
+        _same(tz.lower(_matvec(vec, view)), _fresh(_matvec(vec, view)))
+        assert len(comparisons) == 1
+        assert len(quantizations) == 3  # owner twice, fresh once
+
+    def test_pagerank_quantizes_its_adjacency_once_per_run(self, quantizations, comparisons):
+        from repro.apps.pagerank import PageRankApp
+        from repro.host.platform import Platform
+        from repro.runtime.api import OpenCtpu
+
+        app = PageRankApp()
+        inputs = app.generate(seed=1, n=300, iterations=4)
+        assert not inputs["link"].flags.writeable
+        app.run_gptpu(inputs, OpenCtpu(Platform.with_tpus(2)))
+        assert len(quantizations) == 1
+        assert comparisons == []
