@@ -14,10 +14,11 @@ iteration.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro import parallel
 from repro.apps.base import Application, CPUResult, GPTPUResult
 from repro.host.cpu import CPUCoreModel
 from repro.ops.conv import tpu_stencil2d
@@ -47,6 +48,48 @@ def _z_term(temps: np.ndarray, z: int) -> np.ndarray:
     above = temps[z + 1] if z + 1 < layers else temps[z]
     below = temps[z - 1] if z - 1 >= 0 else temps[z]
     return CZ * (above + below - 2.0 * temps[z])
+
+
+def _shifted_layers(temps: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+    """Each layer's mean μ and its edge-padded plane ``T − μ``.
+
+    Mean-shift before quantizing: temperatures sit in a narrow band
+    around a large offset, and the stencil is affine — conv(T) =
+    conv(T−μ) + μ·Σk — so the device only sees the ±deviation range
+    (§6.2.2 calibration).  Layers split over the host threads, each
+    taken whole.
+    """
+
+    def layers(z0: int, z1: int) -> List[Tuple[float, np.ndarray]]:
+        out = []
+        for z in range(z0, z1):
+            mu = float(temps[z].mean())
+            out.append((mu, _pad_edge(temps[z] - mu)))
+        return out
+
+    ranges = parallel.row_ranges(len(temps), 4 * temps.size)
+    return [layer for part in parallel.split_rows(layers, ranges) for layer in part]
+
+
+def _coupled(
+    temps: np.ndarray, power: np.ndarray, planes: List[np.ndarray], shifts: List[float]
+) -> np.ndarray:
+    """The next temperatures: per layer, ``plane + μ·Σk + z-term +
+    DT·power`` summed in that order, the stacked layers' rows split over
+    the host threads."""
+    n = temps.shape[1]
+
+    def rows(r0: int, r1: int, out: np.ndarray) -> None:
+        for z in range(r0 // n, (r1 - 1) // n + 1):
+            y0, y1 = max(r0 - z * n, 0), min(r1 - z * n, n)
+            o = out[z * n + y0 - r0 : z * n + y1 - r0]
+            np.add(planes[z][y0:y1], shifts[z], out=o)
+            o += _z_term(temps[:, y0:y1], z)
+            o += DT * power[z, y0:y1]
+
+    new = np.empty_like(temps)
+    parallel.fill_rows(new.reshape(len(temps) * n, n), rows, 8 * temps.size)
+    return new
 
 
 class HotSpot3DApp(Application):
@@ -93,26 +136,18 @@ class HotSpot3DApp(Application):
         temps = inputs["temps"].copy()
         power = inputs["power"]
         iterations = int(inputs["iterations"])
-        layers = temps.shape[0]
         cpu = ctx.platform.cpu
         reports = []
         stencil_gain = float(STENCIL.sum())
         for _ in range(iterations):
-            new = np.empty_like(temps)
-            for z in range(layers):
-                # Mean-shift before quantizing: temperatures sit in a
-                # narrow band around a large offset, and the stencil is
-                # affine — conv(T) = conv(T−μ) + μ·Σk — so the device
-                # only sees the ±deviation range (§6.2.2 calibration).
-                mu = float(temps[z].mean())
-                plane = tpu_stencil2d(
-                    ctx, _pad_edge(temps[z] - mu), STENCIL, model_name="hotspot-k"
-                )
-                new[z] = plane + mu * stencil_gain + _z_term(temps, z) + DT * power[z]
+            planes, shifts = [], []
+            for mu, padded in _shifted_layers(temps):
+                planes.append(tpu_stencil2d(ctx, padded, STENCIL, model_name="hotspot-k"))
+                shifts.append(mu * stencil_gain)
             # Vertical coupling + power injection stay on the host.
+            temps = _coupled(temps, power, planes, shifts)
             ctx.host_compute(
                 cpu.stream_seconds(temps.size * 8 * 3), label="z-coupling"
             )
-            temps = new
             reports.append(ctx.sync())  # iterations serialize
         return self._collect(ctx, temps, reports)

@@ -27,6 +27,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro import parallel
 from repro.apps.base import Application, CPUResult, GPTPUResult
 from repro.host.cpu import CPUCoreModel
 from repro.ops.crop_pad import tpu_crop
@@ -44,11 +45,15 @@ def make_dd_matrix(n: int, seed: int) -> np.ndarray:
 
 def packed_lu_cpu(a: np.ndarray) -> np.ndarray:
     """Doolittle LU without pivoting, packed (L below, U on/above diag)."""
-    lu = np.asarray(a, dtype=np.float64).copy()
+    lu = np.array(a, dtype=np.float64)
     n = lu.shape[0]
     for k in range(n - 1):
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+        col = lu[k + 1 :, k]
+        col /= lu[k, k]
+        # The rank-1 update as a broadcast product (``np.outer`` makes the
+        # same products), subtracted in place.
+        trail = lu[k + 1 :, k + 1 :]
+        trail -= col[:, None] * lu[k, k + 1 :]
     return lu
 
 
@@ -66,7 +71,11 @@ class LUDApp(Application):
         return {"n": 1024}
 
     def generate(self, seed: int = 0, **params: int) -> Dict[str, np.ndarray]:
-        return {"a": make_dd_matrix(params.get("n", 256), seed)}
+        a = make_dd_matrix(params.get("n", 256), seed)
+        # Read-only: a crop of a read-only operand (and of its
+        # sub-matrix views) takes its scale from one scan per matrix.
+        a.flags.writeable = False
+        return {"a": a}
 
     @staticmethod
     def _reconstruct(packed: np.ndarray) -> np.ndarray:
@@ -77,8 +86,15 @@ class LUDApp(Application):
         implementations should agree on.
         """
         n = packed.shape[0]
-        l = np.tril(packed, -1) + np.eye(n)
-        return l @ np.triu(packed)
+        u = np.triu(packed)
+
+        def rows(r0: int, r1: int, out: np.ndarray) -> None:
+            # Rows r0..r1 of ``(tril(packed, -1) + eye(n)) @ u``.
+            l = np.tril(packed[r0:r1], r0 - 1)
+            l += np.eye(r1 - r0, n, r0)
+            np.matmul(l, u, out=out)
+
+        return parallel.fill_rows(np.empty((n, n)), rows, n**3)
 
     def run_cpu(self, inputs: Dict[str, np.ndarray], cpu: CPUCoreModel) -> CPUResult:
         a = inputs["a"]
@@ -133,6 +149,7 @@ class LUDApp(Application):
         # of the four partitions" (§9.3) — hence LUD's flat Fig. 8 curve.
         prod = tpu_gemm(ctx, l21, u12, method="conv2d", chunks=4)
         schur = a22 - prod
+        schur.flags.writeable = False  # the next level's crops scan it once
         ctx.host_compute(cpu.stream_seconds(schur.size * 8 * 3), label="schur-sub")
         reports.append(ctx.sync())  # the recursion depends on schur
 

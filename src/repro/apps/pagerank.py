@@ -67,19 +67,21 @@ def make_link_matrix(n: int, seed: int, avg_degree: int = 16) -> np.ndarray:
     per-edge Python loop.
     """
     m = n * avg_degree
-    adj = np.zeros((n, n), dtype=np.float64)  # adj[u, v] = edge u→v
+    # adj[i, j] = edge j→i, column-major: each node's out-links are one
+    # contiguous column, normalized in place.
+    adj = np.zeros((n, n), dtype=np.float64, order="F")
     if m >= n * (n - 1):
         adj[:] = 1.0  # the complete graph
         np.fill_diagonal(adj, 0.0)
     elif m > 0:
         u, v = _gnm_edges(n, m, seed)
-        adj[u, v] = 1.0
-    adj = adj.T  # adj[i, j] = edge j→i
+        adj[v, u] = 1.0
     out_degree = adj.sum(axis=0)
     dangling = out_degree == 0
     adj[:, dangling] = 1.0  # dangling nodes link everywhere
     out_degree[dangling] = n
-    return adj / out_degree
+    adj /= out_degree
+    return adj
 
 
 class PageRankApp(Application):

@@ -359,6 +359,12 @@ class EdgeTPUDevice:
     ) -> tuple[np.ndarray, int]:
         """Rescale the wide accumulator into int8 at the output scale."""
         rescale = out_params.scale / acc_scale
+        if rescale == 1.0 and acc.dtype.kind == "i" and acc.size:
+            # A lossless operator (crop, ext...) at its input scale: the
+            # rescale, rint and clip below leave int8-ranged integers as
+            # they are, so an in-range accumulator is its own result.
+            if acc.min() >= QMIN and acc.max() <= QMAX:
+                return acc.astype(np.int8), 0
         q = np.rint(acc * rescale)
         saturated = int(np.count_nonzero((q < QMIN) | (q > QMAX)))
         return np.clip(q, QMIN, QMAX).astype(np.int8), saturated

@@ -35,7 +35,6 @@ one FIFO hop here and each timeout one heap entry.  The platform clock
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -45,6 +44,7 @@ from repro.errors import DeadlockError, SchedulerError
 from repro.host.platform import Platform
 from repro.runtime.opqueue import LoweredInstr, LoweredOperation
 from repro.runtime.scheduler import DispatchGroup, SchedulePolicy, build_dispatch_groups
+from repro.sim.trace import TraceRecord
 from repro.telemetry import get_tracer
 
 
@@ -177,9 +177,8 @@ class Executor:
         if any(op.cpu_seconds < 0 for op in host_ops):
             raise SchedulerError("host-only operations need cpu_seconds >= 0")
         iq = [instr for op in device_ops for instr in op.instrs]
-        replay = _Replay(platform, self.policy, start)
-        instructions = replay.run(device_ops, build_dispatch_groups(iq, self.policy))
-        now = replay.now
+        groups = build_dispatch_groups(iq, self.policy)
+        instructions, now = _replay(platform, self.policy.pipelining, start, device_ops, iq, groups)
         for op in host_ops:
             t0, now = now, now + op.cpu_seconds
             platform.tracer.record(
@@ -196,361 +195,389 @@ class Executor:
 
 # -- the replay ---------------------------------------------------------------
 #
-# Everything below lives at module level on purpose: classes or closures
-# defined inside ``Executor._run`` form reference cycles with the
-# replay's state and keep every sync's operations alive until a full
-# garbage collection.
+# The replay's state is ints and lists of them, never closures or bound
+# methods: those form reference cycles with the state and keep every
+# sync's operations alive until a full garbage collection.
 #
-# Each method is one step of one of the DES reference's processes
+# Each step below is one step of one of the DES reference's processes
 # (:mod:`repro.conformance.des`).  A step that waits schedules the next
-# step as a FIFO hop (``(method, state)``), exactly where the DES would
-# resume the generator; a step that sleeps pushes a heap entry.
+# step as a FIFO hop, exactly where the DES would resume the generator;
+# a step that sleeps pushes a heap entry.  A hop is one int,
+# ``index << 4 | step``, and the loop dispatches on the step inline.
+#
+# All state lives in per-sync lists, so a sync builds no object per
+# instruction.  Instruction *k* is the k-th entry of the sync's IQ
+# (dispatch groups are consecutive runs of it).  A one-shot event is a
+# *flag*: flags ``0..ops-1`` are the operations' "done", flag
+# ``ops + k`` is instruction k's "executed"; each waiter runs one hop
+# after its flag fires.  Instruction k has at most one inbound and one
+# result transfer, numbered ``2k`` and ``2k + 1``.
+
+# Steps.  The index of a hop is a device (worker steps), an instruction,
+# an operation, a transfer, or (``_TIMER``) the hop a zero-delay sleep
+# wakes one hop later.
+_NEXT, _ADMIT = 0, 1
+_START, _PREP, _BUILD, _BUILT, _PREPPED, _READY, _EXEC, _EXECUTED, _RETIRE = range(2, 11)
+_AGGREGATED = 11
+_REQUEST, _GRANTED, _HOP_DONE = 12, 13, 14
+_TIMER = 15
+
+#: Builds a record from its field tuple, skipping the generated
+#: ``__new__``'s argument handling.
+_new_record = tuple.__new__
 
 
-class _Flag:
-    """A one-shot event: each waiter runs one hop after it fires."""
+def _replay(
+    platform: Platform,
+    pipelining: bool,
+    start: float,
+    device_ops: List[LoweredOperation],
+    iq: List[LoweredInstr],
+    groups: List[DispatchGroup],
+) -> Tuple[int, float]:
+    """Replays one sync's dispatch groups (over *iq*, the operations'
+    instructions in order) on the platform's devices from *start* to
+    the last retirement; returns (instructions executed, end time)."""
+    emit = platform.tracer.appender()
+    dma = platform.dma
+    dma_emit = dma.tracer.appender() if dma.tracer is not None else None
+    bytes_moved = dma.bytes_moved
+    devices = platform.devices
+    memories = [device.memory for device in devices]
+    units = [f"tpu{i}" for i in range(platform.num_tpus)]
+    topology = dma.topology
+    link_index = {name: i for i, name in enumerate(topology.links)}
+    path_links = [topology.path_links(i) for i in range(topology.num_tpus)]
+    paths = [tuple(link_index[name] for name in path) for path in topology.paths]
+    link_busy = [False] * len(link_index)
+    link_waiters: List[Deque[int]] = [deque() for _ in link_index]
+    # Per TPU: transfer size -> its occupancy of each link on the path.
+    occupancy: List[Dict[int, Tuple[float, ...]]] = [{} for _ in paths]
+    # Residency key of each model cache key (``"m:" + key``).
+    model_keys: Dict[str, str] = {}
 
-    __slots__ = ("fired", "waiters")
+    n_ops = len(device_ops)
+    n = len(iq)
+    # §5 dataflow ordering.  Operators within one task serialize; an
+    # operation also waits for every task named in depends_on.  Since
+    # intra-task order is serial, waiting on a task's most recent
+    # operation implies all of its predecessors.
+    last_in_task: Dict[int, int] = {}
+    gates: List[List[int]] = []
+    for j, op in enumerate(device_ops):
+        task = op.request.task_id
+        gate = [last_in_task[task]] if task in last_in_task else []
+        gate += [last_in_task[dep] for dep in op.request.depends_on if dep in last_in_task]
+        gates.append(gate)
+        last_in_task[task] = j
+    remaining = [len(op.instrs) for op in device_ops]
+    op_t0 = [0.0] * n_ops
+    fired = [False] * (n_ops + n)
+    waiters: List[Optional[List[int]]] = [None] * (n_ops + n)
+    # Per instruction: its operation, device, the flag it executes
+    # after (-1: none), stage-1 activities still running, and the
+    # start of its model build and of its execution.
+    op_of = [j for j, op in enumerate(device_ops) for _ in op.instrs]
+    tpu_of = [0] * n
+    after = [-1] * n
+    pending = [0] * n
+    build_t0 = [0.0] * n
+    exec_t0 = [0.0] * n
+    # Per transfer: bytes, link hops taken, link occupancies, when it
+    # was created and when it first held a link.
+    nbytes_of = [0] * (2 * n)
+    hop_of = [0] * (2 * n)
+    occ_of: List[Tuple[float, ...]] = [()] * (2 * n)
+    wait_t0 = [0.0] * (2 * n)
+    start_of: List[Optional[float]] = [None] * (2 * n)
+    # Dispatch queue: group g is instructions bounds[g]..bounds[g+1].
+    bounds = [0]
+    for group in groups:
+        bounds.append(bounds[-1] + len(group.instrs))
+    if bounds[-1] != n:
+        raise SchedulerError("dispatch groups do not cover the instruction queue")
+    queue = deque(range(len(groups)))
+    group_of = [0] * len(devices)
+    prev_exec = [-1] * len(devices)
 
-    def __init__(self) -> None:
-        self.fired = False
-        self.waiters: List[tuple] = []
-
-
-class _Link:
-    """One link segment: held by one transfer, the rest wait FIFO."""
-
-    __slots__ = ("link", "busy", "waiters")
-
-    def __init__(self, link) -> None:
-        self.link = link
-        self.busy = False
-        self.waiters: Deque["_Transfer"] = deque()
-
-
-class _Op:
-    """Bookkeeping of one device operation."""
-
-    __slots__ = ("op", "remaining", "done", "gates", "t0")
-
-    def __init__(self, op: LoweredOperation, gates: List[_Flag]) -> None:
-        self.op = op
-        self.remaining = len(op.instrs)
-        self.done = _Flag()
-        self.gates = gates
-        self.t0 = 0.0
-
-
-class _Instr:
-    """One instruction in flight on one device."""
-
-    __slots__ = ("tpu", "instr", "op", "wait_exec", "exec_done", "pending", "t0", "build_t0")
-
-    def __init__(self, tpu: int, instr: LoweredInstr, op: _Op, wait_exec: Optional[_Flag]) -> None:
-        self.tpu = tpu
-        self.instr = instr
-        self.op = op
-        self.wait_exec = wait_exec
-        self.exec_done = _Flag()
-        #: Stage-1 activities (inbound DMA, model build) still running.
-        self.pending = 0
-        self.t0 = 0.0
-        self.build_t0 = 0.0
-
-
-class _Worker:
-    """The dispatch loop of one device."""
-
-    __slots__ = ("tpu", "group", "prev_exec")
-
-    def __init__(self, tpu: int) -> None:
-        self.tpu = tpu
-        self.group: Optional[DispatchGroup] = None
-        self.prev_exec: Optional[_Flag] = None
-
-
-class _Transfer:
-    """One store-and-forward DMA transfer."""
-
-    __slots__ = ("tpu", "nbytes", "label", "path", "hop", "start_wait", "start", "then")
-
-    def __init__(
-        self,
-        tpu: int,
-        nbytes: int,
-        label: str,
-        path: Tuple[_Link, ...],
-        start_wait: float,
-        then: tuple,
-    ) -> None:
-        self.tpu = tpu
-        self.nbytes = nbytes
-        self.label = label
-        self.path = path
-        self.hop = 0
-        self.start_wait = start_wait
-        self.start: Optional[float] = None
-        #: The hop that runs when the last byte lands.
-        self.then = then
-
-
-class _Replay:
-    """Replays one sync's dispatch groups on the platform's devices."""
-
-    def __init__(self, platform: Platform, policy: SchedulePolicy, start: float) -> None:
-        self.now = start
-        self.fifo: Deque[tuple] = deque()
-        self.heap: List[tuple] = []
-        self.seq = itertools.count()
-        self.pipelining = policy.pipelining
-        self.record = platform.tracer.record
-        dma = platform.dma
-        self.dma_record = dma.tracer.record if dma.tracer is not None else None
-        self.bytes_moved = dma.bytes_moved
-        self.devices = platform.devices
-        self.units = [f"tpu{i}" for i in range(platform.num_tpus)]
-        links = {name: _Link(link) for name, link in dma.topology.links.items()}
-        self.paths = [tuple(links[name] for name in path) for path in dma.topology.paths]
-        self.queue: Deque[DispatchGroup] = deque()
-        self.op_of: Dict[int, _Op] = {}
-        self.instructions = 0
-        self.live = 0
-
-    def run(self, device_ops: List[LoweredOperation], groups: List[DispatchGroup]) -> int:
-        """Replay to the last retirement; returns instructions executed."""
-        # §5 dataflow ordering.  Operators within one task serialize; an
-        # operation also waits for every task named in depends_on.  Since
-        # intra-task order is serial, waiting on a task's most recent
-        # operation implies all of its predecessors.
-        last_in_task: Dict[int, _Op] = {}
-        for op in device_ops:
-            task = op.request.task_id
-            gates = [last_in_task[task].done] if task in last_in_task else []
-            gates += [
-                last_in_task[dep].done for dep in op.request.depends_on if dep in last_in_task
-            ]
-            state = last_in_task[task] = _Op(op, gates)
-            for instr in op.instrs:
-                self.op_of[id(instr)] = state
-        self.queue.extend(groups)
-        self.fifo.extend((self._worker_next, _Worker(i)) for i in range(len(self.devices)))
-        self._loop()
-        if self.live:
-            raise DeadlockError(
-                f"timeline replay ran out of events with {self.live} instruction(s) waiting"
-            )
-        return self.instructions
-
-    # -- event loop -----------------------------------------------------------
-
-    def _loop(self) -> None:
-        fifo, heap = self.fifo, self.heap
-        popleft, append, heappop = fifo.popleft, fifo.append, heapq.heappop
-        while True:
-            while fifo:
-                step, state = popleft()
-                step(state)
-            if not heap:
-                return
-            # Everything due at the next instant runs before anything it
-            # schedules: the DES pops timers in (time, seq) order, and a
-            # fired timer's wakeup is one hop, behind all of them.
-            now = self.now = heap[0][0]
-            while heap and heap[0][0] == now:
-                _, _, step, state = heappop(heap)
-                append((step, state))
-
-    def _sleep(self, delay: float, step: Callable, state) -> None:
-        due = self.now + delay
-        if due == self.now:
-            # A zero (or absorbed) delay stays in this instant: one hop
-            # for the timer, one for the wakeup, as in the DES.
-            self.fifo.append((self.fifo.append, (step, state)))
-        else:
-            heapq.heappush(self.heap, (due, next(self.seq), step, state))
-
-    def _wait(self, flag: _Flag, step: Callable, state) -> None:
-        if flag.fired:
-            self.fifo.append((step, state))
-        else:
-            flag.waiters.append((step, state))
-
-    def _fire(self, flag: _Flag) -> None:
-        flag.fired = True
-        self.fifo.extend(flag.waiters)
-        flag.waiters = []
-
-    # -- workers ----------------------------------------------------------------
-
-    def _worker_next(self, worker: _Worker) -> None:
-        # Take the next group now; start its instructions one hop later.
-        if self.queue:
-            worker.group = self.queue.popleft()
-            self.fifo.append((self._worker_admit, worker))
-
-    def _worker_admit(self, worker: _Worker) -> None:
-        prev = worker.prev_exec
-        for instr in worker.group.instrs:
-            run = _Instr(worker.tpu, instr, self.op_of[id(instr)], prev)
-            self.fifo.append((self._instr_start, run))
-            prev = run.exec_done
-        self.live += len(worker.group.instrs)
-        worker.prev_exec = prev
-        # Admit the next group only once this group has executed
-        # (groups pipeline, but never interleave on a device).
-        self._wait(prev, self._worker_next, worker)
-
-    # -- one instruction ----------------------------------------------------------
-
-    def _instr_start(self, run: _Instr) -> None:
-        # Stage 0: §5 ordering gates; a fired gate costs no hop.
-        for gate in run.op.gates:
-            if not gate.fired:
-                self._wait(gate, self._instr_start, run)
-                return
-        wait = run.wait_exec
-        if not self.pipelining and wait is not None and not wait.fired:
-            # Ablation: no double buffering — transfers wait for the
-            # previous instruction to finish executing.
-            self._wait(wait, self._instr_prep, run)
-            return
-        self._instr_prep(run)
-
-    def _instr_prep(self, run: _Instr) -> None:
-        # Stage 1: residency checks + inbound DMA + model build,
-        # overlapped with whatever the device is still executing.
-        instr = run.instr
-        memory = self.devices[run.tpu].memory
-        data_bytes = instr.data_bytes
-        if data_bytes and instr.cache_key and memory.ensure(instr.cache_key, max(1, data_bytes)):
-            data_bytes = 0  # hit: chunk already on chip
-        model_bytes = instr.model_bytes
-        if model_bytes and instr.model_cache_key and memory.ensure(
-            f"m:{instr.model_cache_key}", max(1, model_bytes)
-        ):
-            model_bytes = 0
-        inbound = data_bytes + model_bytes
-        if inbound:
-            run.pending += 1
-            self._transfer(run.tpu, inbound, instr.label, (self._instr_prepped, run))
-        if instr.model_build_seconds > 0:
-            run.pending += 1
-            run.build_t0 = self.now
-            self.fifo.append((self._build, run))  # the build process starts a hop later
-        if not run.pending:
-            self._instr_ready(run)
-
-    def _build(self, run: _Instr) -> None:
-        self._sleep(run.instr.model_build_seconds, self._built, run)
-
-    def _built(self, run: _Instr) -> None:
-        self.record(run.build_t0, self.now, "model_build", "cpu-core", label=run.instr.label)
-        self.fifo.append((self._instr_prepped, run))
-
-    def _instr_prepped(self, run: _Instr) -> None:
-        # One stage-1 activity finished; the last one wakes the
-        # instruction a hop later (the DES's ``AllOf``).
-        run.pending -= 1
-        if not run.pending:
-            self.fifo.append((self._instr_ready, run))
-
-    def _instr_ready(self, run: _Instr) -> None:
-        # Stage 2: in-order execution on the matrix unit.
-        wait = run.wait_exec
-        if wait is not None and not wait.fired:
-            self._wait(wait, self._instr_exec, run)
-            return
-        self._instr_exec(run)
-
-    def _instr_exec(self, run: _Instr) -> None:
-        run.t0 = self.now
-        self._sleep(run.instr.burst_exec_seconds, self._instr_executed, run)
-
-    def _instr_executed(self, run: _Instr) -> None:
-        self._fire(run.exec_done)
-        instr = run.instr
-        self.record(
-            run.t0,
-            self.now,
-            "instruction",
-            self.units[run.tpu],
-            label=instr.label,
-            opcode=instr.opcode.opname,
-            count=instr.count,
+    fifo: Deque[int] = deque(i << 4 | _NEXT for i in range(len(devices)))
+    append, popleft = fifo.append, fifo.popleft
+    heap: List[Tuple[float, int, int]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    seq = 0
+    now = start
+    live = 0
+    instructions = 0
+    while True:
+        while fifo:
+            code = popleft()
+            step = code & 15
+            i = code >> 4
+            if step == _GRANTED:  # transfer i holds its next link
+                if start_of[i] is None:
+                    start_of[i] = now
+                due = now + occ_of[i][hop_of[i]]
+                if due == now:
+                    # A zero (or absorbed) delay stays in this
+                    # instant: one hop for the timer, one for the
+                    # wakeup, as in the DES.
+                    append((i << 4 | _HOP_DONE) << 4 | _TIMER)
+                else:
+                    seq += 1
+                    heappush(heap, (due, seq, i << 4 | _HOP_DONE))
+                continue
+            if step == _HOP_DONE:
+                # Store-and-forward: release this segment (granting
+                # its oldest waiter), then queue for the next one.
+                k = i >> 1
+                tpu = tpu_of[k]
+                path = paths[tpu]
+                hop = hop_of[i]
+                link = path[hop]
+                queued = link_waiters[link]
+                if queued:
+                    append(queued.popleft() << 4 | _GRANTED)
+                else:
+                    link_busy[link] = False
+                hop = hop_of[i] = hop + 1
+                if hop == len(path):
+                    nbytes = nbytes_of[i]
+                    bytes_moved[tpu] = bytes_moved.get(tpu, 0) + nbytes
+                    if dma_emit is not None:
+                        start = start_of[i]
+                        label = iq[k].label
+                        label = f"out:{label}" if i & 1 else label or f"{nbytes}B"
+                        dma_emit(_new_record(TraceRecord, (
+                            start, now, "transfer", units[tpu], label,
+                            {"nbytes": nbytes, "queued_seconds": start - wait_t0[i]},
+                        )))
+                    append(k << 4 | (_RETIRE if i & 1 else _PREPPED))
+                    continue
+                step = _REQUEST
+            if step == _REQUEST:
+                # A free link is granted at once and its holder
+                # resumes a hop later; a busy one queues it FIFO.
+                link = paths[tpu_of[i >> 1]][hop_of[i]]
+                if link_busy[link]:
+                    link_waiters[link].append(i)
+                else:
+                    link_busy[link] = True
+                    append(i << 4 | _GRANTED)
+                continue
+            if step == _PREPPED:
+                # One stage-1 activity finished; the last one wakes
+                # the instruction a hop later (the DES's ``AllOf``).
+                pending[i] -= 1
+                if not pending[i]:
+                    append(i << 4 | _READY)
+                continue
+            if step == _NEXT:
+                # Device i takes the next group now and starts its
+                # instructions one hop later.
+                if queue:
+                    group_of[i] = queue.popleft()
+                    append(i << 4 | _ADMIT)
+                continue
+            if step == _START:
+                # Stage 0: §5 ordering gates; a fired gate costs no hop.
+                for gate in gates[op_of[i]]:
+                    if not fired[gate]:
+                        if waiters[gate] is None:
+                            waiters[gate] = [code]
+                        else:
+                            waiters[gate].append(code)
+                        break
+                else:
+                    wait = after[i]
+                    if pipelining or wait < 0 or fired[wait]:
+                        step = _PREP
+                    else:
+                        # Ablation: no double buffering — transfers
+                        # wait for the previous instruction to finish
+                        # executing.
+                        if waiters[wait] is None:
+                            waiters[wait] = [i << 4 | _PREP]
+                        else:
+                            waiters[wait].append(i << 4 | _PREP)
+                if step != _PREP:
+                    continue
+            if step == _PREP:
+                # Stage 1: residency checks + inbound DMA + model
+                # build, overlapped with whatever the device is still
+                # executing.
+                instr = iq[i]
+                tpu = tpu_of[i]
+                memory = memories[tpu]
+                data_bytes = instr.data_bytes
+                if data_bytes and instr.cache_key and memory.ensure(
+                    instr.cache_key, max(1, data_bytes)
+                ):
+                    data_bytes = 0  # hit: chunk already on chip
+                model_bytes = instr.model_bytes
+                if model_bytes and instr.model_cache_key:
+                    key = model_keys.get(instr.model_cache_key)
+                    if key is None:
+                        key = model_keys[instr.model_cache_key] = f"m:{instr.model_cache_key}"
+                    if memory.ensure(key, max(1, model_bytes)):
+                        model_bytes = 0
+                inbound = data_bytes + model_bytes
+                if inbound:
+                    # Like every DES process, a transfer starts one
+                    # hop after it is created.
+                    t = 2 * i
+                    occ = occupancy[tpu].get(inbound)
+                    if occ is None:
+                        occ = occupancy[tpu][inbound] = tuple(
+                            link.occupancy_seconds(inbound) for link in path_links[tpu]
+                        )
+                    nbytes_of[t] = inbound
+                    occ_of[t] = occ
+                    wait_t0[t] = now
+                    append(t << 4 | _REQUEST)
+                if instr.model_build_seconds > 0:
+                    build_t0[i] = now
+                    append(i << 4 | _BUILD)  # the build process starts a hop later
+                    pending[i] = 2 if inbound else 1
+                    continue
+                if inbound:
+                    pending[i] = 1
+                    continue
+                step = _READY
+            if step == _READY:
+                # Stage 2: in-order execution on the matrix unit.
+                wait = after[i]
+                if wait >= 0 and not fired[wait]:
+                    if waiters[wait] is None:
+                        waiters[wait] = [i << 4 | _EXEC]
+                    else:
+                        waiters[wait].append(i << 4 | _EXEC)
+                    continue
+                step = _EXEC
+            if step == _EXEC:
+                exec_t0[i] = now
+                instr = iq[i]
+                due = now + instr.exec_seconds * instr.count
+                if due == now:
+                    append((i << 4 | _EXECUTED) << 4 | _TIMER)
+                else:
+                    seq += 1
+                    heappush(heap, (due, seq, i << 4 | _EXECUTED))
+                continue
+            if step == _EXECUTED:
+                flag = n_ops + i
+                fired[flag] = True
+                if waiters[flag] is not None:
+                    fifo.extend(waiters[flag])
+                    waiters[flag] = None
+                instr = iq[i]
+                tpu = tpu_of[i]
+                count = instr.count
+                if emit is not None:
+                    emit(_new_record(TraceRecord, (
+                        exec_t0[i], now, "instruction", units[tpu], instr.label,
+                        {"opcode": instr.opcode.opname, "count": count},
+                    )))
+                device = devices[tpu]
+                device.instructions_executed += count
+                device.busy_seconds += instr.exec_seconds * count
+                instructions += count
+                # Stage 3: results stream back, overlapping the next
+                # exec.
+                out_bytes = instr.out_bytes
+                if out_bytes:
+                    t = 2 * i + 1
+                    occ = occupancy[tpu].get(out_bytes)
+                    if occ is None:
+                        occ = occupancy[tpu][out_bytes] = tuple(
+                            link.occupancy_seconds(out_bytes) for link in path_links[tpu]
+                        )
+                    nbytes_of[t] = out_bytes
+                    occ_of[t] = occ
+                    wait_t0[t] = now
+                    append(t << 4 | _REQUEST)
+                    continue
+                step = _RETIRE
+            if step == _RETIRE:
+                # Operation bookkeeping + CPU aggregation (§6.2.1).
+                j = op_of[i]
+                remaining[j] -= 1
+                if remaining[j] == 0:
+                    cpu_seconds = device_ops[j].cpu_seconds
+                    if cpu_seconds > 0:
+                        op_t0[j] = now
+                        due = now + cpu_seconds
+                        if due == now:
+                            append((j << 4 | _AGGREGATED) << 4 | _TIMER)
+                        else:
+                            seq += 1
+                            heappush(heap, (due, seq, j << 4 | _AGGREGATED))
+                        continue
+                    fired[j] = True
+                    if waiters[j] is not None:
+                        fifo.extend(waiters[j])
+                        waiters[j] = None
+                live -= 1
+                continue
+            if step == _TIMER:
+                append(i)
+                continue
+            if step == _BUILD:
+                due = now + iq[i].model_build_seconds
+                if due == now:
+                    append((i << 4 | _BUILT) << 4 | _TIMER)
+                else:
+                    seq += 1
+                    heappush(heap, (due, seq, i << 4 | _BUILT))
+                continue
+            if step == _BUILT:
+                if emit is not None:
+                    emit(_new_record(TraceRecord, (
+                        build_t0[i], now, "model_build", "cpu-core", iq[i].label, {},
+                    )))
+                append(i << 4 | _PREPPED)
+                continue
+            if step == _ADMIT:
+                g = group_of[i]
+                k0, k1 = bounds[g], bounds[g + 1]
+                prev = prev_exec[i]
+                for k in range(k0, k1):
+                    tpu_of[k] = i
+                    after[k] = prev
+                    append(k << 4 | _START)
+                    prev = n_ops + k
+                live += k1 - k0
+                prev_exec[i] = prev
+                # Admit the next group only once this group has
+                # executed (groups pipeline, but never interleave on
+                # a device).
+                if fired[prev]:
+                    append(i << 4 | _NEXT)
+                elif waiters[prev] is None:
+                    waiters[prev] = [i << 4 | _NEXT]
+                else:
+                    waiters[prev].append(i << 4 | _NEXT)
+                continue
+            # _AGGREGATED: operation i's CPU aggregation is over.
+            if emit is not None:
+                label = f"task{device_ops[i].request.task_id}"
+                emit(_new_record(TraceRecord, (
+                    op_t0[i], now, "cpu_aggregate", "cpu-core", label, {},
+                )))
+            fired[i] = True
+            if waiters[i] is not None:
+                fifo.extend(waiters[i])
+                waiters[i] = None
+            live -= 1
+        if not heap:
+            break
+        # Everything due at the next instant runs before anything it
+        # schedules: the DES pops timers in (time, seq) order, and a
+        # fired timer's wakeup is one hop, behind all of them.
+        now = heap[0][0]
+        while heap and heap[0][0] == now:
+            append(heappop(heap)[2])
+    if live:
+        raise DeadlockError(
+            f"timeline replay ran out of events with {live} instruction(s) waiting"
         )
-        device = self.devices[run.tpu]
-        device.instructions_executed += instr.count
-        device.busy_seconds += instr.burst_exec_seconds
-        self.instructions += instr.count
-        # Stage 3: results stream back, overlapping the next exec.
-        if instr.out_bytes:
-            then = (self._instr_retire, run)
-            self._transfer(run.tpu, instr.out_bytes, f"out:{instr.label}", then)
-        else:
-            self._instr_retire(run)
-
-    def _instr_retire(self, run: _Instr) -> None:
-        # Operation bookkeeping + CPU aggregation (§6.2.1).
-        op = run.op
-        op.remaining -= 1
-        if op.remaining == 0:
-            if op.op.cpu_seconds > 0:
-                op.t0 = self.now
-                self._sleep(op.op.cpu_seconds, self._op_aggregated, op)
-                return
-            self._fire(op.done)
-        self.live -= 1
-
-    def _op_aggregated(self, op: _Op) -> None:
-        label = f"task{op.op.request.task_id}"
-        self.record(op.t0, self.now, "cpu_aggregate", "cpu-core", label=label)
-        self._fire(op.done)
-        self.live -= 1
-
-    # -- DMA ---------------------------------------------------------------------
-
-    def _transfer(self, tpu: int, nbytes: int, label: str, then: tuple) -> None:
-        # Like every DES process, a transfer starts one hop after it is
-        # created.
-        tr = _Transfer(tpu, nbytes, label, self.paths[tpu], self.now, then)
-        self.fifo.append((self._request, tr))
-
-    def _request(self, tr: _Transfer) -> None:
-        # A free link is granted at once and its holder resumes a hop
-        # later; a busy one queues the transfer FIFO.
-        link = tr.path[tr.hop]
-        if link.busy:
-            link.waiters.append(tr)
-        else:
-            link.busy = True
-            self.fifo.append((self._granted, tr))
-
-    def _granted(self, tr: _Transfer) -> None:
-        if tr.start is None:
-            tr.start = self.now
-        self._sleep(tr.path[tr.hop].link.occupancy_seconds(tr.nbytes), self._hop_done, tr)
-
-    def _hop_done(self, tr: _Transfer) -> None:
-        # Store-and-forward: release this segment (granting its oldest
-        # waiter), then queue for the next one.
-        link = tr.path[tr.hop]
-        if link.waiters:
-            self.fifo.append((self._granted, link.waiters.popleft()))
-        else:
-            link.busy = False
-        tr.hop += 1
-        if tr.hop < len(tr.path):
-            self._request(tr)
-            return
-        self.bytes_moved[tr.tpu] = self.bytes_moved.get(tr.tpu, 0) + tr.nbytes
-        if self.dma_record is not None:
-            self.dma_record(
-                tr.start,
-                self.now,
-                kind="transfer",
-                unit=self.units[tr.tpu],
-                label=tr.label or f"{tr.nbytes}B",
-                nbytes=tr.nbytes,
-                queued_seconds=tr.start - tr.start_wait,
-            )
-        self.fifo.append(tr.then)
+    return instructions, now

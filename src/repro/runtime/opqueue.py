@@ -11,7 +11,8 @@ back-end **instruction queue (IQ)** consumed by the scheduler.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -58,14 +59,23 @@ class OperationRequest:
     tenant: str = ""
 
 
-@dataclass(frozen=True)
-class LoweredInstr:
+@dataclass(init=False, eq=False)
+class LoweredInstr(tuple):
     """One IQ entry: a device instruction with its modeled costs.
 
     Functional execution already happened during lowering (results are
     deterministic); the executor replays costs on the DES to obtain the
     parallel timeline.
+
+    Immutable, hashable, equal by fields and validated, and a dataclass
+    (``dataclasses.replace``/``fields``/``asdict`` work), but its fields
+    live in a tuple: a frozen dataclass sets each of its twelve fields
+    through ``object.__setattr__``, which made one instruction about
+    three times as costly to build (2.4 against 0.8 us), and a batch
+    pass builds thousands.
     """
+
+    __slots__ = ()
 
     opcode: Opcode
     task_id: int
@@ -98,19 +108,54 @@ class LoweredInstr:
     #: ``exec_seconds`` is per instruction.
     count: int = 1
 
-    def __post_init__(self) -> None:
-        for name in ("data_bytes", "model_bytes", "out_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.exec_seconds < 0 or self.model_build_seconds < 0:
-            raise ValueError("negative simulated time")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+    def __new__(
+        cls,
+        opcode: Opcode,
+        task_id: int,
+        group_key: str,
+        cache_key: str,
+        data_bytes: int,
+        model_bytes: int,
+        model_build_seconds: float,
+        exec_seconds: float,
+        out_bytes: int,
+        label: str = "",
+        model_cache_key: str = "",
+        count: int = 1,
+    ) -> "LoweredInstr":
+        if (
+            data_bytes < 0 or model_bytes < 0 or out_bytes < 0
+            or exec_seconds < 0 or model_build_seconds < 0 or count < 1
+        ):
+            for name, value in (
+                ("data_bytes", data_bytes), ("model_bytes", model_bytes), ("out_bytes", out_bytes)
+            ):
+                if value < 0:
+                    raise ValueError(f"{name} must be >= 0")
+            if exec_seconds < 0 or model_build_seconds < 0:
+                raise ValueError("negative simulated time")
+            raise ValueError(f"count must be >= 1, got {count}")
+        return tuple.__new__(cls, (
+            opcode, task_id, group_key, cache_key, data_bytes, model_bytes,
+            model_build_seconds, exec_seconds, out_bytes, label, model_cache_key, count,
+        ))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # pickle and copy rebuild through __new__
 
     @property
     def burst_exec_seconds(self) -> float:
         """Total device time for the whole burst."""
         return self.exec_seconds * self.count
+
+
+# Each field reads its tuple slot through a named tuple's C field
+# getter (about 40 ns; a ``property(itemgetter(i))`` takes about 150 ns);
+# assigning a field raises AttributeError.
+_FieldGetters = namedtuple("_FieldGetters", [f.name for f in fields(LoweredInstr)])
+for _name in _FieldGetters._fields:
+    setattr(LoweredInstr, _name, getattr(_FieldGetters, _name))
+del _name
 
 
 @dataclass

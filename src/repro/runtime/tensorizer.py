@@ -191,6 +191,29 @@ def _extremes(views: Sequence[np.ndarray], work: int) -> List[Tuple[float, float
     return [pair for part in parallel.split_rows(scan, ranges) for pair in part]
 
 
+def _chunk_extremes(a: np.ndarray, starts: Sequence[int]) -> List[Tuple[float, float]]:
+    """``(max, min)`` of each row chunk of *a* (chunk i is rows
+    ``starts[i]..starts[i+1]``), as :func:`_extremes` of the chunk views.
+
+    A column-major *a* (backprop's ``x.T``) makes each chunk view a
+    strided walk; one per-row max and min over the whole operand reads
+    it in memory order, and ``reduceat`` folds the rows of each chunk.
+    Exact: max and min do not round, and NaN survives both folds.
+    """
+    rows = len(a)
+    hi, lo = np.empty(rows), np.empty(rows)
+
+    def scan(r0: int, r1: int) -> None:
+        np.max(a[r0:r1], axis=1, out=hi[r0:r1])
+        np.min(a[r0:r1], axis=1, out=lo[r0:r1])
+
+    parallel.split_rows(scan, parallel.row_ranges(rows, a.size))
+    idx = np.asarray(starts, dtype=np.intp)
+    return list(zip(
+        np.maximum.reduceat(hi, idx).tolist(), np.minimum.reduceat(lo, idx).tolist()
+    ))
+
+
 def _extreme_params(hi: float, lo: float) -> QuantParams:
     """Params covering a view whose (max, min) is (*hi*, *lo*):
     bit-identical to :func:`params_for_data` (``max|x| == max(max,
@@ -378,6 +401,9 @@ class Tensorizer:
         # The last named FullyConnected model operand, quantized (see
         # _model_tiles): (key, operand or its copy, int8 tiles, scales).
         self._model_memo: Optional[tuple] = None
+        # The last read-only operand a crop scanned whole, and the input
+        # params that scan gave (see _crop_params).
+        self._range_memo: Optional[Tuple[np.ndarray, QuantParams]] = None
 
     # ------------------------------------------------------------------
     # public entry point
@@ -546,8 +572,8 @@ class Tensorizer:
     def _normalize_inputs(request: OperationRequest) -> None:
         """Convert operands to float64 exactly once.
 
-        Pairwise, unary and conv2D-GEMM rules read their operands in any
-        layout (transposed or broadcast views cost no copy); every other
+        Pairwise, unary, crop and conv2D-GEMM rules read their operands in
+        any layout (transposed or broadcast views cost no copy); every other
         rule gets C-contiguous operands, so its tile slices are views of
         one buffer.
         """
@@ -555,6 +581,7 @@ class Tensorizer:
         any_layout = (
             op.is_pairwise
             or op.is_elementwise_unary
+            or op is Opcode.CROP
             or (op is Opcode.CONV2D and request.attrs.get("gemm", False))
         )
         convert = np.asarray if any_layout else np.ascontiguousarray
@@ -944,22 +971,22 @@ class Tensorizer:
     ) -> LoweredInstr:
         """One matvec IQ entry for tile *index*; shared by both paths so
         fields agree."""
+        tile = f"{index}"
+        attrs = request.attrs
+        # Positional: opcode, task, group and cache keys, data, model bytes,
+        # model build, exec seconds, out bytes, label, model cache key.
         return LoweredInstr(
-            opcode=Opcode.FULLY_CONNECTED,
-            task_id=request.task_id,
-            group_key=f"task{request.task_id}:{request.input_name}:col{index[1]}",
-            cache_key="",
-            data_bytes=seg_size,
-            model_bytes=self._model_bytes(model_elems),
-            model_build_seconds=self._model_build_seconds(model_elems),
-            exec_seconds=exec_seconds,
-            out_bytes=out_size,
-            label=f"FC@{index}",
-            model_cache_key=(
-                f"{request.attrs['model_name']}:{index}"
-                if "model_name" in request.attrs
-                else ""
-            ),
+            Opcode.FULLY_CONNECTED,
+            request.task_id,
+            f"task{request.task_id}:{request.input_name}:col{index[1]}",
+            "",
+            seg_size,
+            self._model_bytes(model_elems),
+            self._model_build_seconds(model_elems),
+            exec_seconds,
+            out_size,
+            f"FC@{tile}",
+            f"{attrs['model_name']}:{tile}" if "model_name" in attrs else "",
         )
 
     def _lower_matvec(self, request: OperationRequest) -> LoweredOperation:
@@ -1447,9 +1474,14 @@ class Tensorizer:
             ranges.append((min(a_lo, b_lo), max(a_hi, b_hi)))
             all_row_params.append([p_glob] * n_rows)
         else:
-            a_ext = _extremes(
-                [requests[idx].inputs[0][c0:c1] for idx, _, c0, c1 in pieces], n_req * m * n
-            )
+            a_ext = []
+            for request in requests:
+                a = request.inputs[0]
+                a_ext += (
+                    _extremes([a[c0 : c0 + rows_per_chunk] for c0 in row_starts], m * n)
+                    if a.flags.c_contiguous
+                    else _chunk_extremes(a, row_starts)
+                )
             for idx in range(n_req):
                 member = a_ext[idx * n_rows : (idx + 1) * n_rows]
                 all_row_params.append([_extreme_params(hi, lo) for hi, lo in member])
@@ -1742,7 +1774,8 @@ class Tensorizer:
         # exactly by max|data| * Σ|kernel|, which is far tighter than the
         # generic Eq. 5 worst case when kernels are normalized (HotSpot3D's
         # weighted average sums to ~1).
-        bound = float(np.abs(a).max() * np.abs(kern).sum())
+        # ``max|a|`` as ``max(max, -min)``: exact, and no |a| temporary.
+        bound = float(max(a.max(), -a.min()) * np.abs(kern).sum())
         out_params = self._output_params(
             Opcode.CONV2D.opname, bound, _LazyRange(a, kern), n=kh * kw
         )
@@ -1814,50 +1847,76 @@ class Tensorizer:
                     # the reference's error for the first such patch.
                     params_for_range(float(max_abs[bad][0]))
                 scales = scales_for_ranges(max_abs)
-            # quantize_batched without its clip and int8 round trip:
-            # every scale covers its patch (or the whole operand), so
-            # |rint(x·f)| <= 127 already, and the int8 codes are exact in
-            # float32.  A ``-0.0`` code can only sign an all-zero sum,
-            # which the final int8 cast below turns back into ``+0``.
-            q = stacked * scales[:, None, None]
-            q32 = np.rint(q, out=q).astype(np.float32)
-            # The kh·kw shifted products accumulate in place in float32:
-            # each product is at most 128² and a slab of <= 1024 taps
-            # keeps every partial sum within 2²⁴, where float32 is exact.
-            # Several slabs fold in float64, so the sum equals the
-            # device's int64 accumulator.
-            prod = np.empty((len(stacked), sh, sw), dtype=np.float32)
-            parts = []
-            for t0, t1 in zip(bounds, bounds[1:]):
-                (dy, dx), *rest = taps[t0:t1]
-                part = q32[:, dy : dy + sh, dx : dx + sw] * q_kern[dy, dx]
-                for dy, dx in rest:
-                    tap = q32[:, dy : dy + sh, dx : dx + sw]
-                    part += np.multiply(tap, q_kern[dy, dx], out=prod)
-                parts.append(part)
-            acc = parts[0] if len(parts) == 1 else np.sum(parts, axis=0, dtype=np.float64)
-            # EdgeTPUDevice._requantize per patch, with the same IEEE
-            # operations, written straight into the output plane's
-            # layout; the padded tails are cropped before counting
-            # saturation.
             rescale = out_params.scale / (scales * p_kern.scale)
-            plane = np.empty((p1 - p0, sh, n_c, sw))
-            np.multiply(
-                acc.reshape(p1 - p0, n_c, sh, sw).transpose(0, 2, 1, 3),
-                rescale.reshape(p1 - p0, 1, n_c, 1),
-                out=plane,
+            grid = stacked.reshape(p1 - p0, n_c, ph, pw)
+            grid_scales = scales.reshape(p1 - p0, n_c)
+            grid_rescale = rescale.reshape(p1 - p0, n_c)
+
+            def tiles(r0: int, r1: int, c0: int, c1: int, h: int, w: int) -> int:
+                """Output tiles (h×w each) of patch rows r0..r1 and columns
+                c0..c1 into the result; returns saturated."""
+                n = (r1 - r0) * (c1 - c0)
+                rows = slice(r0 - p0, r1 - p0)
+                # quantize_batched without its clip and int8 round trip:
+                # every scale covers its patch (or the whole operand), so
+                # |rint(x·f)| <= 127 already, and the int8 codes are exact
+                # in float32.  A ``-0.0`` code can only sign an all-zero
+                # sum, which the final int8 cast below turns back into
+                # ``+0``.
+                q = grid[rows, c0:c1, : h + kh - 1, : w + kw - 1] * grid_scales[
+                    rows, c0:c1, None, None
+                ]
+                q32 = np.rint(q, out=q).astype(np.float32).reshape(n, h + kh - 1, w + kw - 1)
+                # The kh·kw shifted products accumulate in place in
+                # float32: each product is at most 128² and a slab of
+                # <= 1024 taps keeps every partial sum within 2²⁴, where
+                # float32 is exact.  Several slabs fold in float64, so the
+                # sum equals the device's int64 accumulator.
+                prod = np.empty((n, h, w), dtype=np.float32)
+                parts = []
+                for t0, t1 in zip(bounds, bounds[1:]):
+                    (dy, dx), *rest = taps[t0:t1]
+                    part = q32[:, dy : dy + h, dx : dx + w] * q_kern[dy, dx]
+                    for dy, dx in rest:
+                        tap = q32[:, dy : dy + h, dx : dx + w]
+                        part += np.multiply(tap, q_kern[dy, dx], out=prod)
+                    parts.append(part)
+                acc = parts[0] if len(parts) == 1 else np.sum(parts, axis=0, dtype=np.float64)
+                # EdgeTPUDevice._requantize per patch, with the same IEEE
+                # operations, written straight into the output plane's
+                # layout.
+                plane = np.empty((r1 - r0, h, c1 - c0, w))
+                np.multiply(
+                    acc.reshape(r1 - r0, c1 - c0, h, w).transpose(0, 2, 1, 3),
+                    grid_rescale[rows, None, c0:c1, None],
+                    out=plane,
+                )
+                q = np.rint(plane.reshape((r1 - r0) * h, (c1 - c0) * w))
+                saturated = 0
+                if q.min() < QMIN or q.max() > QMAX:
+                    saturated = int(np.count_nonzero((q < QMIN) | (q > QMAX)))
+                    np.clip(q, QMIN, QMAX, out=q)
+                # The device's int8 cast and dequantize: ``+ 0.0`` is the
+                # one step of that cast left for codes already in range.
+                np.add(q, 0.0, out=q)
+                y0, x0 = r0 * sh, c0 * sw
+                out = result[y0 : y0 + (r1 - r0) * h, x0 : x0 + (c1 - c0) * w]
+                np.divide(q, out_params.scale, out=out)
+                return saturated
+
+            # A patch at the plane's bottom or right edge holds fewer
+            # output rows or columns: each run of equal tiles goes at its
+            # own size, so the zero padding past the plane is never
+            # multiplied, and every output element takes the operations
+            # it took in the whole padded patch.
+            row_runs = [(p0, min(p1, oh // sh), sh), (max(p0, oh // sh), p1, oh % sh)]
+            col_runs = [(0, ow // sw, sw), (ow // sw, n_c, ow % sw)]
+            return sum(
+                tiles(r0, r1, c0, c1, h, w)
+                for r0, r1, h in row_runs
+                for c0, c1, w in col_runs
+                if r0 < r1 and c0 < c1
             )
-            y0, y1 = p0 * sh, min(p1 * sh, oh)
-            q = np.rint(plane.reshape((p1 - p0) * sh, n_c * sw)[: y1 - y0, :ow])
-            saturated = 0
-            if q.min() < QMIN or q.max() > QMAX:
-                saturated = int(np.count_nonzero((q < QMIN) | (q > QMAX)))
-                np.clip(q, QMIN, QMAX, out=q)
-            # The device's int8 cast and dequantize: ``+ 0.0`` is the
-            # one step of that cast left for codes already in range.
-            np.add(q, 0.0, out=q)
-            np.divide(q, out_params.scale, out=result[y0:y1])
-            return saturated
 
         # Large planes split their patch rows over the host threads.
         ranges = parallel.row_ranges(n_r, n_r * n_c * ph * pw)
@@ -1883,7 +1942,7 @@ class Tensorizer:
         box = request.attrs.get("crop_box")
         if box is None:
             raise TensorizerError("crop requires a 'crop_box' attribute")
-        p_a = self._input_params(request, a)
+        p_a = self._crop_params(request, a)
         # The whole operand sets the scale; only the box is quantized and
         # shipped to the scratch device, which crops all of it.  The
         # modeled bytes below still count the whole operand.
@@ -1913,6 +1972,23 @@ class Tensorizer:
             )
         ]
         return LoweredOperation(request, instrs, execd.dequantized())
+
+    def _crop_params(self, request: OperationRequest, a: np.ndarray) -> QuantParams:
+        """:meth:`_input_params` of a crop's whole operand.
+
+        LUD crops one matrix four times per recursion level.  A
+        read-only operand whose every base is read-only too cannot have
+        changed since its last scan, so its params are remembered by
+        identity and the next crop of it scans nothing; any other
+        operand is scanned every time.  Both quantization modes derive
+        the params from the operand's range alone.
+        """
+        memo = self._range_memo
+        if memo is not None and memo[0] is a and _frozen(a):
+            return memo[1]
+        params = self._input_params(request, a)
+        self._range_memo = (a, params) if _frozen(a) else None
+        return params
 
     def _lower_ext(self, request: OperationRequest) -> LoweredOperation:
         a = request.inputs[0]

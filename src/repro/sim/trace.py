@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 _NO_META: Mapping[str, object] = MappingProxyType({})
 
@@ -73,6 +73,16 @@ class Tracer:
             _make_record(TraceRecord, (start, end, kind, unit, label, meta))
         )
 
+    def appender(self) -> Optional[Callable[[TraceRecord], None]]:
+        """Appends one ready-made record, or None when tracing is off.
+
+        For a producer that builds :class:`TraceRecord` tuples itself
+        (the executor's replay makes tens of thousands per sync).  It
+        skips :meth:`record`'s ``end >= start`` check, so the producer
+        must guarantee it.
+        """
+        return self._records.append if self.enabled else None
+
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
@@ -99,20 +109,24 @@ class Tracer:
         simulated time — used to account one ``sync()`` window at a time.
         """
         by_unit: Dict[str, List[Tuple[float, float]]] = {}
-        for rec in self._records[self._first_start_at(since) :]:
-            if rec.start >= since:
-                by_unit.setdefault(rec.unit, []).append((rec.start, rec.end))
+        for start, end, _, unit, _, _ in self._records[self._first_start_at(since) :]:
+            if start >= since:
+                intervals = by_unit.get(unit)
+                if intervals is None:
+                    by_unit[unit] = [(start, end)]
+                else:
+                    intervals.append((start, end))
         out: Dict[str, float] = {}
         for unit, intervals in by_unit.items():
             intervals.sort()
             total = 0.0
             cur_start, cur_end = intervals[0]
-            for s, e in intervals[1:]:
+            for s, e in intervals:
                 if s > cur_end:
                     total += cur_end - cur_start
                     cur_start, cur_end = s, e
-                else:
-                    cur_end = max(cur_end, e)
+                elif e > cur_end:
+                    cur_end = e
             total += cur_end - cur_start
             out[unit] = total
         return out

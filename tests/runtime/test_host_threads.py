@@ -12,6 +12,13 @@ machine, and they check that the pool was really used.
 
 The structural tests below them spy on the pool at the real floor:
 serving-size GEMMs never reach it, a 2048-row GEMM does.
+
+The apps' own host math splits through :func:`repro.parallel.fill_rows`
+(fixed row blocks, one call each): ``TestHostMath`` checks the helper
+on ragged shapes and the backprop, LUD and Gaussian outcomes on 1, 2
+and 3 threads, and that backprop's ``_predict`` reaches the pool at its
+default size only.  ``TestImports`` keeps scipy out of the serving
+processes.
 """
 
 import asyncio
@@ -19,6 +26,8 @@ import contextlib
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,15 +35,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import parallel
+from repro.apps.backprop import BackpropApp
+from repro.apps.gaussian import GaussianApp
+from repro.apps.lud import LUDApp
 from repro.edgetpu.isa import Opcode
 from repro.edgetpu.quantize import quantize_tiles
 from repro.host.platform import Platform
 from repro.plan import PlanCache
 from repro.runtime import tensorizer as tensorizer_module
+from repro.runtime.api import OpenCtpu
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
 from repro.serve import ServeConfig, TpuServer
-from tests.runtime.test_vectorized_equivalence import data, make_request, styles
+from tests.runtime.test_vectorized_equivalence import data, laid_out, make_request, styles
 from tests.serve.test_coalescer import gemm_request
 
 _EXAMPLES = os.environ.get("THREADS_EXAMPLES")
@@ -51,12 +64,13 @@ def examples(default: int) -> settings:
 
 
 @contextlib.contextmanager
-def host_threads(count: int, floor: int = -1, block_bytes=None):
+def host_threads(count: int, floor: int = -1, block_bytes=None, block_rows=None):
     """Run with *count* host threads and split floor *floor* (``-1``
-    splits every kernel with more than one row); yields the list of
-    pool submissions made meanwhile."""
+    splits every kernel with more than one row), and optionally GEMM
+    block bytes and :func:`~repro.parallel.fill_rows` block rows; yields
+    the list of pool submissions made meanwhile."""
     saved = (parallel._THREADS, parallel._SPLIT_FLOOR, parallel._executor,
-             tensorizer_module._GEMM_BLOCK_BYTES)
+             tensorizer_module._GEMM_BLOCK_BYTES, parallel._BLOCK_ROWS)
     real_executor = parallel._executor
     submits = []
 
@@ -72,11 +86,13 @@ def host_threads(count: int, floor: int = -1, block_bytes=None):
     parallel._executor = lambda: CountingPool(real_executor())
     if block_bytes is not None:
         tensorizer_module._GEMM_BLOCK_BYTES = block_bytes
+    if block_rows is not None:
+        parallel._BLOCK_ROWS = block_rows
     try:
         yield submits
     finally:
         (parallel._THREADS, parallel._SPLIT_FLOOR, parallel._executor,
-         tensorizer_module._GEMM_BLOCK_BYTES) = saved
+         tensorizer_module._GEMM_BLOCK_BYTES, parallel._BLOCK_ROWS) = saved
 
 
 def _check_fields(check):
@@ -158,12 +174,17 @@ class TestThreadCountInvariance:
     @given(
         st.integers(1, 300), st.integers(1, 200), st.integers(1, 150),
         quant_modes, styles, seeds, integrity, st.sampled_from([None, 16 << 10]),
+        st.sampled_from(["contiguous", "transposed", "strided"]),
     )
     @examples(25)
-    def test_gemm_conv2d(self, m, n, k, quant, style, seed, mode, block_bytes):
-        # A small block budget streams several row blocks, each split.
+    def test_gemm_conv2d(self, m, n, k, quant, style, seed, mode, block_bytes, layout):
+        # A small block budget streams several row blocks, each split.  A
+        # column-major or strided A takes its chunk ranges from one
+        # per-row pass, split by rows.
         rng = np.random.default_rng(seed)
         a, b = data(rng, (m, n), style), data(rng, (n, k), "normal")
+        if layout != "contiguous":
+            a = laid_out(a, layout, rng)
         assert_thread_invariant(lowering(
             lambda tz: [tz.lower(make_request(Opcode.CONV2D, a, b, quant=quant, gemm=True))],
             splits=m > 1, integrity=mode,
@@ -342,3 +363,99 @@ class TestPoolSpy:
             inner = parallel.split_rows(kernel, parallel.row_ranges(2, 1 << 30))
         assert inner[0] == [(0, 5), (5, 10)]
         assert inner[1] == [(0, 10)]
+
+
+def _app_outcome(app, params, seed, tpus=4):
+    """What an app run shows: output bytes, modeled seconds, joules."""
+    inputs = app.generate(seed=seed, **params)
+    res = app.run_gptpu(inputs, OpenCtpu(Platform.with_tpus(tpus)))
+    value = np.asarray(res.value)
+    return (value.shape, value.tobytes(), res.wall_seconds,
+            res.energy.active_joules, res.energy.total_joules)
+
+
+class TestHostMath:
+    """The apps' host NumPy on several threads (:func:`parallel.fill_rows`)."""
+
+    @given(
+        st.integers(1, 90), st.integers(1, 40), st.integers(1, 30), st.integers(1, 9),
+        styles, seeds,
+    )
+    @examples(25)
+    def test_fill_rows_is_thread_count_invariant(self, rows, n, k, block_rows, style, seed):
+        # A row-independent kernel of products, sums and tanh, on ragged
+        # shapes and blocks: every thread count makes the same calls.
+        rng = np.random.default_rng(seed)
+        x, w, b = data(rng, (rows, n), style), rng.normal(size=(n, k)), rng.normal(size=k)
+
+        def kernel(r0, r1, out):
+            np.matmul(x[r0:r1], w, out=out)
+            out += b
+            np.tanh(out, out=out)
+
+        outs = {}
+        for count in THREAD_COUNTS:
+            with host_threads(count, block_rows=block_rows) as submits:
+                out = parallel.fill_rows(np.empty((rows, k)), kernel, rows * n * k)
+            outs[count] = out.tobytes()
+            assert bool(submits) == (count > 1 and rows > block_rows)
+        assert outs[2] == outs[1] and outs[3] == outs[1]
+
+    def test_fill_rows_below_the_floor_calls_the_kernel_once(self):
+        calls = []
+
+        def kernel(r0, r1, out):
+            calls.append((r0, r1))
+            out[:] = 1.0
+
+        with host_threads(2, floor=parallel._SPLIT_FLOOR, block_rows=4) as submits:
+            out = parallel.fill_rows(np.empty((64, 8)), kernel, 64 * 8)
+        assert calls == [(0, 64)] and submits == [] and (out == 1.0).all()
+
+    @pytest.mark.parametrize("app, params", [
+        (BackpropApp(), {"batch": 40, "n_in": 24, "n_hidden": 16, "n_out": 8}),
+        (LUDApp(leaf=8), {"n": 40}),
+        (GaussianApp(block=8), {"n": 36}),
+    ], ids=["backprop", "lud", "gaussian"])
+    def test_app_outcome_is_thread_count_invariant(self, app, params):
+        # The floor forced: the app's host math and every lowering kernel
+        # split, in blocks of 7 rows.
+        outcomes = {}
+        for count in THREAD_COUNTS:
+            with host_threads(count, block_rows=7) as submits:
+                outcomes[count] = _app_outcome(app, params, seed=5)
+            assert bool(submits) == (count > 1)
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+
+    @staticmethod
+    def _predict_submits(params):
+        app = BackpropApp()
+        inputs = app.generate(seed=3, **params)
+        with host_threads(2, floor=parallel._SPLIT_FLOOR) as submits:
+            app._predict(inputs, inputs["w1"], inputs["w2"])
+        return submits
+
+    def test_backprop_predict_splits_at_default_size(self):
+        assert self._predict_submits(BackpropApp().default_params())
+
+    def test_backprop_predict_on_a_tiny_operand_runs_whole(self):
+        assert self._predict_submits({"batch": 64, "n_in": 32, "n_hidden": 16, "n_out": 8}) == []
+
+
+class TestImports:
+    def test_serving_processes_load_no_scipy(self):
+        # scipy adds about 28 MB of RSS to a process; the in-process
+        # server and MP workers never need it.
+        code = (
+            "import sys, repro.serve, repro.mp.worker\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"

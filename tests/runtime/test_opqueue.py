@@ -1,5 +1,9 @@
 """Validation tests for the OPQ/IQ entry types."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -52,6 +56,25 @@ class TestLoweredInstr:
         instr = make_instr()
         with pytest.raises(AttributeError):
             instr.count = 7  # type: ignore[misc]
+
+    def test_equal_by_fields_hashable_and_a_dataclass(self):
+        instr = make_instr(label="t", count=2)
+        assert instr == make_instr(label="t", count=2) != make_instr(label="u", count=2)
+        assert hash(instr) == hash(make_instr(label="t", count=2))
+        assert [f.name for f in dataclasses.fields(instr)][-3:] == [
+            "label", "model_cache_key", "count"
+        ]
+        assert [f.default for f in dataclasses.fields(instr)][-3:] == ["", "", 1]
+        changed = dataclasses.replace(instr, count=5)
+        assert changed.count == 5 and changed.label == "t"
+        assert dataclasses.asdict(instr)["data_bytes"] == 10
+        with pytest.raises(ValueError, match="count"):
+            dataclasses.replace(instr, count=0)  # replace validates too
+
+    def test_pickle_and_copy_round_trip(self):
+        instr = make_instr(label="t", model_cache_key="m", count=3)
+        assert pickle.loads(pickle.dumps(instr)) == instr
+        assert copy.deepcopy(instr) == instr
 
 
 class TestLoweredOperation:
