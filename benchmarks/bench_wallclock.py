@@ -3,9 +3,9 @@
 Unlike the Fig. 6–9 benchmarks, which report *simulated* Edge TPU time,
 this file measures how long the simulator takes on the host: the real
 seconds ``Tensorizer.lower`` (functional execution included) spends on
-GEMMs of 512/1024/2048 and on one iteration of each §7.2 application,
-for both the production Tensorizer and the per-tile conformance
-reference (``repro.conformance.reference.ReferenceTensorizer``).
+GEMMs of 512/1024/2048, for both the production Tensorizer and the
+per-tile conformance reference
+(``repro.conformance.reference.ReferenceTensorizer``).
 Results land in ``BENCH_wallclock.json`` at the repo root so future
 changes have a perf trajectory to regress against; see
 ``docs/performance.md`` for how to read it.
@@ -29,11 +29,8 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from repro.apps import all_applications
-from repro.conformance.reference import ReferenceTensorizer, reference_runtime
+from repro.conformance.reference import ReferenceTensorizer
 from repro.edgetpu.isa import Opcode
-from repro.host.platform import Platform
-from repro.runtime.api import OpenCtpu
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
 
@@ -69,20 +66,6 @@ def time_gemm_lowering(n: int, vectorized: bool, reps: int = 3) -> float:
     return best
 
 
-def time_app_iteration(name: str, vectorized: bool) -> float:
-    """Host seconds for one GPTPU iteration of a §7.2 application."""
-    app = all_applications()[name]
-    params = app.default_params()
-    if "iterations" in params:
-        params["iterations"] = 1
-    inputs = app.generate(seed=5, **params)
-    platform = Platform.with_tpus(1)
-    ctx = OpenCtpu(platform) if vectorized else reference_runtime(platform)
-    start = time.perf_counter()
-    app.run_gptpu(inputs, ctx)
-    return time.perf_counter() - start
-
-
 def run_benchmark() -> Dict:
     gemm = {}
     for n in GEMM_SIZES:
@@ -93,20 +76,10 @@ def run_benchmark() -> Dict:
             "scalar_seconds": round(scalar, 4),
             "speedup": round(scalar / vec, 2),
         }
-    apps = {}
-    for name in sorted(all_applications()):
-        vec = time_app_iteration(name, vectorized=True)
-        scalar = time_app_iteration(name, vectorized=False)
-        apps[name] = {
-            "vectorized_seconds": round(vec, 4),
-            "scalar_seconds": round(scalar, 4),
-            "speedup": round(scalar / vec, 2),
-        }
     return {
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "metric": "host wall-clock seconds (not simulated device time)",
         "gemm_lowering": gemm,
-        "app_single_iteration": apps,
         "criterion_speedup_2048_gemm_lowering": gemm["2048"]["speedup"],
     }
 

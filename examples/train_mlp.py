@@ -61,9 +61,9 @@ def main() -> None:
     total_wall = 0.0
     for epoch in range(EPOCHS):
         w1f, w2f, loss_f = step_float(x, target, w1f, w2f)
-        start = ctx.platform.engine.now
+        start = ctx.platform.now
         w1q, w2q, loss_q = step_gptpu(ctx, x, target, w1q, w2q)
-        total_wall += ctx.platform.engine.now - start
+        total_wall += ctx.platform.now - start
         print(f"{epoch:5d}   {loss_f:17.5f}   {loss_q:17.5f}")
 
     print(f"\nsimulated device time for {EPOCHS} epochs: {total_wall * 1e3:.2f} ms")

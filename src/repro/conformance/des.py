@@ -3,13 +3,14 @@
 :class:`repro.runtime.executor.Executor` replays each ``sync()`` with a
 generator-free event loop.  This module keeps the model it replays: one
 generator process per worker, per instruction, per model build and per
-DMA transfer, run on the :mod:`repro.sim` kernel.  It is slow (every
-wait is a generator switch and every event a heap entry) but each stage
-of the §6.2.3 pipeline reads as straight-line code, and the replay must
-agree with it bit for bit: same trace records in the same order, same
-device counters, residency LRU order, ``dma.bytes_moved`` and platform
-clock.  ``tests/runtime/test_replay_differential.py`` checks that on
-random batches.
+DMA transfer (:class:`DMAEngine`), run on the
+:mod:`repro.conformance.des_kernel` kernel.  It is slow (every wait is a
+generator switch and every event a heap entry) but each stage of the
+§6.2.3 pipeline reads as straight-line code, and the replay must agree
+with it bit for bit: same trace records in the same order, same device
+counters, residency LRU order, ``platform.bytes_moved`` and platform
+clock (``platform.now``).  ``tests/runtime/test_replay_differential.py``
+checks that on random batches.
 
 A change to timing semantics changes both this reference and the
 replay.
@@ -17,14 +18,83 @@ replay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
+from repro.conformance.des_kernel import AllOf, Engine, Resource, SimEvent, Store
 from repro.errors import SchedulerError
 from repro.host.platform import Platform
+from repro.interconnect.topology import Topology
 from repro.runtime.executor import Timeline
 from repro.runtime.opqueue import LoweredInstr, LoweredOperation
 from repro.runtime.scheduler import SchedulePolicy, build_dispatch_groups
-from repro.sim import AllOf, SimEvent, Store
+from repro.sim.trace import Tracer
+
+
+class DMAEngine:
+    """Schedules host↔device transfers over a shared topology.
+
+    Each link segment is a capacity-1 resource: concurrent transfers to
+    TPUs on one card contend for the card's upstream segment, while
+    transfers to TPUs on different cards proceed fully in parallel — the
+    behaviour the §3.1 machine was built to achieve.
+
+    Transfers use store-and-forward modeling: each segment is held only
+    for its own serialization time, so a fast shared upstream segment
+    (4 lanes) is free again long before the slow leaf segment finishes.
+    End-to-end latency is the sum of segment occupancies — dominated by
+    the leaf's measured 6 ms/MB, matching the paper's observation that
+    transfer time "simply correlates with data size" — while same-card
+    TPUs still transfer nearly in parallel (the machine's design goal).
+
+    Each finished transfer adds its bytes to *bytes_moved* (per TPU
+    index) and one ``"transfer"`` record to *tracer*.
+    """
+
+    def __init__(
+        self, engine: Engine, topology: Topology, tracer: Tracer, bytes_moved: Dict[int, int]
+    ) -> None:
+        self.engine = engine
+        self.topology = topology
+        self.tracer = tracer
+        self.bytes_moved = bytes_moved
+        self._resources: Dict[str, Resource] = {
+            name: Resource(engine, capacity=1, name=name) for name in topology.links
+        }
+
+    def transfer(self, tpu_index: int, nbytes: int, label: str = "") -> Generator[SimEvent, object, float]:
+        """Process: move *nbytes* between host and TPU *tpu_index*.
+
+        Yields inside the DES; returns the completion time.  Zero-byte
+        transfers complete immediately without touching any link.
+        """
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        if nbytes == 0:
+            return self.engine.now
+        start_wait = self.engine.now
+        start = None
+        # Store-and-forward: traverse host-side first, holding each
+        # segment only for its own occupancy.
+        for link in self.topology.path_links(tpu_index):
+            resource = self._resources[link.name]
+            grant = yield resource.request()
+            if start is None:
+                start = self.engine.now
+            try:
+                yield self.engine.timeout(link.occupancy_seconds(nbytes))
+            finally:
+                resource.release(grant)
+        self.bytes_moved[tpu_index] = self.bytes_moved.get(tpu_index, 0) + nbytes
+        self.tracer.record(
+            start,
+            self.engine.now,
+            kind="transfer",
+            unit=f"tpu{tpu_index}",
+            label=label or f"{nbytes}B",
+            nbytes=nbytes,
+            queued_seconds=start - start_wait,
+        )
+        return self.engine.now
 
 
 def des_run(
@@ -32,13 +102,15 @@ def des_run(
     ops: Sequence[LoweredOperation],
     policy: Optional[SchedulePolicy] = None,
 ) -> Timeline:
-    """Execute *ops* on *platform* as generator processes on its DES engine."""
+    """Execute *ops* on *platform* as generator processes on a DES
+    engine that continues the platform clock and hands it back."""
     if not ops:
         raise SchedulerError("nothing to execute")
     policy = policy or SchedulePolicy()
-    engine = platform.engine
-    start = engine.now
-    bytes_before = sum(platform.dma.bytes_moved.values())
+    engine = Engine()
+    engine.now = start = platform.now
+    dma = DMAEngine(engine, platform.topology, platform.tracer, platform.bytes_moved)
+    bytes_before = sum(platform.bytes_moved.values())
 
     device_ops = [op for op in ops if op.instrs]
     host_ops = [op for op in ops if not op.instrs]
@@ -96,7 +168,7 @@ def des_run(
         if inbound:
             prep.append(
                 engine.process(
-                    platform.dma.transfer(tpu_index, inbound, label=instr.label),
+                    dma.transfer(tpu_index, inbound, label=instr.label),
                     name=f"dma-in:{instr.label}",
                 )
             )
@@ -133,7 +205,7 @@ def des_run(
         # Stage 3: results stream back, overlapping the next execution.
         if instr.out_bytes:
             yield engine.process(
-                platform.dma.transfer(tpu_index, instr.out_bytes, label=f"out:{instr.label}"),
+                dma.transfer(tpu_index, instr.out_bytes, label=f"out:{instr.label}"),
                 name=f"dma-out:{instr.label}",
             )
 
@@ -180,9 +252,10 @@ def des_run(
             )
 
     engine.run_process(drain(), name="executor-drain")
+    platform.now = engine.now
     return Timeline(
         makespan=engine.now - start,
         busy_by_unit=platform.tracer.busy_seconds(since=start),
         instructions=counters["instructions"],
-        bytes_transferred=sum(platform.dma.bytes_moved.values()) - bytes_before,
+        bytes_transferred=sum(platform.bytes_moved.values()) - bytes_before,
     )

@@ -6,8 +6,9 @@ the way the real device returns results over PCIe, and reports the
 simulated latency from the Table 1-calibrated timing model.
 
 The device is deliberately passive: it does not advance any clock.  The
-runtime executor owns the DES engine and charges device busy time there,
-which is what lets multiple TPUs, DMA, and Tensorizer overlap (§6.2.3).
+runtime executor replays each sync's timeline on the platform clock and
+charges device busy time there, which is what lets multiple TPUs, DMA,
+and Tensorizer overlap (§6.2.3).
 """
 
 from __future__ import annotations

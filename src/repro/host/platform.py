@@ -1,4 +1,4 @@
-"""Platform assembly: CPU + Edge TPUs + interconnect + DES + energy.
+"""Platform assembly: CPU + Edge TPUs + interconnect + clock + energy.
 
 A :class:`Platform` bundles one simulation's worth of state.  The
 runtime executor (``repro.runtime.executor``) drives it; benchmarks
@@ -7,7 +7,7 @@ create a fresh platform per run so simulated clocks start at zero.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.edgetpu.device import EdgeTPUDevice
@@ -20,8 +20,6 @@ from repro.interconnect.topology import (
     build_prototype_topology,
     build_usb_topology,
 )
-from repro.interconnect.transfer import DMAEngine
-from repro.sim import Engine
 from repro.sim.trace import Tracer
 
 
@@ -30,7 +28,10 @@ class Platform:
 
     def __init__(self, config: Optional[SystemConfig] = None, trace: bool = True) -> None:
         self.config = config or SystemConfig()
-        self.engine = Engine()
+        #: Simulated clock (seconds); each ``sync()`` moves it to its end.
+        self.now = 0.0
+        #: Bytes moved between host and device, per TPU index.
+        self.bytes_moved: Dict[int, int] = {}
         self.tracer = Tracer(enabled=trace)
         self.timing = TimingModel(self.config.edgetpu)
         if self.config.interconnect == "usb":
@@ -39,7 +40,6 @@ class Platform:
             self.topology = build_dual_module_topology(self.config)
         else:
             self.topology = build_prototype_topology(self.config)
-        self.dma = DMAEngine(self.engine, self.topology, self.tracer)
         self.devices: List[EdgeTPUDevice] = [
             EdgeTPUDevice(f"tpu{i}", self.config.edgetpu, self.timing)
             for i in range(self.config.num_edge_tpus)

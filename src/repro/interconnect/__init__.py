@@ -10,6 +10,10 @@ The model reproduces the two facts the paper's evaluation depends on:
 * the measured end-to-end host→device rate of ≈6 ms/MB (§3.2), and
 * contention: transfers to TPUs on the same card share the card's
   upstream link.
+
+The runtime executor (:mod:`repro.runtime.executor`) moves bytes over
+these links; the DES reference's transfer process is
+:class:`repro.conformance.des.DMAEngine`.
 """
 
 from repro.interconnect.pcie import Link
@@ -18,10 +22,8 @@ from repro.interconnect.topology import (
     build_prototype_topology,
     build_usb_topology,
 )
-from repro.interconnect.transfer import DMAEngine
 
 __all__ = [
-    "DMAEngine",
     "Link",
     "Topology",
     "build_prototype_topology",

@@ -12,8 +12,8 @@ Dispatch groups (§6.1 locality) stay whole on one device; a worker
 admits the next group once the current group's last instruction has
 executed, so groups pipeline within a device but never interleave.
 Transfers cross the topology store-and-forward, holding each link
-segment FIFO for its own occupancy (:class:`~repro.interconnect.
-transfer.DMAEngine`'s model).
+segment FIFO for its own occupancy (the model of the reference's
+:class:`~repro.conformance.des.DMAEngine`).
 
 Per-operation CPU aggregation time (§6.2.1) is charged on the host once
 the operation's last instruction retires.  Host-only operations (no
@@ -23,13 +23,13 @@ ordering.  Every activity lands in the platform tracer, which the
 energy model integrates (§8.1).
 
 The replay is a small event loop without generators: a heap of future
-instants and a FIFO for the current one.  The DES kernel runs every
-event of one instant in the order it was scheduled, so the replay
-matches the generator-process model in
+instants and a FIFO for the current one.  The reference's DES kernel
+runs every event of one instant in the order it was scheduled, so the
+replay matches the generator-process model in
 :mod:`repro.conformance.des` bit for bit as long as each wait there is
-one FIFO hop here and each timeout one heap entry.  The platform clock
-(``platform.engine.now``) advances to the replay's end through
-:meth:`~repro.sim.engine.Engine.advance_to`.
+one FIFO hop here and each timeout one heap entry.  The replay starts
+at the platform clock (``platform.now``), sets it to its end, and adds
+each transfer's bytes to ``platform.bytes_moved``.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ class Executor:
         if not ops:
             raise SchedulerError("nothing to execute")
         platform = self.platform
-        start = platform.engine.now
-        bytes_before = sum(platform.dma.bytes_moved.values())
+        start = platform.now
+        bytes_before = sum(platform.bytes_moved.values())
         device_ops = [op for op in ops if op.instrs]
         # Host-only operations: pure CPU phases an application routes
         # through the runtime so wall time and energy stay in one ledger.
@@ -184,12 +184,12 @@ class Executor:
             platform.tracer.record(
                 t0, now, "cpu_host", "cpu-core", label=f"task{op.request.task_id}"
             )
-        platform.engine.advance_to(now)
+        platform.now = now
         return Timeline(
             makespan=now - start,
             busy_by_unit=platform.tracer.busy_seconds(since=start),
             instructions=instructions,
-            bytes_transferred=sum(platform.dma.bytes_moved.values()) - bytes_before,
+            bytes_transferred=sum(platform.bytes_moved.values()) - bytes_before,
         )
 
 
@@ -239,13 +239,11 @@ def _replay(
     instructions in order) on the platform's devices from *start* to
     the last retirement; returns (instructions executed, end time)."""
     emit = platform.tracer.appender()
-    dma = platform.dma
-    dma_emit = dma.tracer.appender() if dma.tracer is not None else None
-    bytes_moved = dma.bytes_moved
+    bytes_moved = platform.bytes_moved
     devices = platform.devices
     memories = [device.memory for device in devices]
     units = [f"tpu{i}" for i in range(platform.num_tpus)]
-    topology = dma.topology
+    topology = platform.topology
     link_index = {name: i for i, name in enumerate(topology.links)}
     path_links = [topology.path_links(i) for i in range(topology.num_tpus)]
     paths = [tuple(link_index[name] for name in path) for path in topology.paths]
@@ -343,11 +341,11 @@ def _replay(
                 if hop == len(path):
                     nbytes = nbytes_of[i]
                     bytes_moved[tpu] = bytes_moved.get(tpu, 0) + nbytes
-                    if dma_emit is not None:
+                    if emit is not None:
                         start = start_of[i]
                         label = iq[k].label
                         label = f"out:{label}" if i & 1 else label or f"{nbytes}B"
-                        dma_emit(_new_record(TraceRecord, (
+                        emit(_new_record(TraceRecord, (
                             start, now, "transfer", units[tpu], label,
                             {"nbytes": nbytes, "queued_seconds": start - wait_t0[i]},
                         )))

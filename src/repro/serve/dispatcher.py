@@ -600,14 +600,21 @@ class DevicePool:
                 )
             sreq.outstanding -= 1
             if sreq.outstanding == 0:
-                # The last group: assemble the result and report it.
+                # The last group: assemble the result and report it.  A
+                # request past its deadline is not assembled, so
+                # ``shard_merged`` counts only merges that are delivered.
                 exc = None
                 if sreq.merge is not None:
-                    try:
-                        sreq.op.result = sreq.merge.finalize()
-                        self.metrics.shard_merged += 1
-                    except MergeError as merge_error:
-                        exc = merge_error
+                    if sreq.expired(self._clock()):
+                        exc = RequestTimeout(
+                            f"request {sreq.serve_id} completed after its deadline"
+                        )
+                    else:
+                        try:
+                            sreq.op.result = sreq.merge.finalize()
+                            self.metrics.shard_merged += 1
+                        except MergeError as merge_error:
+                            exc = merge_error
                 self.settle(sreq, exc, tpu_index)
             self._retire()
 

@@ -1,42 +1,17 @@
-"""A small generator-based discrete-event simulation (DES) kernel.
+"""Structured tracing of the simulated timeline.
 
 The GPTPU reproduction models time explicitly: Edge TPU instruction
 execution, PCIe DMA transfers, Tensorizer model builds, and CPU
-aggregation all advance a simulated clock so that the runtime can overlap
-them exactly as the paper's runtime does (§6.2.3: "overlap Edge TPU
-matrix-input data movements with Tensorizer").
-
-The kernel follows the familiar simpy-style process model:
-
->>> from repro.sim import Engine
->>> eng = Engine()
->>> log = []
->>> def worker(eng, name, delay):
-...     yield eng.timeout(delay)
-...     log.append((eng.now, name))
->>> _ = eng.process(worker(eng, "a", 2.0))
->>> _ = eng.process(worker(eng, "b", 1.0))
->>> eng.run()
-2.0
->>> log
-[(1.0, 'b'), (2.0, 'a')]
+aggregation all advance a simulated clock (``Platform.now``) so that
+the runtime can overlap them exactly as the paper's runtime does
+(§6.2.3: "overlap Edge TPU matrix-input data movements with
+Tensorizer").  Every modeled activity lands here as one
+:class:`TraceRecord`; the energy model and the profiles read them back.
 """
 
-from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
-from repro.sim.engine import Engine, Process
-from repro.sim.resources import PriorityResource, Resource, Store
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Engine",
-    "PriorityResource",
-    "Process",
-    "Resource",
-    "SimEvent",
-    "Store",
-    "Timeout",
     "TraceRecord",
     "Tracer",
 ]

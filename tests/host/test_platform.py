@@ -25,7 +25,7 @@ def test_devices_share_one_timing_model():
 
 
 def test_clock_starts_at_zero():
-    assert Platform().engine.now == 0.0
+    assert Platform().now == 0.0
 
 
 def test_trace_can_be_disabled():

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG
-from repro.interconnect import DMAEngine, build_prototype_topology
-from repro.sim import Engine
+from repro.conformance.des import DMAEngine
+from repro.conformance.des_kernel import Engine
+from repro.interconnect import build_prototype_topology
+from repro.sim.trace import Tracer
 
 MB = 1024 * 1024
 
@@ -23,7 +25,7 @@ nbytes_st = st.integers(min_value=1, max_value=8 * MB)
 def make_dma():
     eng = Engine()
     topo = build_prototype_topology(DEFAULT_CONFIG)
-    return eng, DMAEngine(eng, topo)
+    return eng, DMAEngine(eng, topo, Tracer(), {})
 
 
 def transfer_time(tpu, nbytes):

@@ -107,11 +107,12 @@ class TestDualModuleTopology:
 
     def test_module_mates_contend(self):
         from repro.interconnect.topology import build_dual_module_topology
-        from repro.interconnect.transfer import DMAEngine
-        from repro.sim import Engine
+        from repro.conformance.des import DMAEngine
+        from repro.conformance.des_kernel import Engine
+        from repro.sim.trace import Tracer
 
         eng = Engine()
-        dma = DMAEngine(eng, build_dual_module_topology(DEFAULT_CONFIG))
+        dma = DMAEngine(eng, build_dual_module_topology(DEFAULT_CONFIG), Tracer(), {})
 
         def both(first, second):
             p1 = eng.process(dma.transfer(first, 1024 * 1024))
@@ -123,7 +124,7 @@ class TestDualModuleTopology:
         # Mates (0, 1) serialize on their module's lane...
         mates = eng.run_process(both(0, 1))
         eng2 = Engine()
-        dma2 = DMAEngine(eng2, build_dual_module_topology(DEFAULT_CONFIG))
+        dma2 = DMAEngine(eng2, build_dual_module_topology(DEFAULT_CONFIG), Tracer(), {})
 
         def strangers():
             p1 = eng2.process(dma2.transfer(0, 1024 * 1024))

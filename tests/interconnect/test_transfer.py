@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.interconnect import DMAEngine, build_prototype_topology
-from repro.sim import Engine
+from repro.conformance.des import DMAEngine
+from repro.conformance.des_kernel import Engine
+from repro.interconnect import build_prototype_topology
 from repro.sim.trace import Tracer
 
 MB = 1024 * 1024
@@ -13,7 +14,7 @@ MB = 1024 * 1024
 def make_dma(tracer=None):
     eng = Engine()
     topo = build_prototype_topology(DEFAULT_CONFIG)
-    return eng, DMAEngine(eng, topo, tracer)
+    return eng, DMAEngine(eng, topo, Tracer() if tracer is None else tracer, {})
 
 
 def test_single_transfer_takes_about_6ms_per_mb():

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.config import SystemConfig
+from repro.conformance.des import DMAEngine
+from repro.conformance.des_kernel import Engine
 from repro.host.platform import Platform
-from repro.interconnect import DMAEngine, build_prototype_topology, build_usb_topology
-from repro.sim import Engine
+from repro.interconnect import build_prototype_topology, build_usb_topology
+from repro.sim.trace import Tracer
 
 MB = 1024 * 1024
 
@@ -28,7 +30,7 @@ def test_usb_transfer_slower_than_pcie():
 
 def test_usb_concurrent_transfers_serialize_on_the_bus():
     eng = Engine()
-    dma = DMAEngine(eng, build_usb_topology(SystemConfig().with_tpus(2)))
+    dma = DMAEngine(eng, build_usb_topology(SystemConfig().with_tpus(2)), Tracer(), {})
 
     def both():
         p1 = eng.process(dma.transfer(0, MB))
@@ -45,7 +47,7 @@ def test_usb_concurrent_transfers_serialize_on_the_bus():
 
 def test_usb_fixed_latency_dominates_small_transfers():
     eng = Engine()
-    dma = DMAEngine(eng, build_usb_topology(SystemConfig().with_tpus(1)))
+    dma = DMAEngine(eng, build_usb_topology(SystemConfig().with_tpus(1)), Tracer(), {})
     t = eng.run_process(dma.transfer(0, 128))
     assert t == pytest.approx(500e-6, rel=0.1)
 

@@ -443,13 +443,8 @@ class TestHostMath:
 
 
 class TestImports:
-    def test_serving_processes_load_no_scipy(self):
-        # scipy adds about 28 MB of RSS to a process; the in-process
-        # server and MP workers never need it.
-        code = (
-            "import sys, repro.serve, repro.mp.worker\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+    @staticmethod
+    def _fresh_process_prints(code):
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
@@ -458,4 +453,24 @@ class TestImports:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env,
             timeout=120, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_serving_processes_load_no_scipy(self):
+        # scipy adds about 28 MB of RSS to a process; the in-process
+        # server and MP workers never need it.
+        code = (
+            "import sys, repro.serve, repro.mp.worker\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert self._fresh_process_prints(code) == "[]"
+
+    def test_production_processes_load_no_des_reference(self):
+        # The generator DES kernel belongs to the DES reference only;
+        # production keeps a plain clock on the platform.
+        code = (
+            "import sys, repro.host.platform, repro.runtime.api, repro.serve, "
+            "repro.mp.worker, repro.sim\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.conformance')),"
+            " hasattr(repro.sim, 'Engine'))"
+        )
+        assert self._fresh_process_prints(code) == "[] False"

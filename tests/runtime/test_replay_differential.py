@@ -93,8 +93,8 @@ def observed(platform: Platform) -> dict:
              d.memory.hits, d.memory.misses, d.memory.evictions)
             for d in platform.devices
         ],
-        "bytes_moved": list(platform.dma.bytes_moved.items()),
-        "now": platform.engine.now,
+        "bytes_moved": list(platform.bytes_moved.items()),
+        "now": platform.now,
     }
 
 

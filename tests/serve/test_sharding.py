@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.edgetpu.isa import Opcode
+from repro.errors import RequestTimeout
 from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
@@ -244,6 +245,59 @@ class TestShardFaultTolerance:
         assert after.get("tpu0", 0) == before.get("tpu0", 0)
         assert snap["outcomes"]["completed"] == 2
         assert snap["outcomes"]["lost"] == 0
+
+
+class TestShardDeadline:
+    def test_expired_sharded_request_times_out_unmerged(self):
+        # The fake clock jumps past the deadline at the last group's
+        # dispatch, after the earlier groups landed: the request times
+        # out and its merge is neither assembled nor counted.
+        a, b = _gemm_inputs(10)
+
+        class Clock:
+            now = 0.0
+
+            def __call__(self):
+                return self.now
+
+        def run(jump_at=None):
+            clock = Clock()
+            server = TpuServer(
+                Platform(), ServeConfig(time_scale=0.0), clock=clock
+            )
+            dispatches = []
+
+            def observe(event, serve_id, device):
+                if event == "dispatch":
+                    dispatches.append(device)
+                    if len(dispatches) == jump_at:
+                        clock.now = 20.0
+
+            server.pool.observer = observe
+
+            async def main():
+                async with server:
+                    try:
+                        outcome = await server.submit(
+                            _request(a, b), deadline_seconds=10.0
+                        )
+                    except RequestTimeout as exc:
+                        outcome = exc
+                    await server.drain()
+                    return outcome, server.snapshot()
+
+            outcome, snap = asyncio.run(main())
+            return outcome, snap, len(dispatches)
+
+        result, snap, groups = run()
+        np.testing.assert_array_equal(result, _reference(a, b))
+        assert groups > 1 and snap["sharding"]["merged"] == 1
+
+        outcome, snap, _ = run(jump_at=groups)
+        assert isinstance(outcome, RequestTimeout)
+        assert snap["outcomes"]["timeouts"] == 1
+        assert snap["outcomes"]["completed"] == 0
+        assert snap["sharding"]["merged"] == 0
 
 
 class TestProfileFeedback:

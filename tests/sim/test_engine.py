@@ -1,9 +1,9 @@
-"""Unit tests for the DES engine and process model."""
+"""Unit tests for the DES reference's engine and process model."""
 
 import pytest
 
+from repro.conformance.des_kernel import AllOf, Engine
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Engine
 
 
 def test_clock_starts_at_zero():
@@ -172,17 +172,6 @@ def test_all_of_collects_values_in_order():
     assert eng.run_process(proc()) == (3.0, ["c", "a", "b"])
 
 
-def test_any_of_returns_first_completion():
-    eng = Engine()
-
-    def proc():
-        events = [eng.timeout(3.0, "slow"), eng.timeout(1.0, "fast")]
-        index, value = yield AnyOf(eng, events)
-        return (eng.now, index, value)
-
-    assert eng.run_process(proc()) == (1.0, 1, "fast")
-
-
 def test_all_of_empty_triggers_immediately():
     eng = Engine()
 
@@ -208,26 +197,3 @@ def test_nested_processes_share_one_clock():
     assert eng.run_process(root()) == 2.0
     assert marks == [1.0, 2.0]
 
-
-def test_advance_to_runs_due_events_then_moves_the_clock():
-    eng = Engine()
-    log = []
-
-    def proc():
-        yield eng.timeout(1.0)
-        log.append(eng.now)
-        yield eng.timeout(5.0)
-        log.append(eng.now)
-
-    eng.process(proc())
-    assert eng.advance_to(2.5) == 2.5
-    assert log == [1.0] and eng.now == 2.5
-    eng.advance_to(7.0)
-    assert log == [1.0, 6.0] and eng.now == 7.0
-
-
-def test_advance_to_cannot_move_back():
-    eng = Engine()
-    eng.advance_to(1.0)
-    with pytest.raises(SimulationError):
-        eng.advance_to(0.5)

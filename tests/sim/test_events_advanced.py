@@ -1,9 +1,8 @@
-"""Additional DES kernel tests: failures, interrupts, tracing edge cases."""
+"""Additional DES kernel tests (failure propagation) and tracer edge cases."""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Engine
+from repro.conformance.des_kernel import AllOf, Engine
 from repro.sim.trace import Tracer
 
 
@@ -55,85 +54,6 @@ class TestFailurePropagation:
                 return eng.now
 
         assert eng.run_process(waiter()) == 1.0
-
-    def test_any_of_fails_if_first_completion_failed(self):
-        eng = Engine()
-
-        def bad():
-            yield eng.timeout(1.0)
-            raise OSError("early failure")
-
-        def slow():
-            yield eng.timeout(5.0)
-
-        def waiter():
-            try:
-                yield AnyOf(eng, [eng.process(slow()), eng.process(bad())])
-            except OSError:
-                return "failed-first"
-
-        assert eng.run_process(waiter()) == "failed-first"
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_a_sleeping_process(self):
-        eng = Engine()
-
-        def sleeper():
-            try:
-                yield eng.timeout(100.0)
-            except SimulationError as exc:
-                return (eng.now, str(exc))
-
-        proc = eng.process(sleeper())
-
-        def killer():
-            yield eng.timeout(2.0)
-            proc.interrupt("shutdown requested")
-
-        eng.process(killer())
-        eng.run()
-        assert proc.value == (2.0, "shutdown requested")
-
-    def test_uncaught_interrupt_fails_the_process(self):
-        eng = Engine()
-
-        def sleeper():
-            yield eng.timeout(100.0)
-
-        proc = eng.process(sleeper())
-
-        def killer():
-            yield eng.timeout(1.0)
-            proc.interrupt()
-
-        eng.process(killer())
-
-        def supervisor():
-            # Waits on the sleeper from the start, so the interrupt's
-            # failure is delivered here instead of surfacing unobserved.
-            try:
-                yield proc
-            except SimulationError:
-                return "observed"
-
-        assert eng.run_process(supervisor()) == "observed"
-
-    def test_unobserved_interrupt_surfaces_immediately(self):
-        eng = Engine()
-
-        def sleeper():
-            yield eng.timeout(100.0)
-
-        proc = eng.process(sleeper())
-
-        def killer():
-            yield eng.timeout(1.0)
-            proc.interrupt("nobody is watching")
-
-        eng.process(killer())
-        with pytest.raises(SimulationError, match="nobody is watching"):
-            eng.run()
 
 
 class TestTracerEdgeCases:

@@ -1,16 +1,13 @@
-"""Unit tests for Resource, PriorityResource, and Store."""
+"""Unit tests for the DES reference's Resource and Store."""
 
 import pytest
 
+from repro.conformance.des_kernel import Engine, Resource, Store
 from repro.errors import SimulationError
-from repro.sim import Engine, PriorityResource, Resource, Store
 
 
-def hold(eng, resource, log, name, busy, priority=None):
-    if priority is None:
-        grant = yield resource.request()
-    else:
-        grant = yield resource.request(priority)
+def hold(eng, resource, log, name, busy):
+    grant = yield resource.request()
     log.append(("start", name, eng.now))
     yield eng.timeout(busy)
     resource.release(grant)
@@ -61,40 +58,9 @@ def test_release_without_request_raises():
         res.release()
 
 
-def test_resource_busy_time_accounting():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    log = []
-    eng.process(hold(eng, res, log, "a", 2.0))
-    eng.process(hold(eng, res, log, "b", 3.0))
-    eng.run()
-    assert res.busy_seconds == pytest.approx(5.0)
-    assert res.total_grants == 2
-
-
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         Resource(Engine(), capacity=0)
-
-
-def test_priority_resource_grants_lowest_priority_first():
-    eng = Engine()
-    res = PriorityResource(eng, capacity=1)
-    log = []
-
-    def spawn_waiters():
-        grant = yield res.request(0)
-        # While held, enqueue three waiters with mixed priorities.
-        eng.process(hold(eng, res, log, "low", 0.5, priority=5))
-        eng.process(hold(eng, res, log, "high", 0.5, priority=1))
-        eng.process(hold(eng, res, log, "mid", 0.5, priority=3))
-        yield eng.timeout(1.0)
-        res.release(grant)
-
-    eng.process(spawn_waiters())
-    eng.run()
-    started = [name for kind, name, _t in log if kind == "start"]
-    assert started == ["high", "mid", "low"]
 
 
 def test_store_get_blocks_until_put():
@@ -121,6 +87,7 @@ def test_store_preserves_fifo_order():
     store = Store(eng)
     for item in (1, 2, 3):
         store.put(item)
+    assert len(store) == 3
     got = []
 
     def consumer():
@@ -129,16 +96,6 @@ def test_store_preserves_fifo_order():
 
     eng.run_process(consumer())
     assert got == [1, 2, 3]
-
-
-def test_store_len_and_peek():
-    eng = Engine()
-    store = Store(eng)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2
-    assert store.peek_all() == ("a", "b")
-    assert store.total_puts == 2
 
 
 def test_store_multiple_blocked_getters_served_fifo():
