@@ -30,7 +30,7 @@ import pytest
 
 from repro import telemetry
 from repro.bench import format_table
-from repro.serve import LoadgenSpec, run_loadgen
+from repro.loadgen import LoadgenSpec, run_loadgen
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 TRACE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serving_trace.json"

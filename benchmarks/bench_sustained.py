@@ -36,7 +36,7 @@ import json
 import pathlib
 
 from repro.bench import format_table
-from repro.serve import SustainedSpec, run_sustained
+from repro.loadgen import SustainedSpec, run_sustained
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sustained.json"
 

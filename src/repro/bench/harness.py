@@ -112,12 +112,6 @@ def run_suite(
     }
 
 
-def geomean_speedup(records: Mapping[str, AppRunRecord]) -> float:
-    """Geometric-mean speedup across a suite."""
-    speeds = [r.speedup for r in records.values()]
-    return float(np.exp(np.mean(np.log(speeds))))
-
-
 def mean_speedup(records: Mapping[str, AppRunRecord]) -> float:
     """Arithmetic-mean speedup across a suite (the paper's headline)."""
     return float(np.mean([r.speedup for r in records.values()]))

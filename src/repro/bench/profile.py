@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+from repro.bench.reporting import format_table
 from repro.sim.trace import Tracer
 
 
@@ -48,12 +49,6 @@ class ProfileReport:
             return 0.0
         return transfer / (compute + transfer)
 
-    def dominant_opcode(self) -> str:
-        """The opcode where the device spends most of its time."""
-        if not self.opcode_seconds:
-            raise ValueError("no instructions were traced")
-        return max(self.opcode_seconds, key=self.opcode_seconds.__getitem__)
-
 
 def profile_trace(tracer: Tracer, since: float = 0.0) -> ProfileReport:
     """Summarize all records in *tracer* starting at or after *since*."""
@@ -79,8 +74,6 @@ def profile_trace(tracer: Tracer, since: float = 0.0) -> ProfileReport:
 
 def format_profile(report: ProfileReport) -> str:
     """Human-readable profile block."""
-    from repro.bench.reporting import format_table
-
     lines = [
         f"wall time: {report.wall_seconds * 1e3:.3f} ms    "
         f"TPU utilization: {report.tpu_utilization * 100:.1f}%    "
@@ -110,8 +103,6 @@ def format_tensorizer_stats(stats) -> str:
     run lowered, and how many went through batched NumPy kernels vs
     per-tile scratch-device dispatches.
     """
-    from repro.bench.reporting import format_table
-
     rows = [
         ("operations lowered", stats.operations_lowered),
         ("instructions emitted", stats.instructions_emitted),

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+from repro.telemetry import SpanTracer, attribution
+
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:
     """Render an aligned fixed-width text table."""
@@ -27,6 +29,23 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title
     for row in str_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_attribution(tracer: SpanTracer, title: str = "Telemetry attribution") -> str:
+    """The flat per-phase span table ``repro profile`` and ``repro trace`` print."""
+    rows = [
+        (
+            r["cat"],
+            r["name"],
+            r["count"],
+            f"{r['host_seconds'] * 1e3:.3f}",
+            f"{r['device_seconds'] * 1e3:.3f}",
+        )
+        for r in attribution(tracer)
+    ]
+    return format_table(
+        ["cat", "span", "count", "host ms", "device ms"], rows, title=title
+    )
 
 
 def comparison_table(

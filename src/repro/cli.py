@@ -40,6 +40,7 @@ from repro.bench import (
 )
 from repro.bench.datasets import TABLE3, scale_factor
 from repro.bench.harness import mean_speedup, run_app, run_suite
+from repro.bench.reporting import format_attribution
 
 
 def _parse_params(pairs: Sequence[str]) -> Dict[str, int]:
@@ -155,7 +156,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(format_tensorizer_stats(ctx.tensorizer.stats))
     print()
-    print(telemetry.format_attribution(tracer, title="Host span attribution:"))
+    print(format_attribution(tracer, title="Host span attribution:"))
     counters = ctx.counter_registry().flat()
     print()
     print(
@@ -199,7 +200,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _loadgen_spec(args: argparse.Namespace):
-    from repro.serve import LoadgenSpec
+    from repro.loadgen import LoadgenSpec
 
     return LoadgenSpec(
         tpus=args.tpus,
@@ -288,7 +289,7 @@ def _serving_rows(snapshot: dict) -> List[tuple]:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run a self-contained multi-tenant serving session and report it."""
-    from repro.serve import run_loadgen
+    from repro.loadgen import run_loadgen
 
     result = run_loadgen(_loadgen_spec(args))
     print(
@@ -310,7 +311,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive the serving layer under load; optionally emit/check JSON."""
     import json
 
-    from repro.serve import run_loadgen
+    from repro.loadgen import run_loadgen
 
     result = run_loadgen(_loadgen_spec(args))
     snapshot = dict(result.snapshot)
@@ -356,7 +357,7 @@ def cmd_sustained(args: argparse.Namespace) -> int:
     """Run one open-loop sustained-load scenario and report it."""
     import json
 
-    from repro.serve import SustainedSpec, run_sustained
+    from repro.loadgen import SustainedSpec, run_sustained
 
     spec = SustainedSpec(
         tpus=args.tpus,
@@ -587,7 +588,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "open it at https://ui.perfetto.dev"
     )
     print()
-    print(telemetry.format_attribution(tracer))
+    print(format_attribution(tracer))
     if args.validate:
         problems = telemetry.validate_chrome_trace(args.out)
         if problems:

@@ -34,9 +34,10 @@ from repro.conformance.oracles import derive_rng
 from repro.edgetpu.isa import Opcode
 from repro.errors import DeviceFailure, QueueFull, RequestTimeout
 from repro.host.platform import Platform
+from repro.loadgen import make_server
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import FrontDoor, ServeConfig, make_server
+from repro.serve.server import FrontDoor, ServeConfig
 
 
 @dataclass(frozen=True)

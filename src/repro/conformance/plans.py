@@ -36,11 +36,11 @@ from repro.config import SystemConfig
 from repro.conformance.cases import APP_PARAMS, OP_CASES
 from repro.conformance.oracles import _as_array, derive_rng, pipeline_context
 from repro.host.platform import Platform
+from repro.loadgen import LoadgenSpec, run_loadgen
 from repro.plan.cache import PlanCache
 from repro.plan.compiled import CompiledPlan
 from repro.plan.serial import parse_plan, plan_digest, serialize_plan
 from repro.runtime.api import OpenCtpu
-from repro.serve.loadgen import LoadgenSpec, run_loadgen
 
 
 @dataclass

@@ -37,11 +37,13 @@ from repro.config import SystemConfig
 from repro.conformance.oracles import derive_rng
 from repro.edgetpu.isa import Opcode
 from repro.host.platform import Platform
+from repro.loadgen import make_server
 from repro.nn.models import MODELS, sample_input
+from repro.runtime.api import OpenCtpu
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.scheduler import build_dispatch_groups
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import FrontDoor, ServeConfig, make_server
+from repro.serve.server import FrontDoor, ServeConfig
 from repro.shard import ShardPlanner, ShardProfile
 from repro.telemetry.tracer import SpanTracer
 
@@ -276,8 +278,6 @@ def _check_model(name: str, seed: int, faulted_device: int,
     x = sample_input(model, batch=2, seed=model_seed)
 
     direct_ctx_platform = _pool_platform()
-    from repro.runtime.api import OpenCtpu  # local: avoids cycle at import
-
     direct_ctx = OpenCtpu(direct_ctx_platform)
     want = model.forward(direct_ctx, x)
     if direct_ctx.pending_operations:

@@ -79,12 +79,3 @@ class TensorizerModelBuilder(_BuilderBase):
 
     def _cost(self, elems: int) -> float:
         return self.timing.tensorizer_build_seconds(elems)
-
-
-def speedup_over_reference(elems: int, config: Optional[EdgeTPUConfig] = None) -> float:
-    """Model-creation speedup of the Tensorizer path at *elems* elements.
-
-    The paper reports ≈1500× at 2048×2048.
-    """
-    timing = TimingModel(config or EdgeTPUConfig())
-    return timing.tflite_compile_seconds(elems) / timing.tensorizer_build_seconds(elems)

@@ -197,13 +197,3 @@ def decode_instruction(blob: bytes, kernel_shape: Optional[Tuple[int, ...]] = No
         out_params=QuantParams(scale=float(out_scale)) if out_scale > 0 else None,
         attrs=attrs,
     )
-
-
-def packet_bytes(instr: Instruction) -> int:
-    """Wire size of *instr* without materializing the packet."""
-    size = _HEADER.size + instr.data_bytes
-    if instr.opcode.takes_model:
-        from repro.edgetpu.model_format import HEADER_SIZE
-
-        size += HEADER_SIZE + instr.model_bytes + 12
-    return size

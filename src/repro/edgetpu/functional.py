@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro import parallel
 from repro.errors import UnsupportedInstructionError
 from repro.edgetpu.isa import Instruction, Opcode
-from repro.edgetpu.quantize import QMAX, QuantParams
+from repro.edgetpu.quantize import QMAX
 
 
 @dataclass(frozen=True)
@@ -421,19 +421,6 @@ def f32_slab_products(a32: np.ndarray, b32: np.ndarray, out: Optional[list] = No
         )
         for k0, dst in zip(starts, out)
     ]
-
-
-def integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product of int8-ranged integer-valued float matrices.
-
-    Equals the int64 (or float64) product bit-for-bit, but runs on the
-    ~2× faster BLAS single-precision path via :func:`f32_slab_products`.
-    """
-    parts = f32_slab_products(a.astype(np.float32), b.astype(np.float32))
-    out = parts[0].astype(np.float64)
-    for p in parts[1:]:
-        out += p
-    return out
 
 
 def fully_connected_batched(

@@ -57,11 +57,6 @@ class Opcode(enum.Enum):
         return self in _BINARY_OPS
 
     @property
-    def is_matrix_arithmetic(self) -> bool:
-        """conv2D / FullyConnected — the multiply-accumulate operators."""
-        return self in (Opcode.CONV2D, Opcode.FULLY_CONNECTED)
-
-    @property
     def is_pairwise(self) -> bool:
         """Operators combining element pairs from two same-shape inputs."""
         return self in (Opcode.ADD, Opcode.SUB, Opcode.MUL)

@@ -125,16 +125,6 @@ class OnChipMemory:
         self._regions.clear()
         self._used = 0
 
-    def pin(self, name: str) -> None:
-        """Mark a region non-evictable."""
-        region = self._regions[name]
-        self._regions[name] = Region(region.name, region.nbytes, evictable=False)
-
-    def unpin(self, name: str) -> None:
-        """Mark a region evictable again."""
-        region = self._regions[name]
-        self._regions[name] = Region(region.name, region.nbytes, evictable=True)
-
     def _evict_one(self) -> bool:
         for name, region in self._regions.items():
             if region.evictable:

@@ -97,13 +97,6 @@ def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:
     return np.asarray(q, dtype=np.float64) / params.scale
 
 
-def quantization_rmse(data: np.ndarray, params: QuantParams) -> float:
-    """Root-mean-square round-trip error of quantizing *data*."""
-    arr = np.asarray(data, dtype=np.float64)
-    round_trip = dequantize(quantize(arr, params), params)
-    return float(np.sqrt(np.mean((arr - round_trip) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # Batched (per-tile-vectorized) quantization
 # ---------------------------------------------------------------------------
@@ -306,11 +299,6 @@ def operator_output_scale(opname: str, lo: float, hi: float, n: int = 1) -> floa
     return scale
 
 
-def estimate_output_bound(opname: str, lo: float, hi: float, n: int = 1) -> float:
-    """Expected maximum |output| for one operator — the Eq. 4 denominator."""
-    return 1.0 / operator_output_scale(opname, lo, hi, n)
-
-
 def output_quant_params(opname: str, lo: float, hi: float, n: int = 1) -> QuantParams:
     """Output :class:`QuantParams` for one operator per §6.2.2.
 
@@ -325,18 +313,3 @@ def output_quant_params(opname: str, lo: float, hi: float, n: int = 1) -> QuantP
     if not np.isfinite(scale) or scale <= 0:
         return QuantParams(scale=1.0)
     return QuantParams(scale=scale)
-
-
-def sample_range(data: np.ndarray, sample: int = 4096, seed: int = 0) -> Tuple[float, float]:
-    """Estimate (min, max) from a random sample of *data*.
-
-    §6.2.2: "For most datasets, sampling is efficient enough in large
-    datasets" [70].  Deterministic for a given seed; exact for small data.
-    """
-    arr = np.asarray(data, dtype=np.float64).ravel()
-    if arr.size <= sample:
-        return data_range(arr)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(arr.size, size=sample, replace=False)
-    picked = arr[idx]
-    return float(np.min(picked)), float(np.max(picked))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import EdgeTPUConfig
-from repro.edgetpu.isa import Instruction, Opcode
+from repro.edgetpu.isa import Opcode
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,3 @@ class TimingModel:
         floor = 2e-6
         rate = self.config.tensorizer_build_seconds_2k / (2048 * 2048)
         return max(floor, elems * rate)
-
-    # -- convenience -----------------------------------------------------------
-
-    def instruction_seconds_for(self, instr: Instruction, out_elems: int, macs: int) -> float:
-        """Latency for an already-built instruction object."""
-        return self.instruction_seconds(instr.opcode, out_elems, macs)

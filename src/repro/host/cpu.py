@@ -41,21 +41,10 @@ class CPUCoreModel:
         self._check(m, n, k)
         return 2.0 * m * n * k / self.config.sgemm_flops
 
-    def naive_gemm_seconds(self, m: int, n: int, k: int) -> float:
-        """Hand-written (Rodinia-style) matrix product — no BLAS."""
-        self._check(m, n, k)
-        return 2.0 * m * n * k / self.config.naive_gemm_flops
-
     def graph_traversal_seconds(self, edges: int) -> float:
         """Edge-at-a-time graph kernel (PageRank baseline)."""
         self._check(edges)
         return edges / self.config.graph_edges_per_sec
-
-    def matvec_seconds(self, m: int, n: int) -> float:
-        """Dense matrix–vector product — memory-bound: the matrix is
-        streamed once (float32)."""
-        self._check(m, n)
-        return 4.0 * m * n / self.config.stream_bytes_per_sec
 
     def stream_seconds(self, nbytes: int) -> float:
         """Streaming elementwise kernel touching *nbytes* of memory."""

@@ -72,14 +72,6 @@ class GPUModel:
         # inputs down when they approach half the device memory.
         return input_bytes * 2 <= self.config.memory_bytes
 
-    def max_input_bytes(self) -> int:
-        """Largest input the device can host under the same rule."""
-        return self.config.memory_bytes // 2
-
-    def scaled_input_bytes(self, input_bytes: int) -> int:
-        """Input size after the §9.4 down-scaling, if needed."""
-        return min(input_bytes, self.max_input_bytes())
-
 
 #: Ready-made models for the two paper GPUs.
 RTX_2080_MODEL = GPUModel(RTX_2080, RTX_2080_APP_SPEEDUPS)

@@ -102,10 +102,6 @@ class QuarantineManager:
         """Clock instant the device's current quarantine ends."""
         return self._until[index]
 
-    @property
-    def any_quarantined(self) -> bool:
-        return any(self.is_quarantined(i) for i in range(len(self.scores)))
-
     def snapshot(self, names: Sequence[str]) -> dict:
         """JSON-friendly per-device quarantine state."""
         return {

@@ -32,10 +32,6 @@ class Topology:
             raise IndexError(f"no TPU {tpu_index} in a {len(self.paths)}-TPU topology")
         return tuple(self.links[name] for name in self.paths[tpu_index])
 
-    def hop_count(self, tpu_index: int) -> int:
-        """Number of segments between host and the TPU."""
-        return len(self.paths[tpu_index])
-
     def shared_link_names(self) -> Tuple[str, ...]:
         """Names of links appearing in more than one path."""
         counts: Dict[str, int] = {}

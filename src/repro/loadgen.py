@@ -1,5 +1,12 @@
 """Load generators for the serving layer: closed-loop and open-loop.
 
+This module sits above both serving stacks: :func:`make_server` picks
+the in-process :class:`~repro.serve.server.TpuServer` or the
+multi-process :class:`~repro.mp.MpTpuServer`, and the two drivers run
+scenarios against either.  Neither :mod:`repro.serve` nor
+:mod:`repro.mp` imports it, so data-plane worker processes never load
+it.
+
 The original, closed-loop half (:func:`run_loadgen`) drives a
 :class:`~repro.serve.server.TpuServer` with ``tenants`` concurrent
 clients, each issuing ``requests_per_tenant`` GEMMs back-to-back
@@ -36,11 +43,25 @@ from repro.edgetpu.isa import Opcode
 from repro.errors import DeviceFailure, LoadShed, QueueFull, RequestTimeout
 from repro.host.energy import EnergyModel
 from repro.host.platform import Platform
+from repro.mp import MpTpuServer
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
 from repro.serve.arrivals import build_schedule
-from repro.serve.server import FrontDoor, ServeConfig, make_server
+from repro.serve.server import FrontDoor, ServeConfig, TpuServer
 from repro.serve.slo import SloPolicy, gold_silver_bronze
+
+
+def make_server(
+    platform: Platform,
+    config: ServeConfig,
+    *,
+    workers: int = 0,
+    clock: Callable[[], float] = time.monotonic,
+) -> FrontDoor:
+    """The in-process server, or the multi-process one for *workers* > 0."""
+    if not workers:
+        return TpuServer(platform, config, clock=clock)
+    return MpTpuServer(platform, config, clock=clock, workers=workers)
 
 
 @dataclass(frozen=True)

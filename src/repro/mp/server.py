@@ -635,7 +635,3 @@ class MpTpuServer(FrontDoor):
             "devices": {w.wid: list(w.device_names) for w in self._workers},
         }
         return snap
-
-    def worker_pids(self) -> Dict[int, Optional[int]]:
-        """Live worker pids (the crash-injection hook for tests/bench)."""
-        return {w.wid: w.pid for w in self._workers if w.alive}

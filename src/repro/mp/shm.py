@@ -119,11 +119,6 @@ class ShmRing:
         """Bytes currently allocated (pads included)."""
         return self._used
 
-    @property
-    def live_blocks(self) -> int:
-        """Allocated, not-yet-freed block count (pads excluded)."""
-        return len(self._order) - len(self._freed)
-
     def alloc(self, nbytes: int) -> Tuple[int, int]:
         """Reserve a contiguous block; returns ``(offset, padded size)``.
 

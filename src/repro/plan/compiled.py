@@ -24,8 +24,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.opqueue import LoweredInstr
-
 #: Placeholder tokens substituted at bind time.
 SRC_TOKEN = "{src}"
 TASK_TOKEN = "{task}"
@@ -41,8 +39,11 @@ KINDS = (KIND_GENERIC, KIND_GEMM)
 
 @dataclass(frozen=True)
 class InstrTemplate:
-    """One instruction-group record: a :class:`LoweredInstr` minus its
-    per-request identity (source buffer, task id, model source)."""
+    """One instruction-group record: a ``LoweredInstr`` minus its
+    per-request identity (source buffer, task id, model source).
+
+    The Tensorizer binds it back (``runtime.tensorizer._bind_template``)
+    by substituting the placeholder tokens in the three key strings."""
 
     opname: str
     label: str
@@ -58,42 +59,6 @@ class InstrTemplate:
     #: build happened once, at capture — that is the point of the plan).
     model_build_seconds: float
     exec_seconds: float
-
-    def bind(
-        self,
-        opcode,
-        task_id: int,
-        source: str,
-        model_source: str,
-        *,
-        fresh: bool,
-    ) -> LoweredInstr:
-        """Instantiate the template for one request.
-
-        ``fresh=True`` charges the capture-time model-build seconds (the
-        miss that built the models); ``fresh=False`` is a warm replay and
-        the instruction ships with an already-built model.
-        """
-        task = str(task_id)
-        sub = lambda s: (
-            s.replace(SRC_TOKEN, source)
-            .replace(TASK_TOKEN, task)
-            .replace(MODEL_SRC_TOKEN, model_source)
-        )
-        return LoweredInstr(
-            opcode=opcode,
-            task_id=task_id,
-            group_key=sub(self.group_key),
-            cache_key=sub(self.cache_key),
-            data_bytes=self.data_bytes,
-            model_bytes=self.model_bytes,
-            model_build_seconds=self.model_build_seconds if fresh else 0.0,
-            exec_seconds=self.exec_seconds,
-            out_bytes=self.out_bytes,
-            label=self.label,
-            model_cache_key=sub(self.model_cache_key),
-            count=self.count,
-        )
 
 
 @dataclass(frozen=True)

@@ -70,19 +70,9 @@ class Buffer:
             self.data = arr
 
     @property
-    def is_filled(self) -> bool:
-        """Whether the buffer currently holds data."""
-        return self.data is not None
-
-    @property
     def shape(self) -> Tuple[int, ...]:
         """The buffer's logical shape."""
         return self.dimension.sizes
-
-    @property
-    def nbytes_int8(self) -> int:
-        """Size of the quantized (int8) representation."""
-        return self.dimension.elems
 
     def require_data(self) -> np.ndarray:
         """The buffer's contents; raises if not yet produced."""

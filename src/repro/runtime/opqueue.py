@@ -184,8 +184,3 @@ class LoweredOperation:
     def total_exec_seconds(self) -> float:
         """Sum of device execution latencies (no overlap)."""
         return sum(i.burst_exec_seconds for i in self.instrs)
-
-    @property
-    def total_transfer_bytes(self) -> int:
-        """Upper bound on bytes moved (ignores on-chip caching)."""
-        return sum(i.data_bytes + i.model_bytes + i.out_bytes for i in self.instrs)

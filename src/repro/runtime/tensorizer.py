@@ -245,6 +245,37 @@ def _band_max_abs(band: np.ndarray, col_starts: np.ndarray) -> np.ndarray:
     return np.maximum(hi, -lo)
 
 
+def _bind_template(
+    t: InstrTemplate, task_id: int, source: str, model_source: str, fresh: bool
+) -> LoweredInstr:
+    """Instantiate a conv2D-GEMM plan template for one request.
+
+    Every key string gets the request's data source, task id and model
+    source in place of the plan's placeholder tokens.  ``fresh=True``
+    charges the capture-time model-build seconds (the miss that built
+    the models); ``fresh=False`` is a warm replay and the instruction
+    ships with an already-built model.
+    """
+    task = str(task_id)
+    return LoweredInstr(
+        opcode=Opcode.CONV2D,
+        task_id=task_id,
+        group_key=t.group_key.replace(SRC_TOKEN, source)
+        .replace(TASK_TOKEN, task).replace(MODEL_SRC_TOKEN, model_source),
+        cache_key=t.cache_key.replace(SRC_TOKEN, source)
+        .replace(TASK_TOKEN, task).replace(MODEL_SRC_TOKEN, model_source),
+        data_bytes=t.data_bytes,
+        model_bytes=t.model_bytes,
+        model_build_seconds=t.model_build_seconds if fresh else 0.0,
+        exec_seconds=t.exec_seconds,
+        out_bytes=t.out_bytes,
+        label=t.label,
+        model_cache_key=t.model_cache_key.replace(SRC_TOKEN, source)
+        .replace(TASK_TOKEN, task).replace(MODEL_SRC_TOKEN, model_source),
+        count=t.count,
+    )
+
+
 def _frozen(array: np.ndarray) -> bool:
     """Can nothing write *array*?  True when it and every array under it
     (its ``.base`` chain) are read-only; a base that is not an array
@@ -1510,9 +1541,8 @@ class Tensorizer:
         model_source = sources[0]
         all_instrs = [
             [
-                t.bind(
-                    Opcode.CONV2D, request.task_id, source, model_source,
-                    fresh=not replay and idx == 0,
+                _bind_template(
+                    t, request.task_id, source, model_source, not replay and idx == 0
                 )
                 for t in plan.templates
             ]

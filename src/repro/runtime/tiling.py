@@ -62,24 +62,6 @@ def iter_tiles(shape: Tuple[int, int], tile: int) -> Iterator[Tile]:
             yield Tile(row=r, col=c, rows=slice(r0, r1), cols=slice(c0, c1))
 
 
-def tile_count(shape: Tuple[int, int], tile: int) -> int:
-    """Total number of tiles in the partition."""
-    n_r, n_c = grid_shape(shape, tile)
-    return n_r * n_c
-
-
-def pad_to(matrix: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-    """Zero-pad *matrix* up to *shape* (the ext instruction's job)."""
-    rows, cols = matrix.shape
-    if shape[0] < rows or shape[1] < cols:
-        raise ValueError(f"cannot pad {matrix.shape} down to {shape}")
-    if matrix.shape == tuple(shape):
-        return matrix
-    out = np.zeros(shape, dtype=matrix.dtype)
-    out[:rows, :cols] = matrix
-    return out
-
-
 def stack_tiles(matrix: np.ndarray, tile: int) -> Tuple[np.ndarray, List[Tile]]:
     """Stack every tile of *matrix* into one ``(n_tiles, tile, tile)`` array.
 
@@ -156,11 +138,3 @@ def fill_padding(
 def tile_sizes(tiles: List[Tile]) -> np.ndarray:
     """Actual (unpadded) element count of each tile, as an int64 vector."""
     return np.array([t.shape()[0] * t.shape()[1] for t in tiles], dtype=np.int64)
-
-
-def row_chunks(n_rows: int, chunk: int) -> Iterator[slice]:
-    """Split ``range(n_rows)`` into consecutive slices of ≤ *chunk* rows."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    for start in range(0, n_rows, chunk):
-        yield slice(start, min(start + chunk, n_rows))

@@ -5,6 +5,10 @@ then syncs.  This package turns the same OPQ → Tensorizer → scheduler →
 device pipeline into a continuously-fed service with admission control
 and backpressure, multi-client GEMM coalescing, and fault-tolerant
 dispatch with retries and circuit breakers.  See docs/serving.md.
+
+It holds the data plane and the front door only: the load generators
+and ``make_server``, which also picks the multi-process server of
+:mod:`repro.mp`, live one layer up in :mod:`repro.loadgen`.
 """
 
 from repro.serve.admission import AdmissionController
@@ -17,14 +21,6 @@ from repro.serve.arrivals import (
 )
 from repro.serve.coalescer import coalesce, coalesce_key
 from repro.serve.dispatcher import CircuitBreaker, DevicePool, DispatchWork
-from repro.serve.loadgen import (
-    LoadgenResult,
-    LoadgenSpec,
-    SustainedResult,
-    SustainedSpec,
-    run_loadgen,
-    run_sustained,
-)
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
 from repro.serve.server import ServeConfig, TpuServer
@@ -37,16 +33,12 @@ __all__ = [
     "CircuitBreaker",
     "DevicePool",
     "DispatchWork",
-    "LoadgenResult",
-    "LoadgenSpec",
     "OverloadController",
     "ServeConfig",
     "ServeRequest",
     "ServingMetrics",
     "SloPolicy",
     "SloTier",
-    "SustainedResult",
-    "SustainedSpec",
     "TpuServer",
     "build_schedule",
     "coalesce",
@@ -54,6 +46,4 @@ __all__ = [
     "gold_silver_bronze",
     "lognormal_sizes",
     "poisson_times",
-    "run_loadgen",
-    "run_sustained",
 ]

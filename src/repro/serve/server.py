@@ -746,18 +746,3 @@ class TpuServer(FrontDoor):
     def snapshot(self) -> dict:
         """Metrics snapshot including elapsed serving time."""
         return self._assemble_snapshot(self.metrics, [self.plane.payload()])
-
-
-def make_server(
-    platform: Platform,
-    config: ServeConfig,
-    *,
-    workers: int = 0,
-    clock: Callable[[], float] = time.monotonic,
-) -> FrontDoor:
-    """The in-process server, or the multi-process one for *workers* > 0."""
-    if not workers:
-        return TpuServer(platform, config, clock=clock)
-    from repro.mp import MpTpuServer  # repro.mp imports this module
-
-    return MpTpuServer(platform, config, clock=clock, workers=workers)

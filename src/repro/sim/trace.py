@@ -89,10 +89,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._records)
 
-    def by_kind(self, kind: str) -> Tuple[TraceRecord, ...]:
-        """All records of one activity category, in emission order."""
-        return tuple(r for r in self._records if r.kind == kind)
-
     def by_unit(self, unit: str) -> Tuple[TraceRecord, ...]:
         """All records attributed to one hardware unit."""
         return tuple(r for r in self._records if r.unit == unit)

@@ -23,7 +23,6 @@ from repro.telemetry.counters import (
 )
 from repro.telemetry.export import (
     attribution,
-    format_attribution,
     merge_chrome_traces,
     save_chrome_trace,
     to_chrome_trace,
@@ -54,7 +53,6 @@ __all__ = [
     "SpanTracer",
     "attribution",
     "device_counters",
-    "format_attribution",
     "get_tracer",
     "memory_counters",
     "plan_counters",

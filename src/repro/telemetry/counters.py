@@ -33,10 +33,6 @@ class CounterRegistry:
             raise TypeError(f"counter source {name!r} must be callable")
         self._sources[name] = source
 
-    def unregister(self, name: str) -> None:
-        """Remove one source."""
-        del self._sources[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._sources
 

@@ -11,7 +11,8 @@ Two consumers:
   https://ui.perfetto.dev or ``chrome://tracing``.
 * **Attribution table** — :func:`attribution` aggregates host and
   modeled device seconds per ``(cat, name)``; ``repro profile`` and
-  ``repro trace`` print it via :func:`format_attribution`.
+  ``repro trace`` print it via
+  :func:`repro.bench.reporting.format_attribution`.
 
 :func:`validate_chrome_trace` is the schema gate CI runs on emitted
 artifacts — shape checks only, no external JSON-schema dependency.
@@ -188,22 +189,3 @@ def attribution(tracer: SpanTracer) -> List[dict]:
     ]
     rows.sort(key=lambda r: (-r["host_seconds"], r["cat"], r["name"]))
     return rows
-
-
-def format_attribution(tracer: SpanTracer, title: str = "Telemetry attribution") -> str:
-    """The flat per-phase table ``repro profile`` prints."""
-    from repro.bench.reporting import format_table
-
-    rows = [
-        (
-            r["cat"],
-            r["name"],
-            r["count"],
-            f"{r['host_seconds'] * 1e3:.3f}",
-            f"{r['device_seconds'] * 1e3:.3f}",
-        )
-        for r in attribution(tracer)
-    ]
-    return format_table(
-        ["cat", "span", "count", "host ms", "device ms"], rows, title=title
-    )

@@ -157,11 +157,6 @@ class SpanTracer:
         self.enabled = True
         return self
 
-    def disable(self) -> "SpanTracer":
-        """Turn recording off (already-open spans still record on end)."""
-        self.enabled = False
-        return self
-
     def clear(self) -> None:
         """Drop every finished span and reset the creation counters."""
         self._spans.clear()

@@ -75,7 +75,7 @@ class TestPageRank:
         platform = Platform.with_tpus(1)
         ctx = OpenCtpu(platform)
         app.run_gptpu(inputs, ctx)
-        transfers = platform.tracer.by_kind("transfer")
+        transfers = [r for r in platform.tracer if r.kind == "transfer"]
         # Adjacency (128x128 = 16 KB + overhead) moves once; later
         # iterations only ship the rank vector and results.
         big = [t for t in transfers if t.meta["nbytes"] > 10_000]
@@ -203,7 +203,7 @@ class TestBlackScholes:
         app.run_gptpu(inputs, ctx)
         # 18 muls (9 per CNDF x 2); the grid tile moves twice (d1, d2),
         # not 18 times.
-        transfers = platform.tracer.by_kind("transfer")
+        transfers = [r for r in platform.tracer if r.kind == "transfer"]
         grid_sized = [t for t in transfers if t.meta["nbytes"] == 64 * 64]
         # in-bound grid+acc pairs and out-bound results share this size;
         # caching keeps the count well below 3 per mul.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BenchmarkError
-from repro.bench.harness import AppRunRecord, geomean_speedup, mean_speedup, run_app, run_suite
+from repro.bench.harness import AppRunRecord, mean_speedup, run_app, run_suite
 from repro.bench.reporting import comparison_table, format_table
 
 
@@ -53,7 +53,6 @@ class TestSuiteAggregates:
     def test_mean_and_geomean(self):
         records = {"a": self._fake("a", 2.0), "b": self._fake("b", 8.0)}
         assert mean_speedup(records) == pytest.approx(5.0)
-        assert geomean_speedup(records) == pytest.approx(4.0)
 
 
 class TestReporting:

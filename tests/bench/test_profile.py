@@ -30,7 +30,7 @@ class TestProfileTrace:
         assert report.kind_seconds["instruction"] == 1.0
         assert report.kind_seconds["transfer"] == 1.5
         assert report.opcode_counts["conv2D"] == 3
-        assert report.dominant_opcode() == "conv2D"
+        assert max(report.opcode_seconds, key=report.opcode_seconds.get) == "conv2D"
 
     def test_transfer_fraction(self):
         tracer = Tracer()
@@ -55,13 +55,12 @@ class TestProfileTrace:
         assert report.wall_seconds == 0.0
         assert report.tpu_utilization == 0.0
         assert report.transfer_fraction == 0.0
-        with pytest.raises(ValueError):
-            report.dominant_opcode()
+        assert report.opcode_seconds == {}
 
     def test_real_gemm_profile_shape(self):
         platform = run_gemm()
         report = profile_trace(platform.tracer)
-        assert report.dominant_opcode() == "conv2D"
+        assert max(report.opcode_seconds, key=report.opcode_seconds.get) == "conv2D"
         assert report.opcode_counts["conv2D"] >= 1
         assert "model_build" in report.kind_seconds
 

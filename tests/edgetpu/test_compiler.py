@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.edgetpu.compiler import (
-    ReferenceCompiler,
-    TensorizerModelBuilder,
-    speedup_over_reference,
-)
+from repro.config import EdgeTPUConfig
+from repro.edgetpu.compiler import ReferenceCompiler, TensorizerModelBuilder
 from repro.edgetpu.quantize import QuantParams
+from repro.edgetpu.timing import TimingModel
 
 
 def matrix(n=64, seed=0):
@@ -40,7 +38,10 @@ def test_auto_params_cover_data():
 
 
 def test_tensorizer_is_about_1500x_faster_at_2k():
-    assert speedup_over_reference(2048 * 2048) == pytest.approx(1500, rel=0.05)
+    timing = TimingModel(EdgeTPUConfig())
+    elems = 2048 * 2048
+    speedup = timing.tflite_compile_seconds(elems) / timing.tensorizer_build_seconds(elems)
+    assert speedup == pytest.approx(1500, rel=0.05)
 
 
 def test_reference_cost_matches_paper_at_2k():

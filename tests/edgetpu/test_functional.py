@@ -273,7 +273,7 @@ class TestDispatch:
             Instruction(Opcode.RELU, np.ones((2, 2)), p)
 
     def test_opcode_classification(self):
-        assert Opcode.CONV2D.is_matrix_arithmetic and Opcode.CONV2D.takes_model
+        assert Opcode.CONV2D.takes_model
         assert Opcode.ADD.is_pairwise
         assert Opcode.MEAN.is_reduction and not Opcode.MEAN.takes_model
         assert Opcode.CROP.is_data_movement

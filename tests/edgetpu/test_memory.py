@@ -78,17 +78,6 @@ def test_ensure_refreshes_recency():
     assert "a" in mem and "b" not in mem and "c" in mem
 
 
-def test_pin_unpin_cycle():
-    mem = OnChipMemory(100)
-    mem.alloc("a", 80)
-    mem.pin("a")
-    with pytest.raises(OutOfDeviceMemoryError):
-        mem.alloc("b", 80)
-    mem.unpin("a")
-    mem.alloc("b", 80)
-    assert "b" in mem and "a" not in mem
-
-
 def test_free_unknown_region_raises():
     with pytest.raises(KeyError):
         OnChipMemory(10).free("ghost")

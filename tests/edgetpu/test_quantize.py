@@ -13,13 +13,10 @@ from repro.edgetpu.quantize import (
     QuantParams,
     data_range,
     dequantize,
-    estimate_output_bound,
     operator_output_scale,
     params_for_data,
     params_for_range,
-    quantization_rmse,
     quantize,
-    sample_range,
 )
 
 
@@ -103,7 +100,8 @@ class TestRoundTrip:
     def test_quantization_rmse_small_for_wide_scale(self):
         rng = np.random.default_rng(0)
         data = rng.uniform(-1, 1, size=1000)
-        rmse = quantization_rmse(data, params_for_data(data))
+        params = params_for_data(data)
+        rmse = np.sqrt(np.mean((data - dequantize(quantize(data, params), params)) ** 2))
         # Uniform quantization noise: step / sqrt(12).
         assert rmse <= params_for_data(data).step / np.sqrt(12) * 1.2
 
@@ -151,7 +149,7 @@ class TestScalingFactorRules:
         # §6.2.2: GEMM then add on N×N data in [0, n-1]: max output
         # 2·N·(n-1)²; here via the conv2D bound with span n-1.
         n, N = 8, 16
-        bound = estimate_output_bound("conv2D", 0.0, n - 1.0, n=N)
+        bound = 1.0 / operator_output_scale("conv2D", 0.0, n - 1.0, n=N)
         assert bound == pytest.approx((n - 1) ** 2 * N)
 
     def test_scale_prevents_overflow_for_uniform_data(self):
@@ -182,21 +180,6 @@ class TestRangeHelpers:
     def test_data_range_requires_arrays(self):
         with pytest.raises(QuantizationError):
             data_range()
-
-    def test_sample_range_exact_for_small_data(self):
-        data = np.linspace(-1, 1, 100)
-        assert sample_range(data) == (-1.0, 1.0)
-
-    def test_sample_range_close_for_large_uniform_data(self):
-        rng = np.random.default_rng(11)
-        data = rng.uniform(-10, 10, size=100_000)
-        lo, hi = sample_range(data, sample=4096, seed=1)
-        assert lo <= -9.0 and hi >= 9.0
-
-    def test_sample_range_deterministic(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=50_000)
-        assert sample_range(data, seed=5) == sample_range(data, seed=5)
 
 
 class TestDenormalRanges:

@@ -19,10 +19,6 @@ class TestKernelCosts:
     def test_gemm_cubic_scaling(self, cpu):
         assert cpu.gemm_seconds(2048, 2048, 2048) / cpu.gemm_seconds(1024, 1024, 1024) == pytest.approx(8.0)
 
-    def test_matvec_is_memory_bound(self, cpu):
-        t = cpu.matvec_seconds(1000, 1000)
-        assert t == pytest.approx(4e6 / cpu.config.stream_bytes_per_sec)
-
     def test_elementwise_touches_three_arrays(self, cpu):
         t = cpu.elementwise_seconds(1000)
         assert t == pytest.approx(12_000 / cpu.config.stream_bytes_per_sec)

@@ -51,10 +51,6 @@ class TestMemoryCapacity:
         # §9.4: Jetson Nano's 4 GB forces input down-scaling.
         four_gb = 4 * 1024**3
         assert not JETSON_NANO_MODEL.fits(four_gb)
-        assert JETSON_NANO_MODEL.scaled_input_bytes(four_gb) == 2 * 1024**3
 
     def test_rtx_fits_moderate_inputs(self):
         assert RTX_2080_MODEL.fits(1024**3)
-
-    def test_small_inputs_unscaled(self):
-        assert JETSON_NANO_MODEL.scaled_input_bytes(1024) == 1024

@@ -41,7 +41,6 @@ class TestLifecycle:
         assert q.record_sdc(0)  # default weight 1.0 == threshold
         assert q.is_quarantined(0)
         assert not q.is_quarantined(1)  # others untouched
-        assert q.any_quarantined
 
     def test_sub_threshold_weight_accumulates(self, clock):
         q = manager(clock)

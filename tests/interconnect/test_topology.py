@@ -33,7 +33,7 @@ class TestPrototypeTopology:
         # leaf segment.
         topo = build_prototype_topology(DEFAULT_CONFIG)
         for tpu in range(topo.num_tpus):
-            assert topo.hop_count(tpu) == 2
+            assert len(topo.paths[tpu]) == 2
 
     def test_card_upstream_links_are_shared(self):
         topo = build_prototype_topology(DEFAULT_CONFIG)

@@ -95,7 +95,7 @@ def test_transfer_records_trace():
     tracer = Tracer()
     eng, dma = make_dma(tracer)
     eng.run_process(dma.transfer(3, MB, label="input-chunk"))
-    records = tracer.by_kind("transfer")
+    records = [r for r in tracer if r.kind == "transfer"]
     assert len(records) == 1
     rec = records[0]
     assert rec.unit == "tpu3"
@@ -115,7 +115,7 @@ def test_queued_time_recorded_under_contention():
         yield p2
 
     eng.run_process(both())
-    records = tracer.by_kind("transfer")
+    records = [r for r in tracer if r.kind == "transfer"]
     ends = sorted(r.end for r in records)
     # The second transfer serializes behind the first on the shared leaf
     # segment: it finishes roughly one leaf occupancy later.

@@ -56,7 +56,7 @@ class TestGemm:
         a, b = rand((32, 32), 5), rand((32, 32), 6)
         out_buf = ctx.create_buffer(ctx.alloc_dimension(2, 32, 32))
         tpu_gemm(ctx, a, b, out=out_buf)
-        assert out_buf.is_filled
+        assert out_buf.data is not None
 
     def test_chunks_cap_limits_parallel_groups(self, ctx):
         a, b = rand((512, 128), 7), rand((128, 128), 8)

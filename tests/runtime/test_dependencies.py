@@ -17,8 +17,8 @@ def instruction_spans(platform, opname=None):
     """(start, end) of instruction trace records, in time order."""
     records = [
         r
-        for r in platform.tracer.by_kind("instruction")
-        if opname is None or r.meta.get("opcode") == opname
+        for r in platform.tracer
+        if r.kind == "instruction" and (opname is None or r.meta.get("opcode") == opname)
     ]
     return sorted((r.start, r.end) for r in records)
 

@@ -474,3 +474,12 @@ class TestImports:
             " hasattr(repro.sim, 'Engine'))"
         )
         assert self._fresh_process_prints(code) == "[] False"
+
+    def test_mp_workers_load_no_load_generator(self):
+        # The load generators sit one layer above repro.serve and repro.mp
+        # (repro.loadgen); a worker process imports the data plane only.
+        code = (
+            "import sys, repro.mp.worker\n"
+            "print(sorted(m for m in sys.modules if m.rsplit('.', 1)[-1] == 'loadgen'))"
+        )
+        assert self._fresh_process_prints(code) == "[]"

@@ -26,7 +26,7 @@ class TestResidency:
         assert len(cached) == 4  # 2x2 tiles of the 256² matrix
         # Only the first pass transferred the tiles.
         big_transfers = [
-            t for t in platform.tracer.by_kind("transfer") if t.meta["nbytes"] > 10_000
+            t for t in platform.tracer if t.kind == "transfer" and t.meta["nbytes"] > 10_000
         ]
         assert len(big_transfers) == 4
 
@@ -87,6 +87,6 @@ class TestDeviceCounters:
         ctx.sync()
         device = platform.devices[0]
         traced = sum(
-            r.duration for r in platform.tracer.by_kind("instruction") if r.unit == "tpu0"
+            r.duration for r in platform.tracer if r.kind == "instruction" and r.unit == "tpu0"
         )
         assert device.busy_seconds == pytest.approx(traced)

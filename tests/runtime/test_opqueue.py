@@ -93,10 +93,6 @@ class TestLoweredOperation:
                               make_instr(exec_seconds=5e-4)])
         assert op.total_exec_seconds == pytest.approx(2.5e-3)
 
-    def test_total_transfer_bytes(self):
-        op = self._operation([make_instr(data_bytes=5, model_bytes=7, out_bytes=9)])
-        assert op.total_transfer_bytes == 21
-
     def test_request_defaults(self):
         request = OperationRequest(
             task_id=2, opcode=Opcode.MUL, inputs=(np.ones(2),)

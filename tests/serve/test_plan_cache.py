@@ -3,9 +3,9 @@
 import numpy as np
 
 from repro.host.platform import Platform
+from repro.loadgen import LoadgenSpec, run_loadgen
 from repro.plan import PlanCache
 from repro.runtime.api import OpenCtpu
-from repro.serve import LoadgenSpec, run_loadgen
 
 
 def _spec(**over) -> LoadgenSpec:

@@ -8,10 +8,10 @@ import pytest
 from repro.edgetpu.isa import Opcode
 from repro.errors import QueueFull, RequestTimeout, ServingError
 from repro.host.platform import Platform
+from repro.loadgen import LoadgenSpec, make_server, run_loadgen
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve import LoadgenSpec, ServeConfig, TpuServer, run_loadgen
-from repro.serve.server import make_server
+from repro.serve import ServeConfig, TpuServer
 
 #: Front-door behaviour is shared, so these tests run against both the
 #: in-process server (workers=0) and the multi-process one (workers=1).

@@ -9,7 +9,7 @@ bronze queues, and preemption never double-delivers a request.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import SustainedSpec, run_sustained
+from repro.loadgen import SustainedSpec, run_sustained
 from repro.serve.slo import OverloadController, SloPolicy
 
 _OBSERVATION = st.tuples(

@@ -9,14 +9,9 @@ import pytest
 from repro.edgetpu.isa import Opcode
 from repro.errors import LoadShed, QueueFull
 from repro.host.platform import Platform
+from repro.loadgen import SustainedSpec, run_sustained
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.serve import (
-    ServeConfig,
-    SloPolicy,
-    SustainedSpec,
-    TpuServer,
-    run_sustained,
-)
+from repro.serve import ServeConfig, SloPolicy, TpuServer
 from repro.serve.admission import AdmissionController
 from repro.serve.dispatcher import DevicePool, DispatchWork
 from repro.serve.metrics import ServingMetrics

@@ -120,9 +120,8 @@ class TestTracerEdgeCases:
         assert len(tracer) == 0
         assert tracer.busy_seconds() == {}
 
-    def test_by_unit_and_by_kind(self):
+    def test_by_unit(self):
         tracer = Tracer()
         tracer.record(0.0, 1.0, "transfer", "tpu0")
         tracer.record(0.0, 1.0, "instruction", "tpu1")
         assert len(tracer.by_unit("tpu0")) == 1
-        assert len(tracer.by_kind("instruction")) == 1

@@ -43,13 +43,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             CounterRegistry().register("a", {"not": "callable"})
 
-    def test_unregister(self):
-        reg = CounterRegistry()
-        reg.register("a", lambda: {})
-        reg.unregister("a")
-        assert "a" not in reg
-        assert list(reg) == []
-
 
 class TestAdapters:
     def test_tensorizer_counters(self):

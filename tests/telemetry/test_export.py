@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from repro.bench.reporting import format_attribution
 from repro.telemetry import (
     SpanTracer,
     attribution,
-    format_attribution,
     save_chrome_trace,
     to_chrome_trace,
     validate_chrome_trace,

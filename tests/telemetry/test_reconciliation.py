@@ -9,7 +9,7 @@ the span layer and the metrics layer observe the same successes.
 import pytest
 
 from repro import telemetry
-from repro.serve.loadgen import LoadgenSpec, run_loadgen
+from repro.loadgen import LoadgenSpec, run_loadgen
 from repro.telemetry import SpanTracer, to_chrome_trace, validate_chrome_trace
 
 

@@ -31,6 +31,14 @@ def test_run_with_tpus_and_seed(capsys):
     assert "GPTPU (4 TPU)" in out
 
 
+def test_profile_prints_span_attribution(capsys):
+    assert main(["profile", "gemm", "--param", "n=64"]) == 0
+    out = capsys.readouterr().out
+    assert "Host span attribution:" in out
+    assert "host ms" in out and "device ms" in out
+    assert "lower:conv2D" in out
+
+
 def test_run_unknown_app_rejected():
     with pytest.raises(SystemExit):
         main(["run", "crysis"])
@@ -135,6 +143,14 @@ class TestTraceCommand:
         names = {e["name"] for e in payload["traceEvents"]}
         assert any(n.startswith("lower:") for n in names)
         assert "exec_group" in names
+
+    def test_trace_prints_span_attribution(self, capsys, tmp_path):
+        out = str(tmp_path / "trace.json")
+        assert main(["trace", "--out", out, "--", "run", "gemm", "--param", "n=64"]) == 0
+        captured = capsys.readouterr().out
+        assert "Telemetry attribution" in captured
+        assert "host ms" in captured and "device ms" in captured
+        assert "lower:conv2D" in captured
 
     def test_trace_needs_a_wrapped_command(self):
         with pytest.raises(SystemExit):

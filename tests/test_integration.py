@@ -69,8 +69,8 @@ class TestGlobalInvariants:
         for i in range(platform.num_tpus):
             spans = sorted(
                 (r.start, r.end)
-                for r in platform.tracer.by_kind("instruction")
-                if r.unit == f"tpu{i}"
+                for r in platform.tracer
+                if r.kind == "instruction" and r.unit == f"tpu{i}"
             )
             for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
                 assert s2 >= e1 - 1e-12
