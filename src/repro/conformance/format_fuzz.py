@@ -34,9 +34,7 @@ from repro.plan.compiled import (
     KIND_GENERIC,
     CompiledPlan,
     GemmGeometry,
-    GemmModelBlock,
     InstrTemplate,
-    IntegrityTemplate,
 )
 from repro.plan.serial import (
     PLAN_HEADER_SIZE,
@@ -199,7 +197,7 @@ def run_fuzz(seed: int, iterations: int = 400) -> FuzzReport:
 #: record stream (no fixed metadata tail), so the model fuzzer's
 #: ``scale``/``dims`` operators become a single ``body-byte`` operator
 #: that strikes anywhere in the stream: string lengths, record counts,
-#: kind/flag codes, f64 costs, scales, and int8 model data.
+#: the kind code, geometry fields, and the records' sizes and f64 costs.
 PLAN_MUTATIONS = (
     "identity",
     "magic",
@@ -239,7 +237,6 @@ def _fresh_plan_blob(rng: np.random.Generator) -> bytes:
             signature=f"plan-v1|fuzz|{int(rng.integers(0, 1 << 30))}",
             kind=KIND_GENERIC,
             opname=str(rng.choice(["add", "pool", "softmax"])),
-            cpu_seconds=float(rng.integers(0, 1 << 20)) / (1 << 16),
             templates=templates,
         )
         return serialize_plan(plan)
@@ -256,39 +253,12 @@ def _fresh_plan_blob(rng: np.random.Generator) -> bytes:
         rows_per_chunk=int(rng.integers(1, m + 1)),
         batch=int(rng.integers(1, k + 1)),
     )
-    integrity_mode = str(rng.choice(["off", "abft", "vote"]))
-    checks = []
-    if integrity_mode != "off":
-        for i, _ in enumerate(geometry.row_starts):
-            r0 = int(rng.integers(0, m))
-            c0 = int(rng.integers(0, k))
-            checks.append(
-                IntegrityTemplate(
-                    label=f"fuzz:chk{i}",
-                    rows=(r0, r0 + int(rng.integers(1, 4))),
-                    cols=(c0, c0 + int(rng.integers(1, 4))),
-                )
-            )
-    model = None
-    if rng.integers(0, 2):
-        scales = 2.0 ** rng.integers(-6, 7, size=len(geometry.col_starts))
-        model = GemmModelBlock(
-            q_b=rng.integers(-127, 128, size=(n, k)).astype(np.float32),
-            col_scales=scales.astype(np.float64),
-            b_lo=-float(rng.integers(1, 64)),
-            b_hi=float(rng.integers(1, 64)),
-            b_digest=rng.integers(0, 256, size=32).astype(np.uint8).tobytes(),
-        )
     plan = CompiledPlan(
         signature=f"plan-v1|fuzz|{int(rng.integers(0, 1 << 30))}",
         kind=KIND_GEMM,
         opname="conv2D",
-        cpu_seconds=float(rng.integers(0, 1 << 20)) / (1 << 16),
         templates=templates,
-        integrity_mode=integrity_mode,
-        integrity=checks,
         geometry=geometry,
-        model=model,
     )
     return serialize_plan(plan)
 

@@ -12,8 +12,7 @@ outside, with three independent properties:
    vacuous.
 2. **Byte-exact round-trips** — every plan those runs captured must
    survive ``serialize_plan → parse_plan → serialize_plan`` bit-for-bit,
-   with a stable digest and structural equality of the parsed plan
-   (templates, geometry, integrity layout, quantized model block).
+   with structural equality of the parsed plan (templates, geometry).
 3. **Defenses compose** — ABFT still detects seeded silent data
    corruption when results come from cached plans: a loadgen campaign
    with a bit-flipping device, ``integrity="abft"``, and the plan cache
@@ -29,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.apps import all_applications
 from repro.config import SystemConfig
 from repro.conformance.cases import APP_PARAMS, OP_CASES
@@ -39,7 +36,7 @@ from repro.host.platform import Platform
 from repro.loadgen import LoadgenSpec, run_loadgen
 from repro.plan.cache import PlanCache
 from repro.plan.compiled import CompiledPlan
-from repro.plan.serial import parse_plan, plan_digest, serialize_plan
+from repro.plan.serial import parse_plan, serialize_plan
 from repro.runtime.api import OpenCtpu
 
 
@@ -84,38 +81,14 @@ def _settle(ctx: OpenCtpu) -> None:
         ctx.sync()
 
 
-def _models_equal(a, b) -> List[str]:
-    """Field-level differences between two optional GemmModelBlocks."""
-    if a is None and b is None:
-        return []
-    if (a is None) != (b is None):
-        return ["model block presence differs"]
-    diffs = []
-    if bytes(a.b_digest) != bytes(b.b_digest):
-        diffs.append("model digest differs")
-    if (a.b_lo, a.b_hi) != (b.b_lo, b.b_hi):
-        diffs.append("model range differs")
-    if not np.array_equal(np.asarray(a.q_b), np.asarray(b.q_b)):
-        diffs.append("quantized model data differs")
-    if not np.array_equal(np.asarray(a.col_scales), np.asarray(b.col_scales)):
-        diffs.append("model scales differ")
-    return diffs
-
-
 def _plans_equal(a: CompiledPlan, b: CompiledPlan) -> List[str]:
-    """Structural differences between two plans (ndarray-safe — a plain
-    dataclass ``==`` would hit the ambiguous-truth ndarray comparison)."""
+    """Field-level differences between two plans' serialized fields."""
     diffs = []
-    for name in ("signature", "kind", "opname", "cpu_seconds", "integrity_mode"):
+    for name in ("signature", "kind", "opname", "geometry"):
         if getattr(a, name) != getattr(b, name):
             diffs.append(f"{name} differs")
     if list(a.templates) != list(b.templates):
         diffs.append("instruction templates differ")
-    if list(a.integrity) != list(b.integrity):
-        diffs.append("integrity layout differs")
-    if a.geometry != b.geometry:
-        diffs.append("geometry differs")
-    diffs.extend(_models_equal(a.model, b.model))
     return diffs
 
 
@@ -137,9 +110,6 @@ def _check_roundtrip(
             f"{where}: plan re-serialized differently "
             f"({len(again)} vs {len(blob)} bytes)"
         )
-        return
-    if plan_digest(again) != plan_digest(blob):
-        report.violations.append(f"{where}: plan digest is unstable")
         return
     diffs = _plans_equal(canon, parsed)
     if diffs:

@@ -65,13 +65,6 @@ class GPUModel:
             raise ValueError("negative duration")
         return cpu_core_seconds / self.speedup(app)
 
-    def fits(self, input_bytes: int) -> bool:
-        """Whether the input fits device memory (§9.4: Jetson Nano's 4 GB
-        forces 25–50 % smaller inputs)."""
-        # Working set ≈ input + output + intermediates; the paper scales
-        # inputs down when they approach half the device memory.
-        return input_bytes * 2 <= self.config.memory_bytes
-
 
 #: Ready-made models for the two paper GPUs.
 RTX_2080_MODEL = GPUModel(RTX_2080, RTX_2080_APP_SPEEDUPS)

@@ -7,11 +7,11 @@ assembly — while host lowering and simulated-device execution run in N
 spawned worker processes, each owning a contiguous slice of the TPUs
 (GPTPU's parallel host-side task dispatch, §6.1, without the GIL).
 Only the two front door hooks are its own: a coalesced group is handed
-off by routing it to a worker (sticky per coalesce key, else least
-loaded) and staging it into that worker's ring, parking it when the
-ring is full; and a preemption may take back only parked groups (a
-worker reports the queued work it preempts, for the parent to
-re-admit).  Everything else here is genuinely multi-process: worker
+off by routing it to the least loaded worker (ties go to the one that
+last took that coalesce key) and staging it into that worker's ring,
+parking it when the ring is full; and a preemption may take back only
+parked groups (a worker reports the queued work it preempts, for the
+parent to re-admit).  Everything else here is genuinely multi-process: worker
 spawn and teardown, parking, crash requeue, plan gossip and merging
 per-worker snapshot payloads.
 
@@ -161,8 +161,9 @@ class MpTpuServer(FrontDoor):
             )
             self._workers.append(_Worker(wid, names))
             base += count
-        #: Sticky routing: coalesce key -> worker id, so a shared-B GEMM
-        #: stream keeps hitting one worker's warmed plan + residency.
+        #: coalesce key -> the worker that last took it: of equally
+        #: loaded workers, a GEMM stream keeps hitting the one whose plan
+        #: and model block are warm.
         self._routes: Dict[tuple, int] = {}
         self._inflight: Dict[int, _Shipment] = {}
         self._plan_blobs: Dict[str, bytes] = {}
@@ -365,16 +366,20 @@ class MpTpuServer(FrontDoor):
         return [w for w in self._workers if w.alive]
 
     def _route(self, group: List[ServeRequest]) -> Optional[_Worker]:
-        """Pick the worker for one coalescible group (sticky by key)."""
+        """Pick the least loaded worker for one group; of equally loaded
+        workers, the one that last took this group's coalesce key.
+
+        The key names shapes only, so being sticky to it regardless of
+        load would pile every same-shape stream, whatever its B, onto
+        one worker."""
         alive = self._alive_workers()
         if not alive:
             return None
         key = coalesce_key(group[0].request)
-        if key is not None:
-            wid = self._routes.get(key)
-            if wid is not None and self._workers[wid].alive:
-                return self._workers[wid]
-        pick = min(alive, key=lambda w: (w.inflight + len(w.pending), w.wid))
+        last = self._routes.get(key) if key is not None else None
+        pick = min(
+            alive, key=lambda w: (w.inflight + len(w.pending), w.wid != last, w.wid)
+        )
         if key is not None:
             self._routes[key] = pick.wid
         return pick
@@ -530,9 +535,6 @@ class MpTpuServer(FrontDoor):
             del self._inflight[sreq.serve_id]
         parked, worker.pending = worker.pending, deque()
         worker.inflight = 0
-        self._routes = {
-            key: wid for key, wid in self._routes.items() if wid != worker.wid
-        }
         self._teardown_worker(worker)
         for sreq in orphans:
             if not sreq.failed and not sreq.future.done():

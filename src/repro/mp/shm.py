@@ -166,12 +166,6 @@ class ShmRing:
             self._used -= size
             self._tail = (off + size) % self.capacity
 
-    def reset(self) -> None:
-        """Forget all allocations (crash recovery on a requeued ring)."""
-        self._head = self._tail = self._used = 0
-        self._order.clear()
-        self._freed.clear()
-
     # -- data movement --------------------------------------------------
 
     def write_array(self, array: np.ndarray) -> Tuple[int, int, tuple, str]:

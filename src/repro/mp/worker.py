@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.errors import ModelSizeMismatchError, PlanFormatError
 from repro.host.platform import Platform
 from repro.mp.messages import WorkerSpec, decode_request, encode_error
 from repro.mp.shm import RingFull, ShmRing
@@ -144,7 +145,7 @@ class _WorkerState:
                 self.shipped_plans.add(plan.signature)
                 try:
                     fresh.append((plan.signature, serialize_plan(plan)))
-                except Exception:
+                except PlanFormatError:
                     pass  # non-serializable plan shapes stay worker-local
         if fresh:
             self.send(("plans", fresh))
@@ -156,7 +157,7 @@ class _WorkerState:
         for blob in blobs:
             try:
                 plan = parse_plan(blob)
-            except Exception:
+            except (PlanFormatError, ModelSizeMismatchError):
                 continue
             self.shipped_plans.add(plan.signature)
             if cache.peek(plan.signature) is None:

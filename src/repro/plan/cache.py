@@ -9,8 +9,8 @@ templates, and the same integrity layout — only the data-dependent
 values (input scales, measured output bounds, results) differ, and
 those are recomputed per request at bind time.
 
-The coalescing compatibility key is by construction a sub-key of this
-signature (same opcode/shape/quant/`gemm_chunks` + shared B), so one
+The coalescing key (opcode, shapes, dtypes, SCALE quant,
+`gemm_chunks`) is by construction a sub-key of this signature, so one
 plan serves a whole coalesced group.
 """
 

@@ -1,28 +1,30 @@
 """Compiled lowering plans: the AOT capture half of the Tensorizer.
 
 A :class:`CompiledPlan` freezes everything about lowering one operation
-that does **not** depend on the operand *values*: the tiling geometry,
-the instruction-group records (with the data-source and task identity
-left as placeholders), the integrity-check layout, and — for conv2D
-GEMMs — the quantized model operand itself.  Replaying a plan therefore
-only needs per-request input quantization and binding the templates to
-the request's identity; re-tiling, instruction costing, and model
-builds are amortized into the one capture (the executorch-style
-delegation split, ROADMAP item 1).
+that does **not** depend on the operand *values*: the tiling geometry
+and the instruction-group records (with the data-source and task
+identity left as placeholders) — and, for conv2D GEMMs, the quantized
+model operand together with the operand it was taken from.  Replaying
+a plan therefore only needs per-request input quantization and binding
+the templates to the request's identity; re-tiling, instruction
+costing, and model builds are amortized into the one capture (the
+executorch-style delegation split, ROADMAP item 1).
 
 What stays per-request by construction: input quant params (they are
-functions of the data), measured output bounds, and the requantize
-arithmetic — so a replayed result is bit-identical to fresh lowering
-(``repro conformance --suite plans`` enforces it).
+functions of the data), measured output bounds, the integrity checks,
+the host-transform cost, and the requantize arithmetic — so a replayed
+result is bit-identical to fresh lowering (``repro conformance --suite
+plans`` enforces it).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
+
+from repro.plan.operand import hold_operand, same_operand
 
 #: Placeholder tokens substituted at bind time.
 SRC_TOKEN = "{src}"
@@ -62,15 +64,6 @@ class InstrTemplate:
 
 
 @dataclass(frozen=True)
-class IntegrityTemplate:
-    """Checksum-plan layout for one GEMM piece (values are per-request)."""
-
-    label: str
-    rows: Tuple[int, int]
-    cols: Tuple[int, int]
-
-
-@dataclass(frozen=True)
 class GemmGeometry:
     """The §7.1.2 conv2D-GEMM partitioning, captured once."""
 
@@ -97,37 +90,21 @@ class GemmModelBlock:
 
     ``q_b`` holds the int8-valued (float32-stored) quantized weights —
     exactly the bytes §3.3 would ship to the device — plus the per
-    kernel-batch scales and the operand's value range.  ``b_ref`` is the
-    capture-time array for a fast identity check; it is not serialized
-    (a deserialized plan matches by value instead).
+    kernel-batch scales and the operand's value range.  ``b_held`` is
+    what :func:`~repro.plan.operand.hold_operand` kept of the operand
+    they were taken from.  The block lives only in memory: a plan blob
+    carries no operand to compare against, so it never ships one.
     """
 
     q_b: np.ndarray  # float32 (n, k), integer-valued in [-127, 127]
     col_scales: np.ndarray  # float64, one per kernel batch
     b_lo: float
     b_hi: float
-    b_digest: bytes  # sha256 of the normalized operand's raw bytes
-    b_ref: Optional[np.ndarray] = None
+    b_held: np.ndarray
 
     def matches(self, b: np.ndarray) -> bool:
-        """Is *b* the operand this block quantized?  Identity first (the
-        serving hot path shares one weight matrix object), then the
-        capture-time content digest.
-
-        The digest — never value equality against ``b_ref`` — is the
-        authoritative fallback: ``b_ref`` may be a zero-copy view into a
-        shared-memory ring (the multi-process data plane), and once the
-        producer recycles that block, ``b_ref`` silently aliases a
-        *newer* request's bytes.  Comparing ``b`` against those bytes
-        would match any operand that happens to live at the same offset;
-        the digest was taken from the operand actually quantized and
-        cannot alias.
-        """
-        if self.b_ref is not None and b is self.b_ref:
-            return True
-        if b.shape != self.q_b.shape:
-            return False
-        return hashlib.sha256(b.tobytes()).digest() == self.b_digest
+        """Is *b* the operand this block quantized, unchanged?"""
+        return same_operand(self.b_held, b)
 
 
 def model_block_for(
@@ -139,8 +116,7 @@ def model_block_for(
         col_scales=np.asarray(col_scales, dtype=np.float64).copy(),
         b_lo=float(b_lo),
         b_hi=float(b_hi),
-        b_digest=hashlib.sha256(b.tobytes()).digest(),
-        b_ref=b,
+        b_held=hold_operand(b),
     )
 
 
@@ -151,14 +127,11 @@ class CompiledPlan:
     signature: str
     kind: str
     opname: str
-    #: Host data-transformation cost (§7.1.3), a pure function of shape.
-    cpu_seconds: float
     templates: List[InstrTemplate] = field(default_factory=list)
-    integrity_mode: str = "off"
-    integrity: List[IntegrityTemplate] = field(default_factory=list)
     geometry: Optional[GemmGeometry] = None
     #: Cached quantized model operand (GEMM plans, SCALE quant only —
-    #: GLOBAL scales depend on the data operand too).
+    #: GLOBAL scales depend on the data operand too; runtime-only, not
+    #: serialized).
     model: Optional[GemmModelBlock] = None
     #: Lifetime replay count for this plan (runtime-only, not serialized).
     replays: int = 0
@@ -175,18 +148,10 @@ class CompiledPlan:
 
     def without_runtime_state(self) -> "CompiledPlan":
         """A copy safe to compare against a deserialized plan."""
-        model = self.model
-        if model is not None:
-            model = replace(model, b_ref=None)
         return CompiledPlan(
             signature=self.signature,
             kind=self.kind,
             opname=self.opname,
-            cpu_seconds=self.cpu_seconds,
             templates=list(self.templates),
-            integrity_mode=self.integrity_mode,
-            integrity=list(self.integrity),
             geometry=self.geometry,
-            model=model,
-            replays=0,
         )

@@ -6,11 +6,12 @@ the same tooling conventions apply:
 1. a **120-byte header** whose first bytes carry a magic tag and format
    version and whose **last 4 bytes** are an unsigned little-endian
    integer — here the size of the *plan body* that follows;
-2. the body: the lowering signature, the plan kind, the tiling
-   geometry, one **instruction-group record** per template, the
-   **integrity block** (checksum layout), and — for GEMM plans — the
-   quantized model operand as §3.3 int8 row-major data plus its
-   per-kernel-batch scales;
+2. the body (format version 2): the lowering signature, the plan kind,
+   the opname, the tiling geometry, and one **instruction-group
+   record** per template — the fields a bind reads, nothing more.  No
+   model operand is carried: a parsed plan has no operand to compare
+   a request's against, so it quantizes its model on first use, and
+   the integrity mode is already part of the signature;
 3. **little-endian** encoding throughout.
 
 Parsing obeys the same contract the model parser does (and the fuzzer
@@ -19,12 +20,11 @@ enforces): every malformed blob is rejected with a typed error —
 :class:`~repro.errors.ModelSizeMismatchError` when the header's size
 field disagrees with the blob — and every accepted blob re-serializes
 **byte-exactly**.  The parser consumes the body completely; trailing or
-missing bytes are never guessed around.
+missing bytes are never guessed around.  Only version 2 is read.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import List
 
@@ -37,9 +37,7 @@ from repro.plan.compiled import (
     KIND_GENERIC,
     CompiledPlan,
     GemmGeometry,
-    GemmModelBlock,
     InstrTemplate,
-    IntegrityTemplate,
 )
 
 #: Header size, shared with the §3.3 model format.
@@ -47,11 +45,10 @@ PLAN_HEADER_SIZE = 120
 #: Magic tag distinguishing plan blobs from model blobs ("GPTPUMDL").
 PLAN_MAGIC = b"GPTPUPLN"
 #: Plan format version we emit.
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 _KIND_CODES = {KIND_GENERIC: 0, KIND_GEMM: 1}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
-_INTEGRITY_MODES = ("off", "abft", "vote")
 
 #: Opnames a plan may legally carry.  Instruction records are device
 #: instructions, so macro opcodes (host-level, no wire form — conv2D_nn)
@@ -62,16 +59,8 @@ _WIRE_OPNAMES = frozenset(op.opname for op in Opcode if not op.is_macro)
 #: Fixed-width tail of one instruction-group record past its strings:
 #: data/model/out bytes (u64 ×3), count (u32), build+exec seconds (f64 ×2).
 _TEMPLATE_FIXED = struct.Struct("<QQQIdd")
-#: Integrity record tail: r0, r1, c0, c1 (u32 ×4).
-_CHECK_FIXED = struct.Struct("<IIII")
-#: Smallest possible encodings, used to bound count fields up front.
+#: Smallest possible encoding, used to bound the count field up front.
 _TEMPLATE_MIN = 1 + 2 * 4 + _TEMPLATE_FIXED.size
-_CHECK_MIN = 2 + _CHECK_FIXED.size
-
-
-def plan_digest(blob: bytes) -> str:
-    """Stable content hash of a serialized plan (ship-and-verify handle)."""
-    return hashlib.sha256(blob).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -101,16 +90,11 @@ def serialize_plan(plan: CompiledPlan) -> bytes:
     """Encode a :class:`CompiledPlan` into the versioned plan format."""
     if plan.kind not in _KIND_CODES:
         raise PlanFormatError(f"unknown plan kind {plan.kind!r}")
-    if plan.integrity_mode not in _INTEGRITY_MODES:
-        raise PlanFormatError(f"unknown integrity mode {plan.integrity_mode!r}")
-    if plan.integrity_mode == "off" and plan.integrity:
-        raise PlanFormatError("integrity checks recorded with mode 'off'")
 
     body = bytearray()
     _enc_str(body, plan.signature, "H")
     body += struct.pack("<B", _KIND_CODES[plan.kind])
     _enc_str(body, plan.opname, "B")
-    body += struct.pack("<d", _finite(plan.cpu_seconds, "plan cpu_seconds"))
 
     # Geometry block: field count then u32 values (0 for generic plans).
     if plan.kind == KIND_GEMM:
@@ -139,38 +123,6 @@ def serialize_plan(plan: CompiledPlan) -> bytes:
             _finite(t.model_build_seconds, "template model_build_seconds"),
             _finite(t.exec_seconds, "template exec_seconds"),
         )
-
-    # Integrity block.
-    _enc_str(body, plan.integrity_mode, "B")
-    body += struct.pack("<I", len(plan.integrity))
-    for check in plan.integrity:
-        _enc_str(body, check.label, "H")
-        body += _CHECK_FIXED.pack(
-            check.rows[0], check.rows[1], check.cols[0], check.cols[1]
-        )
-
-    # Model block (GEMM plans with a captured SCALE-mode operand).
-    model = plan.model
-    if model is not None and plan.kind != KIND_GEMM:
-        raise PlanFormatError("only gemm_conv2d plans carry a model block")
-    if model is None:
-        body += struct.pack("<B", 0)
-    else:
-        q_b = np.asarray(model.q_b)
-        if q_b.ndim != 2:
-            raise PlanFormatError(f"model block data must be 2-D, got {q_b.shape}")
-        rows, cols = q_b.shape
-        scales = np.asarray(model.col_scales, dtype="<f8")
-        digest = bytes(model.b_digest)
-        if len(digest) != 32:
-            raise PlanFormatError("model block digest must be 32 bytes (sha256)")
-        body += struct.pack("<B", 1)
-        body += digest
-        body += struct.pack("<dd", model.b_lo, model.b_hi)
-        body += struct.pack("<III", rows, cols, scales.size)
-        body += scales.tobytes()
-        # §3.3 data section: binary 8-bit integers in row-major order.
-        body += np.ascontiguousarray(q_b).astype(np.int8).tobytes()
 
     header = bytearray(PLAN_HEADER_SIZE)
     header[: len(PLAN_MAGIC)] = PLAN_MAGIC
@@ -219,9 +171,6 @@ class _Reader:
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8).tobytes())[0]
 
     def string(self, width: str) -> str:
         length = self.u8() if width == "B" else self.u16()
@@ -278,7 +227,6 @@ def parse_plan(blob: bytes) -> CompiledPlan:
         raise PlanFormatError(
             f"plan opname {opname!r} is not an executable device opcode"
         )
-    cpu_seconds = _check_finite(r.f64(), "plan cpu_seconds")
 
     geom_fields = r.u8()
     geometry = None
@@ -344,63 +292,6 @@ def parse_plan(blob: bytes) -> CompiledPlan:
             )
         )
 
-    integrity_mode = r.string("B")
-    if integrity_mode not in _INTEGRITY_MODES:
-        raise PlanFormatError(f"unknown integrity mode {integrity_mode!r}")
-    n_checks = r.u32()
-    if integrity_mode == "off" and n_checks:
-        raise PlanFormatError("integrity checks present with mode 'off'")
-    if n_checks * _CHECK_MIN > r.remaining:
-        raise PlanFormatError(f"integrity-check count {n_checks} exceeds the plan body")
-    checks: List[IntegrityTemplate] = []
-    for _ in range(n_checks):
-        label = r.string("H")
-        r0, r1, c0, c1 = r.unpack(_CHECK_FIXED)
-        if r1 <= r0 or c1 <= c0:
-            raise PlanFormatError(
-                f"integrity check {label!r} has an empty tile ({r0},{r1})x({c0},{c1})"
-            )
-        checks.append(IntegrityTemplate(label=label, rows=(r0, r1), cols=(c0, c1)))
-
-    model = None
-    model_flag = r.u8()
-    if model_flag not in (0, 1):
-        raise PlanFormatError(f"model-block flag must be 0 or 1, got {model_flag}")
-    if model_flag:
-        if kind != KIND_GEMM:
-            raise PlanFormatError("only gemm_conv2d plans carry a model block")
-        digest = r.take(32).tobytes()
-        b_lo = r.f64()
-        b_hi = r.f64()
-        if not (np.isfinite(b_lo) and np.isfinite(b_hi)) or b_lo > b_hi:
-            raise PlanFormatError(
-                f"model block range [{b_lo}, {b_hi}] is not a finite interval"
-            )
-        rows, cols, n_scales = (r.u32() for _ in range(3))
-        if rows != geometry.n or cols != geometry.k:
-            raise PlanFormatError(
-                f"model block is {rows}x{cols} but the geometry wants "
-                f"{geometry.n}x{geometry.k}"
-            )
-        expected_scales = len(geometry.col_starts)
-        if n_scales != expected_scales:
-            raise PlanFormatError(
-                f"model block has {n_scales} scales, geometry wants {expected_scales}"
-            )
-        scales = np.frombuffer(r.take(8 * n_scales), dtype="<f8").astype(np.float64)
-        if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
-            raise PlanFormatError("model block scales must be finite and positive")
-        data = np.frombuffer(r.take(rows * cols), dtype=np.int8)
-        q_b = data.reshape(rows, cols).astype(np.float32)
-        model = GemmModelBlock(
-            q_b=q_b,
-            col_scales=scales,
-            b_lo=float(b_lo),
-            b_hi=float(b_hi),
-            b_digest=digest,
-            b_ref=None,
-        )
-
     if r.remaining:
         raise PlanFormatError(
             f"plan body has {r.remaining} undeclared trailing bytes"
@@ -409,10 +300,6 @@ def parse_plan(blob: bytes) -> CompiledPlan:
         signature=signature,
         kind=kind,
         opname=opname,
-        cpu_seconds=cpu_seconds,
         templates=templates,
-        integrity_mode=integrity_mode,
-        integrity=checks,
         geometry=geometry,
-        model=model,
     )

@@ -86,9 +86,9 @@ from repro.plan.compiled import (
     CompiledPlan,
     GemmGeometry,
     InstrTemplate,
-    IntegrityTemplate,
     model_block_for,
 )
+from repro.plan.operand import frozen, hold_operand, same_operand
 from repro.runtime.opqueue import (
     LoweredInstr,
     LoweredOperation,
@@ -276,17 +276,6 @@ def _bind_template(
     )
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """Can nothing write *array*?  True when it and every array under it
-    (its ``.base`` chain) are read-only; a base that is not an array
-    (a buffer, a memory map) is not trusted."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    return array is None
-
-
 def _quantize_band(band: np.ndarray, col_scales: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``rint(x * f)`` with per-column scales, into the float64 *out*.
 
@@ -430,7 +419,7 @@ class Tensorizer:
         # Keyed LRU of conv2D-GEMM scratch buffers: geometry key -> dict.
         self._gemm_scratch: "OrderedDict[tuple, dict]" = OrderedDict()
         # The last named FullyConnected model operand, quantized (see
-        # _model_tiles): (key, operand or its copy, int8 tiles, scales).
+        # _model_tiles): (key, held operand, int8 tiles, scales).
         self._model_memo: Optional[tuple] = None
         # The last read-only operand a crop scanned whole, and the input
         # params that scan gave (see _crop_params).
@@ -546,23 +535,9 @@ class Tensorizer:
             )
             for i in lowered.instrs
         ]
-        integ = lowered.integrity
-        checks = (
-            [
-                IntegrityTemplate(label=c.label, rows=c.rows, cols=c.cols)
-                for c in integ.checks.values()
-            ]
-            if integ is not None
-            else []
-        )
         return CompiledPlan(
-            signature=signature,
-            kind="generic",
-            opname=request.opcode.opname,
-            cpu_seconds=lowered.cpu_seconds,
+            signature=signature, kind="generic", opname=request.opcode.opname,
             templates=templates,
-            integrity_mode=integ.mode if integ is not None else "off",
-            integrity=checks,
         )
 
     def _dispatch_rule(self, request: OperationRequest) -> LoweredOperation:
@@ -1112,13 +1087,11 @@ class Tensorizer:
         A request naming its model (``model_name``) reuses the last
         quantization of that name while the operand is unchanged — the
         resident adjacency tiles an iterative app re-sends every call.
-        A read-only operand whose every base is read-only too cannot be
-        edited in place, so the memo holds that very array and a hit is
-        an identity check.  Any other operand is copied, and a hit
-        compares the copy element for element, so an edited or different
-        operand re-quantizes.  Modeled costs (model builds,
-        ``tiles_lowered``, residency keys) are charged by the callers
-        either way.
+        The memo holds the operand by :func:`~repro.plan.operand.hold_operand`
+        and a hit needs :func:`~repro.plan.operand.same_operand`, so an
+        edited or different operand re-quantizes.  Modeled costs (model
+        builds, ``tiles_lowered``, residency keys) are charged by the
+        callers either way.
         """
         n_r, n_c = grid_shape(matrix.shape, tile)
         self.stats.tiles_lowered += n_r * n_c
@@ -1129,14 +1102,12 @@ class Tensorizer:
             return quantize_tiles(matrix, tile, scale)
         key = (name, tile, scale, matrix.shape)
         memo = self._model_memo
-        if memo is not None and memo[0] == key:
-            held = memo[1]
-            if (_frozen(matrix) if held is matrix else np.array_equal(held, matrix)):
-                return memo[2], memo[3]
+        if memo is not None and memo[0] == key and same_operand(memo[1], matrix):
+            return memo[2], memo[3]
         q, scales = quantize_tiles(matrix, tile, scale)
         q.flags.writeable = False
         scales.flags.writeable = False
-        self._model_memo = (key, matrix if _frozen(matrix) else matrix.copy(), q, scales)
+        self._model_memo = (key, hold_operand(matrix), q, scales)
         return q, scales
 
     # ------------------------------------------------------------------
@@ -1278,9 +1249,8 @@ class Tensorizer:
 
         Geometry, per-piece instruction templates (identity left as
         ``{src}``/``{task}``/``{msrc}`` placeholders, in the exact
-        (chunk, kernel-batch) emission order), the integrity-check
-        layout, and the §7.1.3 host-transform cost.  Model builds are
-        costed here, once — binding a warm replay charges nothing.
+        (chunk, kernel-batch) emission order).  Model builds are costed
+        here, once — binding a warm replay charges nothing.
         """
         a, b = request.inputs
         m, n = a.shape
@@ -1288,8 +1258,6 @@ class Tensorizer:
         s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
         geometry = GemmGeometry(m=m, n=n, k=k, s=s, rows_per_chunk=rows_per_chunk, batch=batch)
         templates: List[InstrTemplate] = []
-        checks: List[IntegrityTemplate] = []
-        integrity_on = self.options.integrity != "off"
         for c0 in geometry.row_starts:
             c1 = min(c0 + rows_per_chunk, m)
             chunk_bytes = (c1 - c0) * s * s
@@ -1317,21 +1285,9 @@ class Tensorizer:
                         ),
                     )
                 )
-                if integrity_on:
-                    checks.append(
-                        IntegrityTemplate(label=label, rows=(c0, c1), cols=(j0, j1))
-                    )
         return CompiledPlan(
-            signature=signature,
-            kind=KIND_GEMM,
-            opname=Opcode.CONV2D.opname,
-            cpu_seconds=self.cpu.elementwise_seconds(
-                m * s * s + k * s * s, bytes_per_elem=2
-            ),
-            templates=templates,
-            integrity_mode=self.options.integrity,
-            integrity=checks,
-            geometry=geometry,
+            signature=signature, kind=KIND_GEMM, opname=Opcode.CONV2D.opname,
+            templates=templates, geometry=geometry,
         )
 
     def _lower_gemm_conv2d(self, request: OperationRequest) -> LoweredOperation:
@@ -1381,7 +1337,7 @@ class Tensorizer:
         if cache is None:
             plan = self._gemm_capture(first, "")
         else:
-            # The coalescing key (shape / quant / gemm_chunks / shared B)
+            # The coalescing key (shapes / dtypes / quant / gemm_chunks)
             # is a sub-key of the plan signature: one plan serves a group.
             signature = plan_signature(first, self.options, self.tpu_config)
             plan = cache.get(signature)
@@ -1528,9 +1484,10 @@ class Tensorizer:
         tracer.end(sp)
 
         if cache is not None and not glob and not reuse_model:
-            # Cache the quantized model operand with the plan.  Copy: the
-            # scratch q_b is overwritten by the next GEMM of this
-            # geometry, and the block must outlive it.
+            # Cache the quantized model operand with the plan, and hold
+            # B by the same-operand rule.  Copy q_b: the scratch is
+            # overwritten by the next GEMM of this geometry, and the
+            # block must outlive it.
             plan.model = model_block_for(b, q_b.copy(), col_scales, b_lo, b_hi)
 
         # Bind the templates in (chunk, kernel-batch) order.  Every
@@ -1761,6 +1718,7 @@ class Tensorizer:
                 raise TensorizerError("coalescing requires SCALE quantization")
         first = requests[0]
         a0, b = self._require_2d_pair(first)
+        b_held = hold_operand(b)
         chunk_attr = int(first.attrs.get("gemm_chunks", self.options.min_gemm_chunks))
         for request in requests[1:]:
             a_r, b_r = self._require_2d_pair(request)
@@ -1768,7 +1726,7 @@ class Tensorizer:
                 raise TensorizerError(
                     f"coalesced GEMM data shapes differ: {a_r.shape} vs {a0.shape}"
                 )
-            if b_r is not b and not np.array_equal(b_r, b):
+            if not same_operand(b_held, b_r):
                 raise TensorizerError("coalesced GEMMs must share the model operand")
             if int(request.attrs.get("gemm_chunks", self.options.min_gemm_chunks)) != chunk_attr:
                 raise TensorizerError("coalesced GEMMs must agree on gemm_chunks")
@@ -2006,18 +1964,19 @@ class Tensorizer:
     def _crop_params(self, request: OperationRequest, a: np.ndarray) -> QuantParams:
         """:meth:`_input_params` of a crop's whole operand.
 
-        LUD crops one matrix four times per recursion level.  A
-        read-only operand whose every base is read-only too cannot have
-        changed since its last scan, so its params are remembered by
-        identity and the next crop of it scans nothing; any other
-        operand is scanned every time.  Both quantization modes derive
-        the params from the operand's range alone.
+        LUD crops one matrix four times per recursion level.  A frozen
+        operand (:func:`~repro.plan.operand.frozen`) is remembered with
+        its params, held without a copy, and a crop of the
+        :func:`~repro.plan.operand.same_operand` scans nothing; any other
+        operand is scanned every time (holding a copy would cost what
+        the scan costs).  Both quantization modes derive the params from
+        the operand's range alone.
         """
         memo = self._range_memo
-        if memo is not None and memo[0] is a and _frozen(a):
+        if memo is not None and same_operand(memo[0], a):
             return memo[1]
         params = self._input_params(request, a)
-        self._range_memo = (a, params) if _frozen(a) else None
+        self._range_memo = (hold_operand(a), params) if frozen(a) else None
         return params
 
     def _lower_ext(self, request: OperationRequest) -> LoweredOperation:

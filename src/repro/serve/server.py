@@ -115,9 +115,6 @@ class ServeConfig:
     #: not-yet-dispatched lower-priority work.  None keeps the classic
     #: round-robin, shed-nothing behaviour.
     slo: Optional[SloPolicy] = None
-    #: Admission scheduling: "auto" picks "edf" when an SLO policy is
-    #: set and "rr" otherwise; explicit "rr"/"edf" override.
-    scheduling: str = "auto"
     #: Energy-aware shard placement: within a request's deadline slack,
     #: candidates compete on §8.1 active joules instead of makespan.
     energy_aware: bool = False
@@ -182,20 +179,12 @@ class FrontDoor:
             raise ValueError(
                 f"shard must be 'auto' or 'off', got {self.config.shard!r}"
             )
-        if self.config.scheduling not in ("auto", "rr", "edf"):
-            raise ValueError(
-                f"scheduling must be 'auto', 'rr' or 'edf', "
-                f"got {self.config.scheduling!r}"
-            )
         self.metrics = metrics
         self.slo = self.config.slo
-        scheduling = self.config.scheduling
-        if scheduling == "auto":
-            scheduling = "edf" if self.slo is not None else "rr"
         self.admission = AdmissionController(
             self.config.max_queue_depth,
             self.config.per_tenant_limit,
-            scheduling=scheduling,
+            scheduling="edf" if self.slo is not None else "rr",
         )
         #: Hysteresis shed governor, armed only with an SLO policy.
         self.overload: Optional[OverloadController] = (

@@ -137,7 +137,7 @@ class TestPlanMutationOperators:
 
         plan = CompiledPlan(
             signature="plan-v1|macro", kind="generic",
-            opname="conv2D_nn", cpu_seconds=0.0,
+            opname="conv2D_nn",
         )
         with pytest.raises(ModelFormatError, match="device opcode"):
             parse_plan(serialize_plan(plan))
@@ -149,7 +149,7 @@ class TestPlanMutationOperators:
         for opname in ("pool", "softmax"):
             plan = CompiledPlan(
                 signature=f"plan-v1|{opname}", kind="generic",
-                opname=opname, cpu_seconds=0.25,
+                opname=opname,
             )
             blob = serialize_plan(plan)
             assert parse_plan(blob).opname == opname

@@ -45,12 +45,3 @@ class TestTiming:
         for app in RTX_2080_APP_SPEEDUPS:
             assert JETSON_NANO_MODEL.speedup(app) < RTX_2080_MODEL.speedup(app)
 
-
-class TestMemoryCapacity:
-    def test_jetson_cannot_fit_large_inputs(self):
-        # §9.4: Jetson Nano's 4 GB forces input down-scaling.
-        four_gb = 4 * 1024**3
-        assert not JETSON_NANO_MODEL.fits(four_gb)
-
-    def test_rtx_fits_moderate_inputs(self):
-        assert RTX_2080_MODEL.fits(1024**3)

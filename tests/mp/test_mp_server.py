@@ -38,8 +38,9 @@ class TestMpServer:
         """Same-shape GEMMs with different B through a warmed plan cache.
 
         Regression: ring blocks are recycled at identical offsets, so a
-        cached plan's ``b_ref`` view aliases the *next* request's bytes;
-        matching by value against it replayed stale quantized weights.
+        plan that kept a view of a request's B (rather than holding its
+        own copy) would alias the *next* request's bytes and replay
+        stale quantized weights.
         """
         rng = np.random.default_rng(11)
         requests = [_gemm(i + 1, rng) for i in range(4)]
@@ -256,3 +257,67 @@ class TestMpServer:
         for worker in server._workers:
             assert worker.req_ring is None and worker.res_ring is None
             assert worker.inbox is None and worker.outbox is None
+
+
+class TestPlanGossip:
+    """The worker side of plan gossip, on a stand-in for its state."""
+
+    @staticmethod
+    def _state(cache):
+        from types import SimpleNamespace
+
+        sent = []
+        state = SimpleNamespace(
+            plane=SimpleNamespace(plan_cache=cache), shipped_plans=set(), send=sent.append
+        )
+        return state, sent
+
+    @staticmethod
+    def _plan(signature, exec_seconds=0.5):
+        from repro.plan import CompiledPlan, InstrTemplate
+
+        template = InstrTemplate(
+            opname="add", label="add:0", group_key="task{task}:g", cache_key="{src}:c",
+            model_cache_key="{msrc}:m", data_bytes=8, model_bytes=8, out_bytes=8,
+            count=1, model_build_seconds=0.0, exec_seconds=exec_seconds,
+        )
+        return CompiledPlan(
+            signature=signature, kind="generic", opname="add", templates=[template]
+        )
+
+    def test_malformed_blob_is_skipped_and_other_faults_surface(self, monkeypatch):
+        from repro.mp import worker as worker_module
+        from repro.plan import PlanCache, serialize_plan
+
+        good = serialize_plan(self._plan("good"))
+        cache = PlanCache()
+        state, _ = self._state(cache)
+        worker_module._WorkerState.warm_plans(state, [good[:-1], b"junk", good])
+        assert cache.peek("good") is not None
+
+        def broken(blob):
+            raise RuntimeError("not a format error")
+
+        monkeypatch.setattr(worker_module, "parse_plan", broken)
+        with pytest.raises(RuntimeError):
+            worker_module._WorkerState.warm_plans(state, [good])
+
+    def test_unserializable_plan_stays_local_and_others_ship(self, monkeypatch):
+        from repro.mp import worker as worker_module
+        from repro.plan import PlanCache
+
+        cache = PlanCache()
+        cache.put("bad", self._plan("bad", exec_seconds=float("nan")))
+        cache.put("good", self._plan("good"))
+        state, sent = self._state(cache)
+        worker_module._WorkerState.ship_new_plans(state)
+        ((kind, fresh),) = sent
+        assert kind == "plans" and [sig for sig, _ in fresh] == ["good"]
+
+        def broken(plan):
+            raise RuntimeError("not a format error")
+
+        monkeypatch.setattr(worker_module, "serialize_plan", broken)
+        cache.put("later", self._plan("later"))
+        with pytest.raises(RuntimeError):
+            worker_module._WorkerState.ship_new_plans(state)

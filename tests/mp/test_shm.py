@@ -58,13 +58,6 @@ class TestAlloc:
         off, _ = ring.alloc(5 * ALIGN)
         assert off == 0
 
-    def test_reset_forgets_all_state(self, ring):
-        ring.alloc(8 * ALIGN)
-        ring.reset()
-        assert ring.used_bytes == 0
-        off, _ = ring.alloc(8 * ALIGN)
-        assert off == 0
-
 
 class TestEncodeRollback:
     def test_partial_staging_frees_every_block_on_ringfull(self, ring):

@@ -14,7 +14,7 @@ from repro.runtime.tensorizer import TensorizerOptions
 
 def _plan(tag: str) -> CompiledPlan:
     return CompiledPlan(
-        signature=tag, kind="generic", opname="ADD", cpu_seconds=0.0
+        signature=tag, kind="generic", opname="ADD"
     )
 
 

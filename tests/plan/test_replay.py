@@ -153,6 +153,49 @@ class TestGemmReplay:
         assert cache.hits == 1
         assert np.array_equal(warm.result, fresh.result)
 
+    def test_model_operand_edited_in_place_requantizes(self):
+        # A writable float64 B reaches the plan as the very same object
+        # on both calls, but its values changed in between: the warm
+        # bind must quantize the edited values, not replay the block
+        # captured before the edit.
+        rng = _rng(7)
+        a = rng.normal(size=(64, 64))
+        b = rng.normal(size=(64, 64))
+        tz, cache = _planned_tz()
+        tz.lower(_gemm(a, b))
+        b += rng.normal(size=b.shape)
+        warm = tz.lower(_gemm(a, b))
+        fresh = _fresh_tz().lower(_gemm(a, b.copy()))
+        assert cache.hits == 1
+        assert warm.result.tobytes() == fresh.result.tobytes()
+
+    def test_frozen_model_operand_is_reused_by_identity(self, monkeypatch):
+        # A read-only B that owns its data cannot change: the plan holds
+        # that very array and a warm bind reuses its quantization with
+        # no element compare (np.array_equal is spied on) and no new
+        # model block.
+        rng = _rng(8)
+        b = rng.normal(size=(40, 36))
+        b.flags.writeable = False
+        tz, cache = _planned_tz()
+        cold = tz.lower(_gemm(rng.normal(size=(48, 40)), b))
+        (plan,) = cache.plans()
+        block = plan.model
+        assert block.b_held is b
+        calls = []
+        real = np.array_equal
+        monkeypatch.setattr(
+            np, "array_equal", lambda *args, **kw: calls.append(args) or real(*args, **kw)
+        )
+        a = rng.normal(size=(48, 40))
+        warm = tz.lower(_gemm(a, b))
+        assert calls == []
+        assert plan.model is block
+        # Reuse skips B's reshape: only A's is charged.
+        assert warm.cpu_seconds < cold.cpu_seconds
+        fresh = _fresh_tz().lower(_gemm(a, b))
+        assert warm.result.tobytes() == fresh.result.tobytes()
+
 
 class TestGenericReplay:
     @pytest.mark.parametrize(

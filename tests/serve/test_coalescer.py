@@ -59,12 +59,28 @@ class TestEligibility:
         k2 = coalesce_key(gemm_request(rng.normal(size=(8, 8)), b))
         assert k1 is not None and k1 == k2
 
-    def test_different_model_operand_splits_keys(self):
+    def test_different_model_operand_splits_groups(self):
+        # The key names the geometry; B itself is compared by the
+        # same-operand rule.  Interleaved clients of two weight matrices
+        # form one group per matrix, and an equal-valued copy of a
+        # matrix joins its group.
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(8, 8))
-        k1 = coalesce_key(gemm_request(a, rng.normal(size=(8, 8))))
-        k2 = coalesce_key(gemm_request(a, rng.normal(size=(8, 8))))
-        assert k1 is not None and k2 is not None and k1 != k2
+        b1, b2 = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+        requests = [
+            gemm_request(rng.normal(size=(8, 8)), b)
+            for b in (b1, b2, b1, b2.copy(), b1)
+        ]
+        assert len({coalesce_key(r) for r in requests}) == 1
+        groups = coalesce([_sreq(i, r) for i, r in enumerate(requests)])
+        assert [[s.serve_id for s in g] for g in groups] == [[0, 2, 4], [1, 3]]
+
+    def test_b_dtype_is_part_of_the_key(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+        wide = gemm_request(a, b)
+        narrow = gemm_request(a, b)
+        narrow.inputs = (a, b.astype(np.float32))
+        assert coalesce_key(wide) != coalesce_key(narrow)
 
     def test_ineligible_requests(self):
         rng = np.random.default_rng(0)
@@ -150,6 +166,22 @@ class TestGrouping:
         ]
         groups = coalesce(sreqs, max_group=2)
         assert [[s.serve_id for s in g] for g in groups] == [[0, 1], [2, 3], [4]]
+
+    def test_frozen_shared_b_groups_by_identity(self, monkeypatch):
+        # A read-only B that owns its data is held as itself, and later
+        # requests carrying that very array join with no element compare.
+        rng = np.random.default_rng(2)
+        b = rng.normal(size=(8, 8))
+        b.flags.writeable = False
+        sreqs = [_sreq(i, gemm_request(rng.normal(size=(8, 8)), b)) for i in range(3)]
+        calls = []
+        real = np.array_equal
+        monkeypatch.setattr(
+            np, "array_equal", lambda *args, **kw: calls.append(args) or real(*args, **kw)
+        )
+        groups = coalesce(sreqs)
+        assert [[s.serve_id for s in g] for g in groups] == [[0, 1, 2]]
+        assert calls == []
 
     def test_ineligible_become_singletons_in_place(self):
         rng = np.random.default_rng(1)

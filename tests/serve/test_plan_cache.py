@@ -1,11 +1,17 @@
 """Serving with the AOT plan cache: warm binds, counters, opt-out."""
 
+import asyncio
+
 import numpy as np
 
+from repro.edgetpu.isa import Opcode
 from repro.host.platform import Platform
 from repro.loadgen import LoadgenSpec, run_loadgen
 from repro.plan import PlanCache
 from repro.runtime.api import OpenCtpu
+from repro.runtime.opqueue import OperationRequest, QuantMode
+from repro.runtime.tensorizer import Tensorizer
+from repro.serve import ServeConfig, TpuServer
 
 
 def _spec(**over) -> LoadgenSpec:
@@ -23,6 +29,35 @@ class TestServingPlanCache:
         assert plan["binds"] >= 1
         # Replayed plans never change delivered bytes.
         assert result.mismatches == 0
+
+    def test_model_operand_edited_in_place_between_requests(self):
+        # A client keeps one writable float64 B and edits it in place
+        # between two GEMMs.  The second request binds the plan the
+        # first captured, and must deliver what a fresh lowering of the
+        # edited values gives.
+        rng = np.random.default_rng(21)
+        b = rng.normal(size=(64, 64))
+
+        def gemm(a):
+            return OperationRequest(
+                task_id=0, opcode=Opcode.CONV2D, inputs=(a, b),
+                quant=QuantMode.SCALE, attrs={"gemm": True},
+            )
+
+        a1, a2 = rng.normal(size=(64, 64)), rng.normal(size=(64, 64))
+        edit = rng.normal(size=b.shape)
+
+        async def main():
+            async with TpuServer(Platform.with_tpus(1), ServeConfig(time_scale=0.0)) as server:
+                await server.submit(gemm(a1))
+                b[...] += edit
+                got = await server.submit(gemm(a2))
+                return got, server.snapshot()["plan_cache"]
+
+        got, plan = asyncio.run(main())
+        assert plan["hits"] >= 1
+        want = Tensorizer().lower(gemm(a2)).result
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_plan_cache_opt_out_removes_the_surface(self):
         result = run_loadgen(_spec(plan_cache=False))
